@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .constructive import build_isolating_set, isolation_bound
+from .constructive import build_isolating_set, fraction_str, isolation_bound
 from .errors import (
     CertificateError,
     Graph6ParseError,
@@ -84,10 +84,6 @@ def _parse_params(text):
             raise ParameterError(f"expected key=value, got {item!r}")
         params[key.strip()] = int(val)
     return params
-
-
-def _frac(f):
-    return f"{f.numerator}/{f.denominator}"
 
 
 def cmd_verify(args):
@@ -223,7 +219,7 @@ def cmd_construct(args):
     cert = build_isolating_set(g, iset, args.k)
     print(f"regime: {cert.regime}")
     print(f"t: {' '.join(map(str, cert.t)) or '-'}")
-    print(f"size: {len(cert.t)}  bound: {_frac(cert.bound)}  s: {cert.s_param}")
+    print(f"size: {len(cert.t)}  bound: {fraction_str(cert.bound)}  s: {cert.s_param}")
     print(f"bound satisfied: {cert.satisfied}")
     print(f"isolating verified: {cert.isolating_verified}")
     return 0 if cert.satisfied and cert.isolating_verified else 1
@@ -283,7 +279,7 @@ def cmd_check(args):
 
 def cmd_bound(args):
     b = isolation_bound(args.k, args.delta, args.ir, s=args.s)
-    print(_frac(b))
+    print(fraction_str(b))
     return 0
 
 

@@ -11,15 +11,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import ParameterError, PreconditionError, RegimeError
+from .errors import ParameterError, RegimeError
 from .graph import Graph, bits, components_masks
-from .partition import (
-    check_delta_regime,
-    compute_partition,
-    refine_pairs,
-    refine_twins,
-)
-from .predicates import is_k_isolating, is_maximal_irredundant
+from .partition import SetMachinery
+from .predicates import is_k_isolating
 
 REGIMES = ("delta_plus_1", "delta", "delta_minus_1", "delta_minus_2")
 
@@ -59,20 +54,26 @@ def _certificate(g, regime, k, iset, t, bound, s_param=None):
 
 
 def build_isolating_set(
-    g: Graph, i: Sequence[int], k: int, sprime_reading: str = "i-adjacency"
+    g: Graph, i: Sequence[int], k: int, machinery: Optional[SetMachinery] = None
 ) -> BoundCertificate:
     """Build a k-isolating set from the maximal irredundant set i.
 
     Supported orders are k in {delta-2, ..., delta+1} where delta is the
     maximum degree; anything else raises RegimeError. The input set must
-    be maximal irredundant (PreconditionError otherwise).
+    be maximal irredundant (PreconditionError otherwise): computing its
+    partition certifies that. machinery, when given, is the SetMachinery
+    of i in g; the partition and refinements it already holds are reused,
+    and what it lacks is computed into it.
     """
     if k < 1:
         raise ParameterError(f"isolation order must be positive, got {k}")
-    if not is_maximal_irredundant(g, i):
-        raise PreconditionError("input set is not maximal irredundant")
-    iset = tuple(sorted(set(i)))
-    delta = g.max_degree()
+    if machinery is None:
+        machinery = SetMachinery(g, i)
+    elif machinery.g is not g or machinery.i != tuple(sorted(set(i))):
+        raise ValueError("machinery belongs to another graph or set")
+    part = machinery.partition
+    iset = machinery.i
+    delta = machinery.delta
 
     if k == delta + 1:
         # only components that are complete on k vertices can host a
@@ -87,14 +88,12 @@ def build_isolating_set(
         return _certificate(g, "delta_plus_1", k, iset, t, Fraction(len(iset)))
 
     if k == delta:
-        part = compute_partition(g, iset)
-        check_delta_regime(g, part, k)
+        machinery.delta_regime  # raises unless the k = Delta claims hold
         t = list(part.nhat) + list(part.m) + list(part.q) + list(part.z)
         return _certificate(g, "delta", k, iset, t, Fraction(len(iset)))
 
     if k == delta - 1:
-        part = compute_partition(g, iset)
-        ref = refine_pairs(g, iset, part, k, sprime_reading=sprime_reading)
+        ref = machinery.pairs
         t = (
             list(part.nhat)
             + list(ref.y)
@@ -110,8 +109,7 @@ def build_isolating_set(
         return _certificate(g, "delta_minus_1", k, iset, t, bound, s_param=ref.s_param)
 
     if k == delta - 2:
-        part = compute_partition(g, iset)
-        ref = refine_twins(g, iset, part, k)
+        ref = machinery.twins
         t = (
             list(part.nhat)
             + list(ref.mhat)
@@ -127,6 +125,11 @@ def build_isolating_set(
         f"no constructive regime for k={k} at maximum degree {delta}; "
         f"supported orders are {max(1, delta - 2)}..{delta + 1}"
     )
+
+
+def fraction_str(f: Fraction) -> str:
+    """An exact fraction as "p/q", the form every report uses."""
+    return f"{f.numerator}/{f.denominator}"
 
 
 def isolation_bound(k: int, delta: int, ir_value: int, s: Optional[int] = None) -> Fraction:

@@ -15,22 +15,17 @@ import random
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
-from .constructive import build_isolating_set, survey_ratios
+from .constructive import build_isolating_set, fraction_str, survey_ratios
 from .errors import Graph6ParseError, OrderCapError
 from .families import FAMILIES
-from .graph import bits, classify, encode_graph6, parse_graph6
-from .partition import (
-    check_delta_regime,
-    compute_partition,
-    refine_pairs,
-    refine_twins,
-    representatives_dominate,
-    undominated_witnesses,
-)
+from .graph import bits, classify, encode_graph6, mask_of, parse_graph6
+from .partition import SetMachinery, representatives_dominate, undominated_witnesses
 from .predicates import (
+    irredundant_extension,
     is_dominating,
-    is_irredundant_mask,
+    is_dominating_mask,
     is_k_isolating,
     is_maximal_irredundant,
 )
@@ -38,6 +33,10 @@ from .solvers import IR_ORDER_CAP, gamma, iota, iota_lower_bound, ir
 
 GAMMA_CAP = 26
 IOTA_CAP = 30
+# Largest order on which verify re-checks gamma apart from the solver, by
+# testing every set one vertex smaller than the witness: at most
+# C(10, 5) = 252 domination tests per graph.
+GAMMA_RECHECK_ORDER_CAP = 10
 
 
 @dataclass
@@ -54,52 +53,57 @@ def applicable_ks(delta):
 
 
 def random_maximal_irredundant(g, rng):
-    """A maximal irredundant set grown greedily in a seeded random order."""
-    smask = 0
+    """A maximal irredundant set grown greedily in a seeded random order.
+
+    One pass suffices: irredundance is hereditary, so a vertex that cannot
+    join the set now cannot join any larger set later.
+    """
     order = list(range(g.n))
     rng.shuffle(order)
-    grown = True
-    while grown:
-        grown = False
-        for v in order:
-            if smask >> v & 1:
-                continue
-            if is_irredundant_mask(g, smask | (1 << v)):
-                smask |= 1 << v
-                grown = True
+    smask = 0
+    pns = []
+    union_closed = 0
+    for v in order:
+        if irredundant_extension(g, pns, union_closed, 1 << v) is None:
+            continue
+        cv = g.clo[v]
+        pns = [pn & ~cv for pn in pns]
+        pns.append(cv & ~union_closed)
+        union_closed |= cv
+        smask |= 1 << v
     return tuple(bits(smask))
 
 
-def _frac_str(f):
-    f = Fraction(f)
-    return f"{f.numerator}/{f.denominator}"
+def _is_minimum_dominating(g, res):
+    """Whether a gamma result holds up without the solver: its witness has
+    res.value vertices and dominates, and no set one vertex smaller does
+    (domination is monotone, so smaller sets need no check)."""
+    if len(res.witness) != res.value or not is_dominating(g, res.witness):
+        return False
+    return res.value == 0 or not any(
+        is_dominating_mask(g, mask_of(c)) for c in combinations(range(g.n), res.value - 1)
+    )
 
 
-def _run_constructive(g, iset, k, record_key, checks, failures, g6, iotas):
-    cert = build_isolating_set(g, iset, k)
-    entry = {
-        "regime": cert.regime,
-        "t": " ".join(map(str, cert.t)),
-        "t_size": len(cert.t),
-        "bound": _frac_str(cert.bound),
-        "s_param": cert.s_param,
-        "satisfied": cert.satisfied,
-        "isolating": cert.isolating_verified,
-    }
+def _run_constructive(machinery, k, record_key, checks, failures, g6, iotas):
+    cert = build_isolating_set(machinery.g, machinery.i, k, machinery)
     ok = cert.satisfied and cert.isolating_verified
     checks[f"construct_k{k}"] = checks.get(f"construct_k{k}", True) and ok
     if not cert.satisfied:
-        failures.append(f"{g6} {record_key} k={k}: |T|={len(cert.t)} exceeds bound {entry['bound']}")
+        failures.append(
+            f"{g6} {record_key} k={k}: |T|={len(cert.t)} exceeds bound {fraction_str(cert.bound)}"
+        )
     if not cert.isolating_verified:
         failures.append(f"{g6} {record_key} k={k}: T is not {k}-isolating")
-    if iotas is not None and iotas.get(k) is not None and len(cert.t) < iotas[k]:
+    if len(cert.t) < iotas[k]:
         failures.append(f"{g6} {record_key} k={k}: |T| beats the exact optimum")
-    return entry
+    return cert
 
 
-def _run_machinery(g, iset, delta, tag, checks, failures, g6):
-    part = compute_partition(g, iset)
-    wit = undominated_witnesses(g, iset, part)
+def _run_machinery(machinery, tag, checks, failures, g6):
+    g, delta = machinery.g, machinery.delta
+    part = machinery.partition
+    wit = undominated_witnesses(g, machinery.i, part)
     checks[f"witnesses_{tag}"] = True
     if len(wit) != len(part.u):
         failures.append(f"{g6} {tag}: witness count mismatch")
@@ -107,16 +111,16 @@ def _run_machinery(g, iset, delta, tag, checks, failures, g6):
     if not representatives_dominate(g, part):
         failures.append(f"{g6} {tag}: representatives fail to dominate member privates")
         checks[f"witnesses_{tag}"] = False
+    # each piece raises unless the guarantees it checks hold
     if delta >= 1:
-        check_delta_regime(g, part, delta)
+        machinery.delta_regime
         checks[f"delta_regime_{tag}"] = True
     if delta >= 2:
-        refine_pairs(g, iset, part, delta - 1)
+        machinery.pairs
         checks[f"pairs_{tag}"] = True
     if delta >= 3:
-        refine_twins(g, iset, part, delta - 2)
+        machinery.twins
         checks[f"twins_{tag}"] = True
-    return part
 
 
 def check_graph(g6, spot_check=True):
@@ -137,13 +141,18 @@ def check_graph(g6, spot_check=True):
 
     gam = gamma(g)
     irr = ir(g)
-    iotas = {}
-    for k in range(1, delta + 2):
+    # iota_1 is gamma by definition: both solve the same search at k = 1
+    iotas = {1: gam.value}
+    for k in range(2, delta + 2):
         iotas[k] = iota(g, k).value
 
-    checks["iota1_is_gamma"] = iotas.get(1, 0) == gam.value
-    if not checks["iota1_is_gamma"]:
-        failures.append(f"{g6}: iota(1)={iotas.get(1)} != gamma={gam.value}")
+    if g.n <= GAMMA_RECHECK_ORDER_CAP:
+        checks["iota1_is_gamma"] = _is_minimum_dominating(g, gam)
+        if not checks["iota1_is_gamma"]:
+            failures.append(
+                f"{g6}: gamma={gam.value} witness {list(gam.witness)} "
+                "is not a minimum dominating set"
+            )
     checks["iota_monotone"] = all(
         iotas[k + 1] <= iotas[k] for k in range(1, delta + 1)
     )
@@ -190,23 +199,33 @@ def check_graph(g6, spot_check=True):
             if not checks["clawfree_3_2"]:
                 failures.append(f"{g6}: claw-free gamma exceeds 3/2 ir")
 
+    # each set's partition and refinements are computed once, on first use,
+    # and shared by its constructive and machinery stages
     constructive = {}
     try:
+        min_set = SetMachinery(g, irr.witness)
         for k in applicable_ks(delta):
-            entry = _run_constructive(
-                g, irr.witness, k, "construct", checks, failures, g6, iotas
-            )
-            if Fraction(iotas[k]) > Fraction(*map(int, entry["bound"].split("/"))):
+            cert = _run_constructive(min_set, k, "construct", checks, failures, g6, iotas)
+            if iotas[k] > cert.bound:
                 failures.append(f"{g6} k={k}: exact iota exceeds the certified bound")
                 checks[f"construct_k{k}"] = False
-            constructive[str(k)] = entry
-        _run_machinery(g, irr.witness, delta, "min", checks, failures, g6)
+            constructive[str(k)] = {
+                "regime": cert.regime,
+                "t": " ".join(map(str, cert.t)),
+                "t_size": len(cert.t),
+                "bound": fraction_str(cert.bound),
+                "s_param": cert.s_param,
+                "satisfied": cert.satisfied,
+                "isolating": cert.isolating_verified,
+            }
+        _run_machinery(min_set, "min", checks, failures, g6)
         if spot_check and g.n:
             rng = random.Random(zlib.crc32(g6.strip().encode()))
             spot = random_maximal_irredundant(g, rng)
-            _run_machinery(g, spot, delta, "spot", checks, failures, g6)
+            spot_set = min_set if spot == min_set.i else SetMachinery(g, spot)
+            _run_machinery(spot_set, "spot", checks, failures, g6)
             for k in applicable_ks(delta):
-                _run_constructive(g, spot, k, "spot", checks, failures, g6, iotas)
+                _run_constructive(spot_set, k, "spot", checks, failures, g6, iotas)
     except Exception as exc:  # machinery violations are hard failures, not crashes
         failures.append(f"{g6} machinery: {type(exc).__name__}: {exc}")
         checks["machinery_clean"] = False
@@ -307,7 +326,7 @@ def verify_stream(lines, jobs=1, max_n=None, spot_check=True):
             for name, (ev, ok) in sorted(check_counts.items())
         },
         "max_ratios": {
-            f"delta={d},k={k}": {"ratio": _frac_str(r), "witness": w}
+            f"delta={d},k={k}": {"ratio": fraction_str(r), "witness": w}
             for (d, k), (r, w) in sorted(ratio_rows.items())
         },
     }
@@ -390,7 +409,7 @@ def conjecture_survey(lines, jobs=1, max_n=None, k_max=None):
             {
                 "delta": d,
                 "k": k,
-                "ratio": _frac_str(row["ratio"]),
+                "ratio": fraction_str(row["ratio"]),
                 "ratio_float": float(row["ratio"]),
                 "witness": row["witness"],
             }
@@ -482,7 +501,7 @@ def certify_family(name, params):
             row["iota_certification"] = "asserted"
             failures.append(f"{name}{params}: iota claim not pinned by certificates")
     if inst.claimed_ir is not None:
-        if g.n <= GAMMA_CAP and g.n <= IR_ORDER_CAP:
+        if g.n <= IR_ORDER_CAP:
             got = ir(g).value
             row["ir"] = got
             row["ir_certification"] = "solver"

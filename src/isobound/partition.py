@@ -10,12 +10,11 @@ than degrading silently.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DichotomyError, MachineryError, PreconditionError, RegimeError
 from .graph import bits, closed_mask, enumerate_k_cliques, mask_of
-from .predicates import is_maximal_irredundant_mask, private_neighbors_mask
-
-SPRIME_READINGS = ("i-adjacency", "g-adjacency")
+from .predicates import is_maximal_irredundant_mask, private_neighborhoods
 
 
 @dataclass(frozen=True, eq=True)
@@ -84,14 +83,14 @@ def compute_partition(g, i):
     if not is_maximal_irredundant_mask(g, imask):
         raise PreconditionError("input set is not maximal irredundant")
 
-    pn = {x: private_neighbors_mask(g, imask, x) for x in bits(imask)}
+    pns, closed_i = private_neighborhoods(g, imask)
+    pn = dict(zip(bits(imask), pns))
     seen = 0
     for x, pnm in pn.items():
         if pnm & seen:
             raise MachineryError("private neighborhoods of distinct members overlap")
         seen |= pnm
 
-    closed_i = closed_mask(g, imask)
     umask = g.full & ~closed_i
     open_i = 0
     for x in bits(imask):
@@ -305,20 +304,18 @@ class PairRefinement:
     x: tuple
 
 
-def refine_pairs(g, i, part, k, sprime_reading="i-adjacency"):
+def refine_pairs(g, i, part, k):
     """Organize the shared zone for the k = Delta-1 bound.
 
-    Both documented readings of the sprime filter are computed and must
-    agree (they are provably equivalent); the switch picks which one feeds
-    the result. Counting guarantees are enforced: k-cliques of the shared
-    zone are components of it, and 2k times the clique count is at most
-    (Delta-2) times |nset u mprime|.
+    sprime keeps the shared vertices with no i-neighbor outside nset and
+    mprime. (Reading it instead as "no neighbor in mtilde, q or z" gives the
+    same set; the test suite checks the equivalence.) Counting guarantees
+    are enforced: k-cliques of the shared zone are components of it, and 2k
+    times the clique count is at most (Delta-2) times |nset u mprime|.
     """
     delta = g.max_degree()
     if delta < 2 or k != delta - 1:
         raise RegimeError(f"k={k} outside the delta-1 regime for delta={delta}")
-    if sprime_reading not in SPRIME_READINGS:
-        raise ValueError(f"unknown sprime reading {sprime_reading!r}")
     imask = mask_of(part.i)
     smask = mask_of(part.s)
 
@@ -329,17 +326,10 @@ def refine_pairs(g, i, part, k, sprime_reading="i-adjacency"):
     w = tuple(p[2] for p in pairs)
 
     nm_mask = mask_of(part.nset) | mask_of(mprime)
-    rest_mask = mask_of(mtilde) | mask_of(part.q) | mask_of(part.z)
-    via_i = 0
-    via_g = 0
+    sprime_mask = 0
     for v in bits(smask):
         if not g.adj[v] & imask & ~nm_mask:
-            via_i |= 1 << v
-        if not g.adj[v] & rest_mask:
-            via_g |= 1 << v
-    if via_i != via_g:
-        raise MachineryError("the two sprime readings disagree")
-    sprime_mask = via_i if sprime_reading == "i-adjacency" else via_g
+            sprime_mask |= 1 << v
 
     # k-cliques of the shared zone must be closed off inside it
     for c in enumerate_k_cliques(g, k, within=smask):
@@ -562,3 +552,40 @@ def refine_twins(g, i, part, k):
         qhat=qhat,
         x=xs,
     )
+
+
+# ---------------------------------------------------------------------------
+# per-set sharing
+# ---------------------------------------------------------------------------
+
+
+class SetMachinery:
+    """The partition machinery of one set i in g, each piece computed on
+    first use and kept.
+
+    partition is compute_partition(g, i), which certifies that i is maximal
+    irredundant; delta_regime, pairs and twins are check_delta_regime at
+    k = Delta, refine_pairs at Delta-1 and refine_twins at Delta-2 on that
+    partition. A piece that raises is not kept, so asking again raises again.
+    """
+
+    def __init__(self, g, i):
+        self.g = g
+        self.i = tuple(sorted(set(i)))
+        self.delta = g.max_degree()
+
+    @cached_property
+    def partition(self):
+        return compute_partition(self.g, self.i)
+
+    @cached_property
+    def delta_regime(self):
+        return check_delta_regime(self.g, self.partition, self.delta)
+
+    @cached_property
+    def pairs(self):
+        return refine_pairs(self.g, self.i, self.partition, self.delta - 1)
+
+    @cached_property
+    def twins(self):
+        return refine_twins(self.g, self.i, self.partition, self.delta - 2)

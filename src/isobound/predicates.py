@@ -42,11 +42,51 @@ def is_dominating(g, s):
     return is_dominating_mask(g, _check_set(g, s))
 
 
-def is_irredundant_mask(g, smask):
+def private_neighborhoods(g, smask):
+    """The irredundance state of a set: (pns, union_closed).
+
+    pns lists PN(x, S) for the members x of S in ascending order and
+    union_closed is N[S]. Returns None when some member has an empty private
+    neighborhood, i.e. when S is not irredundant. Built one member at a time,
+    as the ir search does: adding x shrinks every earlier PN by N[x] and
+    gives x the part of N[x] outside the union so far.
+    """
+    pns = []
+    union_closed = 0
     for x in bits(smask):
-        if not private_neighbors_mask(g, smask, x):
-            return False
-    return True
+        cx = g.clo[x]
+        pn_x = cx & ~union_closed
+        if not pn_x:
+            return None
+        for j, pn in enumerate(pns):
+            pn &= ~cx
+            if not pn:
+                return None
+            pns[j] = pn
+        pns.append(pn_x)
+        union_closed |= cx
+    return pns, union_closed
+
+
+def irredundant_extension(g, pns, union_closed, candidates):
+    """The lowest candidate w with S + w irredundant, or None.
+
+    (pns, union_closed) is the state of an irredundant set S and candidates
+    a mask of vertices outside S. S + w is irredundant exactly when w has a
+    private neighbor outside N[S] and no member's private neighborhood fits
+    inside N[w].
+    """
+    for w in bits(candidates):
+        cw = g.clo[w]
+        if not cw & ~union_closed:
+            continue  # w would have no private neighbor of its own
+        if all(pn & ~cw for pn in pns):
+            return w
+    return None
+
+
+def is_irredundant_mask(g, smask):
+    return private_neighborhoods(g, smask) is not None
 
 
 def is_irredundant(g, s):
@@ -58,12 +98,11 @@ def is_irredundant(g, s):
 
 
 def is_maximal_irredundant_mask(g, smask):
-    if not is_irredundant_mask(g, smask):
+    state = private_neighborhoods(g, smask)
+    if state is None:
         return False
-    for u in bits(g.full & ~smask):
-        if is_irredundant_mask(g, smask | (1 << u)):
-            return False
-    return True
+    pns, union_closed = state
+    return irredundant_extension(g, pns, union_closed, g.full & ~smask) is None
 
 
 def is_maximal_irredundant(g, s):

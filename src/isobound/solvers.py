@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .errors import CertificateError, SizeCapError
 from .graph import bits, closed_mask, enumerate_k_cliques
-from .predicates import is_k_isolating_mask
+from .predicates import irredundant_extension, is_k_isolating_mask
 
 IR_ORDER_CAP = 32
 
@@ -150,18 +150,10 @@ def ir(g, force=False):
         return SolveResult(0, (), 0)
     explored = [0]
 
-    def maximal(smask, pns, union_closed):
-        for w in bits(g.full & ~smask):
-            if not g.clo[w] & ~union_closed:
-                continue  # w would lose its own private neighbor
-            if all(pn & ~g.clo[w] for pn in pns):
-                return False
-        return True
-
     def dfs(start, smask, members, pns, union_closed, need):
         explored[0] += 1
         if need == 0:
-            return maximal(smask, pns, union_closed)
+            return irredundant_extension(g, pns, union_closed, g.full & ~smask) is None
         for u in range(start, g.n - need + 1):
             cu = g.clo[u]
             pn_u = cu & ~union_closed

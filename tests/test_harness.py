@@ -5,20 +5,53 @@ import sys
 
 import pytest
 
-from isobound import check_graph, conjecture_survey, verify_stream
+from isobound import (
+    Graph,
+    SetMachinery,
+    build_isolating_set,
+    check_graph,
+    conjecture_survey,
+    verify_stream,
+)
+from isobound import harness, partition
 from isobound.cli import main
 from isobound.harness import (
     applicable_ks,
+    certify_family,
     random_maximal_irredundant,
     write_csv,
     write_json,
 )
-from isobound.predicates import is_maximal_irredundant
-from isobound.graph import parse_graph6
+from isobound.predicates import is_irredundant_mask, is_maximal_irredundant
+from isobound.graph import bits, encode_graph6, parse_graph6
+from isobound.solvers import SolveResult, gamma
 
 import random
+import zlib
 
 import oracles
+
+
+def greedy_maximal_irredundant(g, rng):
+    """Reference: the greedy that retests the whole set for every candidate
+    and repeats passes until one adds nothing."""
+    smask = 0
+    order = list(range(g.n))
+    rng.shuffle(order)
+    grown = True
+    while grown:
+        grown = False
+        for v in order:
+            if smask >> v & 1:
+                continue
+            if is_irredundant_mask(g, smask | (1 << v)):
+                smask |= 1 << v
+                grown = True
+    return tuple(bits(smask))
+
+
+def path(n):
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 class TestCheckGraph:
@@ -42,6 +75,91 @@ class TestCheckGraph:
             s = random_maximal_irredundant(g, rng)
             assert is_maximal_irredundant(g, s)
             assert oracles.maximal_irredundant(g, set(s))
+
+
+    def test_random_maximal_irredundant_matches_reference(self, corpus_by_order):
+        for n in range(1, 8):
+            for line, g in corpus_by_order[n]:
+                seed = zlib.crc32(line.encode())
+                rng, ref_rng = random.Random(seed), random.Random(seed)
+                got = random_maximal_irredundant(g, rng)
+                assert got == greedy_maximal_irredundant(g, ref_rng), line
+                assert rng.random() == ref_rng.random()
+
+    def test_each_set_partitioned_once(self, corpus_by_order, monkeypatch):
+        calls = []
+        real = partition.compute_partition
+
+        def counting(g, i):
+            calls.append(tuple(i))
+            return real(g, i)
+
+        monkeypatch.setattr(partition, "compute_partition", counting)
+        for line, g in corpus_by_order[6][:40] + corpus_by_order[7][:40]:
+            calls.clear()
+            rec = check_graph(line)
+            assert rec["failures"] == []
+            assert 1 <= len(calls) <= 2
+            assert len(set(calls)) == len(calls)
+
+
+class TestSharedMachinery:
+    def test_shared_certificates_equal_fresh_ones(self, corpus_by_order):
+        for n in range(1, 7):
+            for line, g in corpus_by_order[n]:
+                ks = applicable_ks(g.max_degree())
+                for iset in oracles.maximal_irredundant_sets(g):
+                    fresh = [build_isolating_set(g, iset, k) for k in ks]
+                    shared = SetMachinery(g, iset)
+                    got = [build_isolating_set(g, iset, k, shared) for k in ks]
+                    assert got == fresh, (line, iset)
+                    # a second pass reads every piece from the filled machinery
+                    again = [build_isolating_set(g, iset, k, shared) for k in reversed(ks)]
+                    assert again == fresh[::-1], (line, iset)
+
+    def test_machinery_of_another_set_rejected(self):
+        g = path(4)
+        with pytest.raises(ValueError):
+            build_isolating_set(g, (1, 2), 2, SetMachinery(g, (0, 2)))
+        with pytest.raises(ValueError):
+            build_isolating_set(path(4), (1, 2), 2, SetMachinery(g, (1, 2)))
+
+
+class TestGammaRecheck:
+    def test_solver_result_accepted(self, corpus_by_order):
+        for line, g in corpus_by_order[6]:
+            assert harness._is_minimum_dominating(g, gamma(g)), line
+
+    def test_wrong_results_rejected(self):
+        g = path(5)
+        assert gamma(g) == SolveResult(2, (0, 3), gamma(g).explored)
+        bad = (
+            SolveResult(3, (0, 2, 4), 0),  # dominates, but two vertices do
+            SolveResult(2, (0, 1), 0),  # does not dominate
+            SolveResult(1, (0, 3), 0),  # witness size differs from the value
+        )
+        for res in bad:
+            assert not harness._is_minimum_dominating(g, res)
+
+    def test_empty_graph(self):
+        assert harness._is_minimum_dominating(Graph(0), SolveResult(0, (), 0))
+
+    def test_evaluated_up_to_the_order_cap(self):
+        cap = harness.GAMMA_RECHECK_ORDER_CAP
+        at_cap = check_graph(encode_graph6(path(cap)))
+        above = check_graph(encode_graph6(path(cap + 1)))
+        assert at_cap["checks"]["iota1_is_gamma"] is True
+        assert "iota1_is_gamma" not in above["checks"]
+        assert at_cap["failures"] == [] and above["failures"] == []
+
+
+class TestCertifyFamily:
+    def test_ir_solve_not_gated_on_gamma_cap(self, monkeypatch):
+        monkeypatch.setattr(harness, "GAMMA_CAP", 0)
+        row, failures = certify_family("G1", {"t": 1, "k": 2})
+        assert failures == []
+        assert row["ir_certification"] == "solver"
+        assert row["gamma_certification"] == "witness-upper+asserted-lower"
 
 
 class TestVerifyStream:

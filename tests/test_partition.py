@@ -5,6 +5,7 @@ from isobound import (
     MachineryError,
     PreconditionError,
     RegimeError,
+    SetMachinery,
     check_delta_regime,
     compute_partition,
     is_maximal_irredundant,
@@ -13,6 +14,7 @@ from isobound import (
     representatives_dominate,
     undominated_witnesses,
 )
+from isobound.graph import mask_of
 
 import oracles
 
@@ -137,13 +139,10 @@ class TestRefinePairs:
         with pytest.raises(RegimeError):
             refine_pairs(g, (0,), part, 3)  # delta - 1 is 2
 
-    def test_unknown_reading_rejected(self):
-        g = c6()
-        part = compute_partition(g, (0, 3))
-        with pytest.raises(ValueError):
-            refine_pairs(g, (0, 3), part, 1, sprime_reading="nope")
-
     def test_readings_agree_exhaustive(self, corpus_by_order):
+        # sprime is read as "no i-neighbor outside nset and mprime"; the
+        # other documented reading, "no neighbor in mtilde, q or z", must
+        # give the same set
         for n in (3, 4, 5, 6):
             for line, g in corpus_by_order[n]:
                 delta = g.max_degree()
@@ -151,13 +150,13 @@ class TestRefinePairs:
                     continue
                 for iset in oracles.maximal_irredundant_sets(g):
                     part = compute_partition(g, iset)
-                    a = refine_pairs(g, iset, part, delta - 1, "i-adjacency")
-                    b = refine_pairs(g, iset, part, delta - 1, "g-adjacency")
-                    assert a.sprime == b.sprime, line
-                    assert a.s_param == b.s_param
-                    assert 0 <= a.s_param <= max(0, delta - 2)
-                    if a.s_param == 0:
-                        assert a.x == ()
+                    ref = refine_pairs(g, iset, part, delta - 1)
+                    rest = mask_of(ref.mtilde) | mask_of(part.q) | mask_of(part.z)
+                    via_g = tuple(v for v in part.s if not g.adj[v] & rest)
+                    assert ref.sprime == via_g, line
+                    assert 0 <= ref.s_param <= max(0, delta - 2)
+                    if ref.s_param == 0:
+                        assert ref.x == ()
 
     def test_pair_fields(self, corpus_by_order):
         for line, g in corpus_by_order[6][:60]:
@@ -205,6 +204,34 @@ class TestRefineTwins:
                     assert len(ref.x) == len(ref.clusters)
                     assert len(ref.mhat) == len(ref.mprime) + len(ref.mdouble)
                     assert len(ref.qhat) == len(ref.qprime)
+
+
+class TestSetMachinery:
+    def test_pieces_match_direct_calls(self, corpus_by_order):
+        for line, g in corpus_by_order[6][:40]:
+            delta = g.max_degree()
+            for iset in oracles.maximal_irredundant_sets(g)[:4]:
+                mach = SetMachinery(g, reversed(iset))
+                part = compute_partition(g, iset)
+                assert mach.i == tuple(iset)
+                assert mach.partition == part
+                assert mach.partition is mach.partition
+                assert mach.delta_regime is True
+                if delta >= 2:
+                    assert mach.pairs == refine_pairs(g, iset, part, delta - 1)
+                if delta >= 3:
+                    assert mach.twins == refine_twins(g, iset, part, delta - 2)
+
+    def test_failure_is_not_kept(self):
+        mach = SetMachinery(c6(), (0,))
+        for _ in range(2):
+            with pytest.raises(PreconditionError):
+                mach.partition
+
+    def test_low_degree_refinements_raise(self):
+        mach = SetMachinery(c6(), (0, 3))
+        with pytest.raises(RegimeError):
+            mach.twins
 
 
 class TestMachineryGuard:

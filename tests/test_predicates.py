@@ -10,6 +10,12 @@ from isobound import (
     is_maximal_irredundant,
     private_neighbors,
 )
+from isobound.graph import bits, mask_of
+from isobound.predicates import (
+    is_maximal_irredundant_mask,
+    private_neighborhoods,
+    private_neighbors_mask,
+)
 
 import oracles
 
@@ -123,6 +129,51 @@ class TestIrredundance:
             s = rng.sample(range(n), rng.randint(0, n))
             assert is_irredundant(g, s) == oracles.irredundant(g, s)
             assert is_maximal_irredundant(g, s) == oracles.maximal_irredundant(g, s)
+
+
+def random_graph(rng, n, p):
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+class TestIrredundanceState:
+    def test_private_neighborhoods_match_per_member(self, corpus_by_order):
+        for line, g in corpus_by_order[5]:
+            for smask in range(1 << g.n):
+                state = private_neighborhoods(g, smask)
+                pns = [private_neighbors_mask(g, smask, x) for x in bits(smask)]
+                if not all(pns):
+                    assert state is None, (line, smask)
+                    continue
+                assert state == (pns, mask_of(v for x in bits(smask) for v in bits(g.clo[x])))
+
+    def test_maximal_mask_matches_oracle_on_every_subset(self, corpus_by_order):
+        for n in range(1, 7):
+            for line, g in corpus_by_order[n]:
+                for smask in range(1 << n):
+                    expected = oracles.maximal_irredundant(g, set(bits(smask)))
+                    assert is_maximal_irredundant_mask(g, smask) == expected, (line, smask)
+
+    def test_maximal_mask_matches_oracle_random(self):
+        # random subsets are rarely maximal, so also try greedy maximal
+        # irredundant sets and their one-vertex deletions and additions
+        rng = random.Random(912)
+        for n in range(9, 13):
+            for _ in range(8):
+                g = random_graph(rng, n, rng.choice((0.2, 0.35, 0.5)))
+                order = list(range(n))
+                rng.shuffle(order)
+                greedy = set()
+                for v in order:
+                    if oracles.irredundant(g, greedy | {v}):
+                        greedy.add(v)
+                trials = [set(rng.sample(range(n), rng.randint(0, n))) for _ in range(10)]
+                trials.append(greedy)
+                trials.extend(greedy - {x} for x in greedy)
+                trials.extend(greedy | {v} for v in range(n) if v not in greedy)
+                for s in trials:
+                    expected = oracles.maximal_irredundant(g, s)
+                    assert is_maximal_irredundant_mask(g, mask_of(s)) == expected, (n, s)
+                assert is_maximal_irredundant_mask(g, mask_of(greedy))
 
 
 class TestIsolation:
