@@ -7,6 +7,7 @@ supported order cap is n <= 512.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import Graph6ParseError, OrderCapError
 
@@ -38,7 +39,7 @@ class Graph:
     operations regardless of n.
     """
 
-    __slots__ = ("n", "adj", "clo", "full")
+    __slots__ = ("n", "adj", "clo", "full", "_delta")
 
     def __init__(self, n, edges=()):
         if n < 0 or n > ORDER_CAP:
@@ -51,28 +52,30 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        self.n = n
-        self.adj = tuple(adj)
-        self.clo = tuple(a | (1 << v) for v, a in enumerate(adj))
-        self.full = (1 << n) - 1
+        self._fill(adj)
 
     @classmethod
     def from_adj(cls, adj_masks):
+        if len(adj_masks) > ORDER_CAP:
+            raise OrderCapError(
+                f"order {len(adj_masks)} outside supported range 0..{ORDER_CAP}"
+            )
         g = cls.__new__(cls)
-        n = len(adj_masks)
-        if n > ORDER_CAP:
-            raise OrderCapError(f"order {n} outside supported range 0..{ORDER_CAP}")
-        g.n = n
-        g.adj = tuple(adj_masks)
-        g.clo = tuple(a | (1 << v) for v, a in enumerate(adj_masks))
-        g.full = (1 << n) - 1
+        g._fill(adj_masks)
         return g
+
+    def _fill(self, adj_masks):
+        self.n = len(adj_masks)
+        self.adj = tuple(adj_masks)
+        self.clo = tuple(a | (1 << v) for v, a in enumerate(adj_masks))
+        self.full = (1 << self.n) - 1
+        self._delta = max(map(int.bit_count, adj_masks), default=0)
 
     def degree(self, v):
         return self.adj[v].bit_count()
 
     def max_degree(self):
-        return max((a.bit_count() for a in self.adj), default=0)
+        return self._delta
 
     def edge_count(self):
         return sum(a.bit_count() for a in self.adj) // 2
@@ -140,6 +143,32 @@ def _parse_order(data, pos):
     return n, start + span
 
 
+def _graph6_head(text):
+    """One graph6 record as bytes, its order and the offset of its body.
+
+    A str must be ASCII: its first other character raises Graph6ParseError
+    at its offset, which is also its byte offset.
+    """
+    if isinstance(text, str):
+        try:
+            data = text.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise Graph6ParseError(
+                f"non-ASCII character {text[exc.start]!r}", exc.start
+            ) from None
+    else:
+        data = bytes(text)
+    data = data.rstrip(b"\r\n")
+    pos = len(GRAPH6_HEADER) if data.startswith(GRAPH6_HEADER.encode()) else 0
+    n, pos = _parse_order(data, pos)
+    return data, n, pos
+
+
+def graph6_order(text):
+    """The order a graph6 record declares, without decoding its body."""
+    return _graph6_head(text)[1]
+
+
 def parse_graph6(text):
     """Decode one graph6 record (str or bytes, optional format header).
 
@@ -147,15 +176,7 @@ def parse_graph6(text):
     for malformed input, and OrderCapError when the encoded order exceeds the
     supported cap.
     """
-    if isinstance(text, str):
-        data = text.encode("ascii", errors="surrogateescape")
-    else:
-        data = bytes(text)
-    data = data.rstrip(b"\r\n")
-    pos = 0
-    if data.startswith(GRAPH6_HEADER.encode()):
-        pos = len(GRAPH6_HEADER)
-    n, pos = _parse_order(data, pos)
+    data, n, pos = _graph6_head(text)
     if n > ORDER_CAP:
         raise OrderCapError(f"graph6 order {n} exceeds supported cap {ORDER_CAP}")
     nbits = n * (n - 1) // 2
@@ -248,35 +269,59 @@ def remove_closed_neighborhood(g, s):
 # ---------------------------------------------------------------------------
 
 
+def _clique_level_one(g, allowed):
+    """The 1-cliques of `allowed`, each with its neighbours in `allowed`
+    above it: the first level `_grow_cliques` extends."""
+    adj = g.adj
+    vertices = list(bits(allowed))
+    return [(v,) for v in vertices], [adj[v] & allowed >> (v + 1) << (v + 1) for v in vertices]
+
+
+def _grow_cliques(adj, levels, k):
+    """Append levels until `levels` holds the k-cliques or a level is empty.
+
+    levels[j - 1] is (the j-cliques in lex order, per clique the common
+    neighbours above its last vertex). Extending each j-clique by those
+    vertices in ascending order yields the (j + 1)-cliques in lex order.
+    """
+    while len(levels) < k and levels[-1][0]:
+        grown, above = [], []
+        add_clique, add_above = grown.append, above.append
+        for clique, common in zip(*levels[-1]):
+            while common:
+                b = common & -common
+                common ^= b
+                w = b.bit_length() - 1
+                add_clique(clique + (w,))
+                add_above(common & adj[w])
+        levels.append((grown, above))
+
+
+@lru_cache(maxsize=1)
+def _whole_graph_levels(g):
+    # One graph's levels, grown in place as larger k are asked for. The
+    # isolation search and the partition checks ask for several k of the
+    # same graph in a row, so each size is built once; holding one graph
+    # keeps memory to that graph's cliques.
+    return [_clique_level_one(g, g.full)]
+
+
 def enumerate_k_cliques(g, k, within=None):
     """All k-cliques, each a sorted tuple, in ascending lexicographic order.
 
-    within restricts the search to an induced vertex mask. Emission order is
-    the tuple order itself: the DFS extends prefixes by ascending vertex and
-    never revisits smaller indices.
+    within restricts the search to an induced vertex mask. Sizes are built
+    up from 1: each j-clique is extended by its common neighbours above its
+    last vertex. Without `within`, the sizes built for the most recently
+    asked graph are kept and reused.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    allowed = g.full if within is None else within
-    out = []
-    prefix = []
-
-    def extend(cand, need):
-        if need == 0:
-            out.append(tuple(prefix))
-            return
-        while cand:
-            if cand.bit_count() < need:
-                return
-            b = cand & -cand
-            v = b.bit_length() - 1
-            cand ^= b
-            prefix.append(v)
-            extend(cand & g.adj[v], need - 1)
-            prefix.pop()
-
-    extend(allowed, k)
-    return out
+    if within is None:
+        levels = _whole_graph_levels(g)
+    else:
+        levels = [_clique_level_one(g, within)]
+    _grow_cliques(g.adj, levels, k)
+    return list(levels[k - 1][0]) if k <= len(levels) else []
 
 
 def has_k_clique(g, k, within=None):

@@ -18,9 +18,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from .constructive import build_isolating_set, fraction_str, survey_ratios
-from .errors import Graph6ParseError, OrderCapError
+from .errors import Graph6ParseError, OrderCapError, ParameterError
 from .families import FAMILIES
-from .graph import bits, classify, encode_graph6, mask_of, parse_graph6
+from .graph import bits, classify, encode_graph6, graph6_order, mask_of, parse_graph6
 from .partition import SetMachinery, representatives_dominate, undominated_witnesses
 from .predicates import (
     irredundant_extension,
@@ -261,6 +261,11 @@ def _verify_worker(task):
         return idx, {"parse_error": str(exc), "line": line.strip()}
 
 
+def _require_positive(name, value):
+    if value < 1:
+        raise ParameterError(f"{name} must be at least 1, got {value}")
+
+
 def verify_stream(lines, jobs=1, max_n=None, spot_check=True):
     """Run the full theorem and machinery suite over graph6 lines.
 
@@ -268,6 +273,7 @@ def verify_stream(lines, jobs=1, max_n=None, spot_check=True):
     from them sequentially, so reports are byte-identical for any worker
     count.
     """
+    _require_positive("jobs", jobs)
     tasks = []
     skipped = 0
     parse_errors = []
@@ -277,7 +283,7 @@ def verify_stream(lines, jobs=1, max_n=None, spot_check=True):
             continue
         if max_n is not None:
             try:
-                n = _peek_order(line)
+                n = graph6_order(line)
             except (Graph6ParseError, OrderCapError) as exc:
                 parse_errors.append({"line_number": idx + 1, "error": str(exc)})
                 continue
@@ -338,16 +344,6 @@ def verify_stream(lines, jobs=1, max_n=None, spot_check=True):
     )
 
 
-def _peek_order(line):
-    if line.startswith(">>graph6<<"):
-        line = line[len(">>graph6<<") :]
-    data = line.encode("ascii", errors="surrogateescape")
-    from .graph import _parse_order
-
-    n, _ = _parse_order(data, 0)
-    return n
-
-
 def _survey_worker(task):
     idx, line, k_max = task
     try:
@@ -372,6 +368,9 @@ def conjecture_survey(lines, jobs=1, max_n=None, k_max=None):
     Ratios are reported, never asserted; the monotone flags say whether the
     observed maxima are non-increasing in k for each delta.
     """
+    _require_positive("jobs", jobs)
+    if k_max is not None:
+        _require_positive("k_max", k_max)
     tasks = []
     parse_errors = []
     for idx, raw in enumerate(lines):
@@ -380,7 +379,7 @@ def conjecture_survey(lines, jobs=1, max_n=None, k_max=None):
             continue
         if max_n is not None:
             try:
-                if _peek_order(line) > max_n:
+                if graph6_order(line) > max_n:
                     continue
             except (Graph6ParseError, OrderCapError) as exc:
                 parse_errors.append({"line_number": idx + 1, "error": str(exc)})

@@ -5,6 +5,26 @@ least optimal witness (as a sorted tuple) and a count of explored search
 nodes. Exactness is non-negotiable here; the solvers are the ground truth
 the rest of the package is checked against, so they favor simple provably
 complete branching over cleverness.
+
+gamma and iota share one search: every k-clique (every vertex, for gamma)
+is a target, and a chosen vertex kills each target whose closed
+neighbourhood holds it. A DFS node branches on the live target with the
+fewest candidate vertices and prunes by three rules, each exact:
+
+- Sibling exclusion. Once the branch on v fails, later siblings may not use
+  v. A solution holding v that fits the node lies in v's branch, because
+  the allowed vertices only shrink along a path, so that branch found it.
+- A packing bound at every node. Live targets whose candidate sets are
+  pairwise disjoint each need their own vertex, so a greedy pack of more
+  of them than the remaining budget prunes. Packing fewer (the scan stops
+  at a target with one candidate) only weakens the bound.
+- Small regions first. Targets are scanned in order of closed-neighbourhood
+  size, which packs tighter and meets a one-candidate target sooner. The
+  order changes only which nodes are visited, not what is feasible.
+
+The value is the smallest feasible size and the witness is fixed vertex by
+vertex in lex order by asking only whether a prefix still extends, so
+neither depends on the order the DFS visits nodes in.
 """
 
 from dataclasses import dataclass
@@ -51,24 +71,22 @@ def _clique_targets(g, k):
 
 
 def _isolation_solve(g, k):
-    targets = _clique_targets(g, k)
+    # Smallest closed neighbourhoods first (stable, so ties keep lex order):
+    # the packing below gets tighter and a forced target turns up sooner.
+    # The order decides only which nodes are visited, never what is feasible.
+    targets = sorted(_clique_targets(g, k), key=lambda t: t[1].bit_count())
     explored = [0]
     if not targets:
         return SolveResult(0, (), 0)
 
-    def greedy_packing():
-        used = 0
-        count = 0
-        for vmask, cover in targets:
-            if not cover & used:
-                used |= cover
-                count += 1
-        return count
-
     def dfs(budget, covered, allowed):
+        # Is there a set of exactly `budget` vertices of `allowed` that kills
+        # every target not yet killed by `covered`?
         explored[0] += 1
         best_cando = None
         best_size = None
+        packed = 0
+        used = 0
         for vmask, cover in targets:
             if vmask & covered:
                 continue
@@ -76,6 +94,14 @@ def _isolation_solve(g, k):
             size = cando.bit_count()
             if size == 0:
                 return False
+            # Live targets with pairwise disjoint candidate sets each need
+            # their own vertex, so packing more than `budget` of them proves
+            # the node infeasible (this also covers budget == 0).
+            if not cando & used:
+                used |= cando
+                packed += 1
+                if packed > budget:
+                    return False
             if best_size is None or size < best_size:
                 best_cando, best_size = cando, size
                 if size == 1:
@@ -83,10 +109,11 @@ def _isolation_solve(g, k):
         if best_cando is None:
             # nothing left to kill; pad up to the exact target size
             return allowed.bit_count() >= budget
-        if budget == 0:
-            return False
+        # Sibling exclusion: a solution holding v lies in v's branch, whose
+        # `allowed` only shrinks below it, so later siblings may drop v.
         for v in bits(best_cando):
-            if dfs(budget - 1, covered | g.clo[v], allowed & ~(1 << v)):
+            allowed &= ~(1 << v)
+            if dfs(budget - 1, covered | g.clo[v], allowed):
                 return True
         return False
 
@@ -98,7 +125,8 @@ def _isolation_solve(g, k):
         return dfs(budget, closed_mask(g, forced), allowed)
 
     value = None
-    for size in range(greedy_packing(), g.n + 1):
+    # no separate lower bound: the packing at each node cuts too-small sizes
+    for size in range(g.n + 1):
         if feasible(size, 0, 0):
             value = size
             break

@@ -3,6 +3,8 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isobound import (
     Graph,
@@ -15,7 +17,7 @@ from isobound import (
     parse_graph6,
     remove_closed_neighborhood,
 )
-from isobound.graph import bits, components_masks
+from isobound.graph import bits, components_masks, graph6_order
 
 import oracles
 
@@ -66,6 +68,18 @@ class TestConstruction:
         assert keep == (1, 3, 4)
         assert sub.n == 3
         assert sorted(sub.edges()) == [(1, 2)]
+
+    def test_max_degree_of_every_constructor(self):
+        rng = random.Random(77)
+        assert Graph(0).max_degree() == 0
+        assert Graph(3).max_degree() == 0
+        for _ in range(40):
+            g = random_graph(rng.randint(1, 12), rng.random(), rng)
+            delta = max(g.degree(v) for v in range(g.n))
+            assert g.max_degree() == delta
+            assert Graph.from_adj(list(g.adj)).max_degree() == delta
+            sub, keep = g.induced(rng.getrandbits(g.n))
+            assert sub.max_degree() == max((sub.degree(v) for v in range(sub.n)), default=0)
 
 
 class TestCodec:
@@ -154,6 +168,46 @@ class TestParseErrors:
         with pytest.raises(Graph6ParseError, match="long-form"):
             parse_graph6("~" + chr(63))
 
+    def test_non_ascii_character(self):
+        with pytest.raises(Graph6ParseError) as info:
+            parse_graph6("B\u00e9")
+        assert info.value.offset == 1
+        with pytest.raises(Graph6ParseError) as info:
+            parse_graph6(">>graph6<<B\u00e9")
+        assert info.value.offset == 11
+        with pytest.raises(Graph6ParseError) as info:
+            graph6_order("\u00e9")
+        assert info.value.offset == 0
+
+    def test_graph6_order_peeks(self):
+        assert graph6_order("G???????") == 8
+        assert graph6_order(">>graph6<<G") == 8  # the body is never read
+        with pytest.raises(Graph6ParseError) as info:
+            graph6_order(">>graph6<< ")
+        assert info.value.offset == 10
+
+
+# One graph6 record with a random tail, so the fuzz also reaches the body
+# checks rather than failing at the order byte almost every time.
+_near_records = st.builds(
+    lambda n, body: chr(63 + n) + body,
+    st.integers(0, 8),
+    st.text(alphabet=[chr(c) for c in range(60, 128)], max_size=6),
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.one_of(st.binary(max_size=24), st.text(max_size=24), _near_records))
+def test_parse_fuzz_roundtrips_or_raises_typed(data):
+    try:
+        g = parse_graph6(data)
+    except Graph6ParseError as exc:
+        assert 0 <= exc.offset <= len(data)
+    except OrderCapError:
+        pass
+    else:
+        assert parse_graph6(encode_graph6(g)) == g
+
 
 class TestCliques:
     def test_against_brute_force(self):
@@ -165,6 +219,39 @@ class TestCliques:
                 mine = sorted(enumerate_k_cliques(g, k))
                 brute = sorted(oracles.all_k_cliques(g, k))
                 assert mine == brute
+
+    def test_exact_list_against_brute_force(self):
+        # the emitted list itself, order included, with and without `within`
+        rng = random.Random(4097)
+        for _ in range(80):
+            n = rng.randint(1, 12)
+            g = random_graph(n, rng.uniform(0.3, 0.9), rng)
+            within = rng.getrandbits(n)
+            for k in range(1, 7):
+                brute = oracles.all_k_cliques(g, k)
+                assert enumerate_k_cliques(g, k) == brute
+                assert enumerate_k_cliques(g, k, within=within) == [
+                    c for c in brute if all(within >> v & 1 for v in c)
+                ]
+
+    def test_kept_sizes_survive_any_call_order(self):
+        # the sizes kept for the last graph: k asked in any order, graphs and
+        # `within` calls interleaved, and a caller editing a returned list
+        rng = random.Random(4098)
+        graphs = [random_graph(rng.randint(1, 11), rng.uniform(0.4, 0.9), rng) for _ in range(12)]
+        for _ in range(300):
+            g = rng.choice(graphs)
+            k = rng.randint(1, 8)
+            within = rng.choice([None, rng.getrandbits(g.n)])
+            got = enumerate_k_cliques(g, k, within=within)
+            brute = oracles.all_k_cliques(g, k)
+            if within is not None:
+                brute = [c for c in brute if all(within >> v & 1 for v in c)]
+            assert got == brute
+            got.append((-1,))
+            got.reverse()
+        twin = Graph.from_adj(graphs[0].adj)
+        assert enumerate_k_cliques(twin, 3) == oracles.all_k_cliques(graphs[0], 3)
 
     def test_within_restriction(self):
         g = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (2, 4)])

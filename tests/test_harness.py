@@ -13,7 +13,7 @@ from isobound import (
     conjecture_survey,
     verify_stream,
 )
-from isobound import harness, partition
+from isobound import ParameterError, harness, partition
 from isobound.cli import main
 from isobound.harness import (
     applicable_ks,
@@ -179,6 +179,23 @@ class TestVerifyStream:
         assert report.parse_errors[0]["line_number"] == 2
         assert report.hard_failures == []
 
+    @pytest.mark.parametrize("max_n", [None, 8])
+    def test_non_ascii_line_is_a_parse_error(self, corpus_by_order, max_n):
+        lines = [corpus_by_order[4][0][0], "B\u00e9", corpus_by_order[4][1][0]]
+        report = verify_stream(lines, max_n=max_n)
+        assert len(report.records) == 2
+        assert report.parse_errors == [
+            {
+                "line_number": 2,
+                "error": "non-ASCII character '\u00e9' (byte offset 1)",
+            }
+        ]
+        assert report.hard_failures == []
+
+    def test_jobs_below_one_rejected(self):
+        with pytest.raises(ParameterError):
+            verify_stream(["DQc"], jobs=0)
+
     def test_max_n_skips(self, corpus_by_order):
         lines = [line for n in (3, 4, 5) for line, _ in corpus_by_order[n]]
         report = verify_stream(lines, max_n=4)
@@ -216,6 +233,17 @@ class TestConjectureSurvey:
             num, den = map(int, row["ratio"].split("/"))
             assert num >= 0 and den > 0
         assert set(out["monotone_by_delta"]) == {str(d) for d in deltas}
+
+    def test_non_ascii_line_is_a_parse_error(self):
+        for max_n in (None, 8):
+            out = conjecture_survey(["DQc", "B\u00e9"], max_n=max_n)
+            assert out["graphs"] == 1
+            assert [e["line_number"] for e in out["parse_errors"]] == [2]
+
+    @pytest.mark.parametrize("kwargs", [{"jobs": 0}, {"jobs": -1}, {"k_max": 0}])
+    def test_parameters_below_one_rejected(self, kwargs):
+        with pytest.raises(ParameterError):
+            conjecture_survey(["DQc"], **kwargs)
 
     def test_never_asserts_on_extremes(self):
         # a graph with gamma close to 2 ir would violate nothing here
@@ -296,6 +324,34 @@ class TestCli:
         g6.write_text("Cr\n")
         code = self.run(["partition", "--g6", str(g6), "--iset", "0"])
         assert code == 2
+
+    def test_verify_non_ascii_line(self, capsys, tmp_path):
+        g6 = tmp_path / "in.g6"
+        g6.write_text("DQc\nB\u00e9\n", encoding="utf-8")
+        json_out = tmp_path / "agg.json"
+        code = self.run(["verify", "--g6", str(g6), "--json", str(json_out)])
+        assert code == 0
+        assert "parse error at line 2: non-ASCII character" in capsys.readouterr().out
+        agg = json.loads(json_out.read_text())["aggregate"]
+        assert agg["graphs"] == 1 and agg["parse_error_count"] == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["survey", "--k-max", "0"],
+            ["survey", "--k-max", "-2"],
+            ["survey", "--jobs", "0"],
+            ["verify", "--jobs", "0"],
+            ["verify", "--jobs", "-1"],
+        ],
+    )
+    def test_counts_below_one_exit_two(self, capsys, tmp_path, argv):
+        g6 = tmp_path / "in.g6"
+        g6.write_text("DQc\n")
+        assert self.run(argv + ["--g6", str(g6)]) == 2
+        captured = capsys.readouterr()
+        assert "must be at least 1" in captured.err
+        assert captured.out == ""
 
     def test_certify_single_family(self, capsys):
         assert self.run(["certify", "--family", "G1", "--params", "t=1,k=2"]) == 0

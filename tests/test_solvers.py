@@ -7,6 +7,7 @@ from isobound import (
     CertificateError,
     Graph,
     SizeCapError,
+    encode_graph6,
     gamma,
     iota,
     iota_lower_bound,
@@ -14,11 +15,104 @@ from isobound import (
     is_dominating,
     is_k_isolating,
     is_maximal_irredundant,
+    parse_graph6,
 )
 from isobound.families import gen_five_thirds
+from isobound.graph import bits, closed_mask
+from isobound.solvers import SolveResult, _clique_targets, _isolation_solve
 
 import oracles
 from graphgen import connected_trees
+
+
+def reference_isolation_solve(g, k):
+    """The isolation search before pruning: branch on a smallest live target
+    in lex order, with one greedy packing at the root as its only bound.
+    Kept as the reference the pruned search must agree with."""
+    targets = _clique_targets(g, k)
+    explored = [0]
+    if not targets:
+        return SolveResult(0, (), 0)
+
+    def greedy_packing():
+        used = 0
+        count = 0
+        for vmask, cover in targets:
+            if not cover & used:
+                used |= cover
+                count += 1
+        return count
+
+    def dfs(budget, covered, allowed):
+        explored[0] += 1
+        best_cando = None
+        best_size = None
+        for vmask, cover in targets:
+            if vmask & covered:
+                continue
+            cando = cover & allowed
+            size = cando.bit_count()
+            if size == 0:
+                return False
+            if best_size is None or size < best_size:
+                best_cando, best_size = cando, size
+                if size == 1:
+                    break
+        if best_cando is None:
+            return allowed.bit_count() >= budget
+        if budget == 0:
+            return False
+        for v in bits(best_cando):
+            if dfs(budget - 1, covered | g.clo[v], allowed & ~(1 << v)):
+                return True
+        return False
+
+    def feasible(size, forced, min_free):
+        budget = size - forced.bit_count()
+        if budget < 0:
+            return False
+        allowed = (g.full >> min_free << min_free) & ~forced
+        return dfs(budget, closed_mask(g, forced), allowed)
+
+    value = None
+    for size in range(greedy_packing(), g.n + 1):
+        if feasible(size, 0, 0):
+            value = size
+            break
+    witness = []
+    forced = 0
+    start = 0
+    for _ in range(value):
+        for v in range(start, g.n):
+            trial = forced | (1 << v)
+            if feasible(value, trial, v + 1):
+                forced = trial
+                witness.append(v)
+                start = v + 1
+                break
+    return SolveResult(value, tuple(witness), explored[0])
+
+
+def random_gnm(n, m, rng):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph(n, rng.sample(pairs, m))
+
+
+def unit_disk(n, degree, rng):
+    """The round(n * degree / 2) closest pairs of n uniform points in the
+    unit square: a clique-rich graph, unlike G(n, m) of the same density."""
+    pts = [(rng.random(), rng.random()) for _ in range(n)]
+    pairs = sorted(
+        ((pts[u][0] - pts[v][0]) ** 2 + (pts[u][1] - pts[v][1]) ** 2, u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+    )
+    return Graph(n, [(u, v) for _, u, v in pairs[: round(n * degree / 2)]])
+
+
+# A seeded unit-disk graph (unit_disk(28, 7, rng)): 98 edges, Delta = 12,
+# 112 4-cliques, 66 5-cliques and 29 6-cliques.
+CLIQUE_RICH_G6 = "[@Khuck@K?O@AA_BWHeAH??Oy??H_AE@_GY???Q@u?IFw?dNg@B??aK@BODiE@aO"
 
 
 def complete(n):
@@ -52,11 +146,12 @@ class TestGamma:
             assert len(res.witness) == res.value
 
     def test_lex_least_witness(self, corpus_by_order):
-        for line, g in corpus_by_order[6][:50]:
-            res = gamma(g)
-            size, brute = oracles.brute_gamma(g)
-            assert res.value == size
-            assert res.witness == brute  # combinations() yields lex order
+        for n in range(1, 7):
+            for line, g in corpus_by_order[n]:
+                res = gamma(g)
+                size, brute = oracles.brute_gamma(g)
+                assert res.value == size, line
+                assert res.witness == brute  # combinations() yields lex order
 
 
 class TestIr:
@@ -111,13 +206,14 @@ class TestIota:
             assert iota(g, 1).value == gamma(g).value
 
     def test_against_oracle(self, corpus_by_order):
-        for line, g in corpus_by_order[6][:60]:
-            for k in (2, 3):
-                res = iota(g, k)
-                size, brute = oracles.brute_iota(g, k)
-                assert res.value == size
-                assert res.witness == brute
-                assert is_k_isolating(g, res.witness, k)
+        for n in range(1, 7):
+            for line, g in corpus_by_order[n]:
+                for k in range(1, g.max_degree() + 2):
+                    res = iota(g, k)
+                    size, brute = oracles.brute_iota(g, k)
+                    assert res.value == size, (line, k)
+                    assert res.witness == brute
+                    assert is_k_isolating(g, res.witness, k)
 
     def test_monotone_in_k(self, corpus_by_order):
         for line, g in corpus_by_order[7][:100]:
@@ -128,6 +224,45 @@ class TestIota:
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
             iota(path(3), 0)
+
+
+class TestPrunedSearch:
+    """The pruned isolation search against the unpruned search it replaced,
+    past the orders the brute-force oracles reach."""
+
+    @staticmethod
+    def assert_matches_reference(g):
+        for k in range(1, g.max_degree() + 2):
+            got = _isolation_solve(g, k)
+            ref = reference_isolation_solve(g, k)
+            assert (got.value, got.witness) == (ref.value, ref.witness), (
+                encode_graph6(g),
+                k,
+            )
+
+    def test_matches_reference_gnm(self):
+        rng = random.Random(3003)
+        for n in range(9, 17):
+            for _ in range(10):
+                m = rng.randint(n, 3 * n)
+                self.assert_matches_reference(random_gnm(n, m, rng))
+
+    def test_matches_reference_unit_disk(self):
+        rng = random.Random(3004)
+        for n in range(14, 21):
+            for degree in (4.5, 5.5, 6.5, 7.5) * 2:
+                self.assert_matches_reference(unit_disk(n, degree, rng))
+
+    def test_prunes_below_reference(self):
+        g = parse_graph6(CLIQUE_RICH_G6)
+        explored = {}
+        for k in (1, 2, 3):
+            got = _isolation_solve(g, k)
+            assert got.explored < reference_isolation_solve(g, k).explored
+            explored[k] = got.explored
+        # DFS node counts of the pruned search; they move whenever its rules
+        # change. Without sibling exclusion k = 2 explores 128 nodes.
+        assert explored == {1: 258, 2: 109, 3: 39}
 
 
 class TestPackingBound:
