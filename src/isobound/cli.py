@@ -3,8 +3,11 @@
 Subcommands: verify (theorem suite over a graph6 stream), survey (ratio
 tables, never asserted), certify (extremal family audits), solve (exact
 invariants), partition / construct (machinery for one graph), family
-(generator access), check (set predicates). Exit status is 0 only when
-every requested guarantee held.
+(generator access), check (set predicates).
+
+Exit status: 0 when every requested guarantee held, 1 when one was violated
+(or a tested predicate is false), 2 on bad input, 3 when the machinery
+itself failed (a MachineryError: an internal bug or a falsified guarantee).
 """
 
 import argparse
@@ -49,7 +52,6 @@ USER_ERRORS = (
     RegimeError,
     SizeCapError,
     CertificateError,
-    MachineryError,
     ValueError,
 )
 
@@ -367,6 +369,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except MachineryError as exc:
+        print(f"machinery error: {exc}", file=sys.stderr)
+        return 3
     except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,21 +4,26 @@ and family certification.
 Per-graph records go to CSV, aggregates to JSON; both are byte-identical
 across runs and worker counts. A hard failure is any violated guarantee:
 a theorem check, a constructive certificate that does not satisfy its bound,
-a witness that fails its predicate, or machinery that raises. Parse failures
-are recorded and skipped, never fatal.
+a witness that fails its predicate, or machinery that raises. A line that
+cannot be checked (malformed graph6, an order above a cap) is recorded with
+its line number and skipped, never fatal.
+
+verify and survey share one pipeline: each non-empty input line goes through
+one worker, in input order, and the survey is the ratio projection of the
+invariants verify computes.
 """
 
 import csv
+import functools
 import json
 import multiprocessing
 import random
 import zlib
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .constructive import build_isolating_set, fraction_str, survey_ratios
-from .errors import Graph6ParseError, OrderCapError, ParameterError
+from .errors import Graph6ParseError, OrderCapError, ParameterError, SizeCapError
 from .families import FAMILIES
 from .graph import bits, classify, encode_graph6, graph6_order, mask_of, parse_graph6
 from .partition import SetMachinery, representatives_dominate, undominated_witnesses
@@ -123,6 +128,20 @@ def _run_machinery(machinery, tag, checks, failures, g6):
         checks[f"twins_{tag}"] = True
 
 
+def _exact_invariants(g, top):
+    """gamma, ir and {k: iota_k} for k = 1..top.
+
+    iota_1 is gamma by definition: both solve the same search at k = 1. ir
+    goes first, so a graph above its order cap fails before any search.
+    """
+    irr = ir(g)
+    gam = gamma(g)
+    iotas = {1: gam.value}
+    for k in range(2, top + 1):
+        iotas[k] = iota(g, k).value
+    return gam, irr, iotas
+
+
 def check_graph(g6, spot_check=True):
     """Full per-graph verification; returns the record dict."""
     g = parse_graph6(g6)
@@ -139,12 +158,7 @@ def check_graph(g6, spot_check=True):
     if not checks["roundtrip"]:
         failures.append(f"{g6} roundtrip: re-encoded to {enc}")
 
-    gam = gamma(g)
-    irr = ir(g)
-    # iota_1 is gamma by definition: both solve the same search at k = 1
-    iotas = {1: gam.value}
-    for k in range(2, delta + 2):
-        iotas[k] = iota(g, k).value
+    gam, irr, iotas = _exact_invariants(g, delta + 1)
 
     if g.n <= GAMMA_RECHECK_ORDER_CAP:
         checks["iota1_is_gamma"] = _is_minimum_dominating(g, gam)
@@ -253,157 +267,132 @@ def check_graph(g6, spot_check=True):
     }
 
 
-def _verify_worker(task):
-    idx, line, spot_check = task
-    try:
-        return idx, check_graph(line, spot_check=spot_check)
-    except (Graph6ParseError, OrderCapError) as exc:
-        return idx, {"parse_error": str(exc), "line": line.strip()}
-
-
 def _require_positive(name, value):
     if value < 1:
         raise ParameterError(f"{name} must be at least 1, got {value}")
 
 
+def _verify_line(line, spot_check):
+    # check_graph is looked up at call time, so a rebinding of the module
+    # global reaches every line, in forked pool workers too
+    return check_graph(line, spot_check=spot_check)
+
+
+def _survey_line(line, k_max):
+    g = parse_graph6(line)
+    delta = g.max_degree()
+    top = delta + 1 if k_max is None else min(k_max, delta + 1)
+    _gam, irr, iotas = _exact_invariants(g, top)
+    return {"graph6": line, "delta": delta, "ir": irr.value, "iota": iotas}
+
+
+def _run_line(per_line, max_n, option, numbered):
+    """The pipeline worker: (record, None) for a checked line, (None, error)
+    for a line that cannot be checked, (None, None) for an order above max_n."""
+    line_number, line = numbered
+    try:
+        if max_n is not None and graph6_order(line) > max_n:
+            return None, None
+        return per_line(line, option), None
+    except (Graph6ParseError, OrderCapError, SizeCapError) as exc:
+        return None, {"line_number": line_number, "error": str(exc)}
+
+
+class _Pipeline:
+    """Every non-empty input line through one per-line function.
+
+    Iterating yields the records in input order as they arrive: from map at
+    jobs = 1, which reads the input one line at a time, else from one ordered
+    Pool.imap, whose feeder thread reads ahead of the workers. Lines that
+    cannot be checked land in parse_errors, in line order; lines whose order
+    is above max_n are counted in skipped.
+    """
+
+    def __init__(self, lines, jobs, max_n, per_line, option):
+        self.lines = lines
+        self.jobs = jobs
+        self.work = functools.partial(_run_line, per_line, max_n, option)
+        self.graphs = 0
+        self.skipped = 0
+        self.parse_errors = []
+
+    def _results(self):
+        numbered = (
+            (number, raw.strip()) for number, raw in enumerate(self.lines, 1) if raw.strip()
+        )
+        if self.jobs == 1:
+            yield from map(self.work, numbered)
+        else:
+            with multiprocessing.Pool(self.jobs) as pool:
+                yield from pool.imap(self.work, numbered, chunksize=64)
+
+    def __iter__(self):
+        for rec, error in self._results():
+            if error is not None:
+                self.parse_errors.append(error)
+            elif rec is None:
+                self.skipped += 1
+            else:
+                self.graphs += 1
+                yield rec
+
+
 def verify_stream(lines, jobs=1, max_n=None, spot_check=True):
     """Run the full theorem and machinery suite over graph6 lines.
 
-    Records keep input order regardless of jobs; the aggregate is derived
-    from them sequentially, so reports are byte-identical for any worker
-    count.
+    Records keep input order regardless of jobs and are aggregated as they
+    arrive, so reports are byte-identical for any worker count.
     """
     _require_positive("jobs", jobs)
-    tasks = []
-    skipped = 0
-    parse_errors = []
-    for idx, raw in enumerate(lines):
-        line = raw.strip()
-        if not line:
-            continue
-        if max_n is not None:
-            try:
-                n = graph6_order(line)
-            except (Graph6ParseError, OrderCapError) as exc:
-                parse_errors.append({"line_number": idx + 1, "error": str(exc)})
-                continue
-            if n > max_n:
-                skipped += 1
-                continue
-        tasks.append((idx + 1, line, spot_check))
-
-    results = []
-    if jobs > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            for idx, rec in pool.imap(_verify_worker, tasks, chunksize=64):
-                results.append((idx, rec))
-    else:
-        results.extend(_verify_worker(t) for t in tasks)
-
+    stream = _Pipeline(lines, jobs, max_n, _verify_line, spot_check)
     records = []
     hard_failures = []
     check_counts = {}
-    ratio_rows = {}
-    for idx, rec in results:
-        if "parse_error" in rec:
-            parse_errors.append({"line_number": idx, "error": rec["parse_error"]})
-            continue
+    for rec in stream:
         records.append(rec)
         hard_failures.extend(rec["failures"])
         for name, ok in rec["checks"].items():
             slot = check_counts.setdefault(name, [0, 0])
             slot[0] += 1
             slot[1] += ok
-        if rec["ir"]:
-            for ks, val in rec["iota"].items():
-                key = (rec["delta"], int(ks))
-                ratio = Fraction(val, rec["ir"])
-                cur = ratio_rows.get(key)
-                if cur is None or ratio > cur[0]:
-                    ratio_rows[key] = (ratio, rec["graph6"])
 
     aggregate = {
         "graphs": len(records),
-        "skipped_over_max_n": skipped,
-        "parse_error_count": len(parse_errors),
+        "skipped_over_max_n": stream.skipped,
+        "parse_error_count": len(stream.parse_errors),
         "hard_failure_count": len(hard_failures),
         "checks": {
             name: {"evaluated": ev, "passed": ok}
             for name, (ev, ok) in sorted(check_counts.items())
         },
         "max_ratios": {
-            f"delta={d},k={k}": {"ratio": fraction_str(r), "witness": w}
-            for (d, k), (r, w) in sorted(ratio_rows.items())
+            f"delta={d},k={k}": {"ratio": fraction_str(row["ratio"]), "witness": row["witness"]}
+            for (d, k), row in sorted(survey_ratios(records)["rows"].items())
         },
     }
     return CheckReport(
         records=records,
         aggregate=aggregate,
         hard_failures=hard_failures,
-        parse_errors=parse_errors,
+        parse_errors=stream.parse_errors,
     )
-
-
-def _survey_worker(task):
-    idx, line, k_max = task
-    try:
-        g = parse_graph6(line)
-    except (Graph6ParseError, OrderCapError) as exc:
-        return idx, {"parse_error": str(exc), "line": line.strip()}
-    delta = g.max_degree()
-    top = delta + 1 if k_max is None else min(k_max, delta + 1)
-    irr = ir(g)
-    iotas = {k: iota(g, k).value for k in range(1, top + 1)}
-    return idx, {
-        "graph6": line.strip(),
-        "delta": delta,
-        "ir": irr.value,
-        "iota": iotas,
-    }
 
 
 def conjecture_survey(lines, jobs=1, max_n=None, k_max=None):
     """Largest observed iota_k / ir per (delta, k), with witnesses.
 
-    Ratios are reported, never asserted; the monotone flags say whether the
-    observed maxima are non-increasing in k for each delta.
+    The same pipeline as verify_stream with only the exact invariants per
+    line. Ratios are reported, never asserted; the monotone flags say whether
+    the observed maxima are non-increasing in k for each delta.
     """
     _require_positive("jobs", jobs)
     if k_max is not None:
         _require_positive("k_max", k_max)
-    tasks = []
-    parse_errors = []
-    for idx, raw in enumerate(lines):
-        line = raw.strip()
-        if not line:
-            continue
-        if max_n is not None:
-            try:
-                if graph6_order(line) > max_n:
-                    continue
-            except (Graph6ParseError, OrderCapError) as exc:
-                parse_errors.append({"line_number": idx + 1, "error": str(exc)})
-                continue
-        tasks.append((idx + 1, line, k_max))
-
-    results = []
-    if jobs > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            results.extend(pool.imap(_survey_worker, tasks, chunksize=64))
-    else:
-        results.extend(_survey_worker(t) for t in tasks)
-
-    recs = []
-    for idx, rec in results:
-        if "parse_error" in rec:
-            parse_errors.append({"line_number": idx, "error": rec["parse_error"]})
-            continue
-        recs.append(rec)
-
-    agg = survey_ratios(recs)
+    stream = _Pipeline(lines, jobs, max_n, _survey_line, k_max)
+    agg = survey_ratios(stream)
     return {
-        "graphs": len(recs),
-        "parse_errors": parse_errors,
+        "graphs": stream.graphs,
+        "parse_errors": stream.parse_errors,
         "rows": [
             {
                 "delta": d,

@@ -13,7 +13,7 @@ from isobound import (
     conjecture_survey,
     verify_stream,
 )
-from isobound import ParameterError, harness, partition
+from isobound import MachineryError, ParameterError, cli, harness, partition
 from isobound.cli import main
 from isobound.harness import (
     applicable_ks,
@@ -180,17 +180,41 @@ class TestVerifyStream:
         assert report.hard_failures == []
 
     @pytest.mark.parametrize("max_n", [None, 8])
-    def test_non_ascii_line_is_a_parse_error(self, corpus_by_order, max_n):
-        lines = [corpus_by_order[4][0][0], "B\u00e9", corpus_by_order[4][1][0]]
-        report = verify_stream(lines, max_n=max_n)
+    def test_non_ascii_line_is_a_parse_error(self, max_n):
+        # "Dq" passes the max_n order check and fails in the body; errors
+        # still come out in line order
+        report = verify_stream(["DQc", "Dq", "B\u00e9", "DQc"], max_n=max_n)
         assert len(report.records) == 2
         assert report.parse_errors == [
-            {
-                "line_number": 2,
-                "error": "non-ASCII character '\u00e9' (byte offset 1)",
-            }
+            {"line_number": 2, "error": "body needs 2 bytes, found 1 (byte offset 2)"},
+            {"line_number": 3, "error": "non-ASCII character '\u00e9' (byte offset 1)"},
         ]
         assert report.hard_failures == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_graph_above_ir_cap_is_a_line_error(self, jobs):
+        big = encode_graph6(path(harness.IR_ORDER_CAP + 1))
+        report = verify_stream(["DQc", big, "Dq", "DQc"], jobs=jobs)
+        assert [rec["graph6"] for rec in report.records] == ["DQc", "DQc"]
+        assert report.parse_errors == [
+            {"line_number": 2, "error": "ir solve on n=33 exceeds cap 32; pass force=True"},
+            {"line_number": 3, "error": "body needs 2 bytes, found 1 (byte offset 2)"},
+        ]
+        assert report.aggregate["parse_error_count"] == 2
+        assert report.hard_failures == []
+
+    def test_rebound_check_graph_reaches_pool_workers(self, monkeypatch):
+        real = harness.check_graph
+
+        def marked(g6, *args, **kwargs):
+            rec = real(g6, *args, **kwargs)
+            rec["failures"].append(f"marked {g6}")
+            return rec
+
+        monkeypatch.setattr(harness, "check_graph", marked)
+        lines = ["DQc", "Cr", "Bw"]
+        report = verify_stream(lines, jobs=2)
+        assert report.hard_failures == [f"marked {line}" for line in lines]
 
     def test_jobs_below_one_rejected(self):
         with pytest.raises(ParameterError):
@@ -236,9 +260,35 @@ class TestConjectureSurvey:
 
     def test_non_ascii_line_is_a_parse_error(self):
         for max_n in (None, 8):
-            out = conjecture_survey(["DQc", "B\u00e9"], max_n=max_n)
-            assert out["graphs"] == 1
-            assert [e["line_number"] for e in out["parse_errors"]] == [2]
+            out = conjecture_survey(["DQc", "Dq", "B\u00e9", "DQc"], max_n=max_n)
+            assert out["graphs"] == 2
+            assert [e["line_number"] for e in out["parse_errors"]] == [2, 3]
+
+    def test_graph_above_ir_cap_is_a_line_error(self):
+        big = encode_graph6(path(harness.IR_ORDER_CAP + 1))
+        out = conjecture_survey(["DQc", big, "DQc"])
+        assert out["graphs"] == 2
+        assert out["parse_errors"] == [
+            {"line_number": 2, "error": "ir solve on n=33 exceeds cap 32; pass force=True"}
+        ]
+        assert out["rows"] == conjecture_survey(["DQc", "DQc"])["rows"]
+
+    def test_jobs_equal_output(self, corpus_by_order):
+        lines = [line for n in (5, 6) for line, _ in corpus_by_order[n]][:80]
+        lines[7] = "Dq"
+        single = conjecture_survey(lines, jobs=1, max_n=5)
+        assert single["graphs"] == 20
+        assert single == conjecture_survey(lines, jobs=2, max_n=5)
+        assert conjecture_survey(lines, jobs=1) == conjecture_survey(lines, jobs=2)
+
+    def test_rows_are_the_verify_ratio_maxima(self, corpus_by_order):
+        lines = [line for n in range(1, 7) for line, _ in corpus_by_order[n]]
+        rows = conjecture_survey(lines)["rows"]
+        projected = {
+            f"delta={row['delta']},k={row['k']}": {"ratio": row["ratio"], "witness": row["witness"]}
+            for row in rows
+        }
+        assert projected == verify_stream(lines, spot_check=False).aggregate["max_ratios"]
 
     @pytest.mark.parametrize("kwargs", [{"jobs": 0}, {"jobs": -1}, {"k_max": 0}])
     def test_parameters_below_one_rejected(self, kwargs):
@@ -324,6 +374,29 @@ class TestCli:
         g6.write_text("Cr\n")
         code = self.run(["partition", "--g6", str(g6), "--iset", "0"])
         assert code == 2
+
+    def test_verify_graph_above_ir_cap(self, capsys, tmp_path):
+        g6 = tmp_path / "in.g6"
+        big = encode_graph6(path(harness.IR_ORDER_CAP + 1))
+        g6.write_text(f"DQc\n{big}\nCr\n")
+        json_out = tmp_path / "agg.json"
+        code = self.run(["verify", "--g6", str(g6), "--json", str(json_out)])
+        assert code == 0
+        assert "parse error at line 2: ir solve on n=33" in capsys.readouterr().out
+        payload = json.loads(json_out.read_text())
+        assert payload["aggregate"]["graphs"] == 2
+        assert payload["parse_errors"] == [
+            {"line_number": 2, "error": "ir solve on n=33 exceeds cap 32; pass force=True"}
+        ]
+
+    def test_machinery_error_exit_three(self, capsys, monkeypatch):
+        def broken(args):
+            raise MachineryError("closure representatives collide")
+
+        monkeypatch.setattr(cli, "cmd_bound", broken)
+        code = self.run(["bound", "--k", "3", "--delta", "3", "--ir", "4"])
+        assert code == 3
+        assert "closure representatives collide" in capsys.readouterr().err
 
     def test_verify_non_ascii_line(self, capsys, tmp_path):
         g6 = tmp_path / "in.g6"
