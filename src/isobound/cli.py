@@ -11,6 +11,7 @@ itself failed (a MachineryError: an internal bug or a falsified guarantee).
 """
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -57,10 +58,14 @@ USER_ERRORS = (
 
 
 def _read_lines(path):
+    """The lines of a file, or of stdin for "-", read one at a time."""
     if path == "-":
-        return [ln.rstrip("\n") for ln in sys.stdin]
+        for ln in sys.stdin:
+            yield ln.rstrip("\n")
+        return
     with open(path) as fh:
-        return [ln.rstrip("\n") for ln in fh]
+        for ln in fh:
+            yield ln.rstrip("\n")
 
 
 def _first_graph(path):
@@ -89,24 +94,30 @@ def _parse_params(text):
 
 
 def cmd_verify(args):
-    report = verify_stream(
-        _read_lines(args.g6),
-        jobs=args.jobs,
-        max_n=args.max_n,
-        spot_check=not args.no_spot_check,
-    )
-    if args.csv:
-        write_csv(report, args.csv)
+    # each record becomes one CSV row as it arrives; the CSV is published
+    # only when the whole run completes
+    with write_csv(args.csv) if args.csv else contextlib.nullcontext() as sink:
+        report = verify_stream(
+            _read_lines(args.g6),
+            jobs=args.jobs,
+            max_n=args.max_n,
+            spot_check=not args.no_spot_check,
+            sink=sink,
+        )
     if args.json:
         write_json(report, args.json)
     agg = report.aggregate
     print(f"graphs checked: {agg['graphs']}")
     print(f"skipped (order above cap): {agg['skipped_over_max_n']}")
-    print(f"parse errors: {agg['parse_error_count']}")
+    print(f"parse errors: {agg['parse_error_count'] - len(report.over_cap)}")
+    print(f"not checked (above a size cap): {len(report.over_cap)}")
     for name, slot in agg["checks"].items():
         print(f"  {name}: {slot['passed']}/{slot['evaluated']}")
     for err in report.parse_errors:
-        print(f"parse error at line {err['line_number']}: {err['error']}")
+        if err["line_number"] in report.over_cap:
+            print(f"line {err['line_number']} not checked: {err['error']}")
+        else:
+            print(f"parse error at line {err['line_number']}: {err['error']}")
     if report.hard_failures:
         print(f"HARD FAILURES: {len(report.hard_failures)}")
         for msg in report.hard_failures[:50]:
@@ -141,15 +152,8 @@ def cmd_certify(args):
     else:
         report = certify_families()
     if args.json:
-        write_json(
-            {
-                "aggregate": report.aggregate,
-                "rows": report.records,
-                "hard_failures": report.hard_failures,
-            },
-            args.json,
-        )
-    for row in report.records:
+        write_json(report, args.json)
+    for row in report["rows"]:
         bits = [f"{row['family']} {row['params']}: n={row['n']} delta={row['delta']}"]
         for key in ("gamma", "ir", "iota", "iota_lower", "iota_upper"):
             if key in row:
@@ -159,9 +163,9 @@ def cmd_certify(args):
                 bits.append(f"{key.split('_')[0]}:{row[key]}")
         bits.append(row["status"])
         print("  ".join(bits))
-    if report.hard_failures:
-        print(f"HARD FAILURES: {len(report.hard_failures)}")
-        for msg in report.hard_failures:
+    if report["hard_failures"]:
+        print(f"HARD FAILURES: {len(report['hard_failures'])}")
+        for msg in report["hard_failures"]:
             print(f"  {msg}")
         return 1
     print("all instances certified")

@@ -47,7 +47,7 @@ def _certificate(g, regime, k, iset, t, bound, s_param=None):
         input_set=tuple(sorted(iset)),
         t=t,
         bound=bound,
-        satisfied=Fraction(len(t)) <= bound,
+        satisfied=len(t) * bound.denominator <= bound.numerator,
         isolating_verified=is_k_isolating(g, t, k),
         s_param=s_param,
     )
@@ -185,11 +185,12 @@ def survey_ratios(records):
             continue
         delta = rec["delta"]
         for key, val in rec["iota"].items():
-            kk = int(key)
-            ratio = Fraction(val, irv)
-            cur = rows.get((delta, kk))
-            if cur is None or ratio > cur["ratio"]:
-                rows[(delta, kk)] = {"ratio": ratio, "witness": rec.get("graph6")}
+            cell = (delta, int(key))
+            cur = rows.get(cell)
+            # val/irv against the kept maximum by cross-multiplication; a
+            # Fraction is built only for a new maximum
+            if cur is None or val * cur["ratio"].denominator > cur["ratio"].numerator * irv:
+                rows[cell] = {"ratio": Fraction(val, irv), "witness": rec.get("graph6")}
     monotone = {}
     for delta in sorted({d for d, _ in rows}):
         ks = sorted(kk for d, kk in rows if d == delta)

@@ -324,26 +324,26 @@ def enumerate_k_cliques(g, k, within=None):
     return list(levels[k - 1][0]) if k <= len(levels) else []
 
 
+def _clique_within(adj, cand, need):
+    """Whether cand holds a clique on need vertices."""
+    if need == 0:
+        return True
+    while cand:
+        if cand.bit_count() < need:
+            return False
+        b = cand & -cand
+        v = b.bit_length() - 1
+        cand ^= b
+        if _clique_within(adj, cand & adj[v], need - 1):
+            return True
+    return False
+
+
 def has_k_clique(g, k, within=None):
     """Whether any k-clique exists (early-exit variant)."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    allowed = g.full if within is None else within
-
-    def extend(cand, need):
-        if need == 0:
-            return True
-        while cand:
-            if cand.bit_count() < need:
-                return False
-            b = cand & -cand
-            v = b.bit_length() - 1
-            cand ^= b
-            if extend(cand & g.adj[v], need - 1):
-                return True
-        return False
-
-    return extend(allowed, k)
+    return _clique_within(g.adj, g.full if within is None else within, k)
 
 
 # ---------------------------------------------------------------------------

@@ -10,17 +10,22 @@ its line number and skipped, never fatal.
 
 verify and survey share one pipeline: each non-empty input line goes through
 one worker, in input order, and the survey is the ratio projection of the
-invariants verify computes.
+invariants verify computes. The pipeline streams: it reads the input only as
+far ahead as its workers, and verify folds each record into the aggregate and
+drops it, so memory does not grow with the input.
 """
 
+import collections
+import contextlib
 import csv
 import functools
 import json
 import multiprocessing
+import os
 import random
 import zlib
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 from .constructive import build_isolating_set, fraction_str, survey_ratios
 from .errors import Graph6ParseError, OrderCapError, ParameterError, SizeCapError
@@ -44,12 +49,25 @@ IOTA_CAP = 30
 GAMMA_RECHECK_ORDER_CAP = 10
 
 
+# At jobs > 1 the input goes to the workers in ordered chunks of CHUNK_LINES
+# lines, at most CHUNKS_PER_JOB chunks per worker in flight: enough to keep
+# every worker busy while the parent folds a finished chunk, and a fixed
+# read-ahead however long the input is.
+CHUNK_LINES = 64
+CHUNKS_PER_JOB = 4
+
+
 @dataclass
 class CheckReport:
-    records: list
+    """What a verify run keeps: the aggregate, the hard failures and the
+    lines it could not check. over_cap holds the line numbers, among
+    parse_errors, of lines above an order or size cap: well-formed lines
+    that were not checked."""
+
     aggregate: dict
     hard_failures: list
     parse_errors: list
+    over_cap: set
 
 
 def applicable_ks(delta):
@@ -287,77 +305,116 @@ def _survey_line(line, k_max):
 
 
 def _run_line(per_line, max_n, option, numbered):
-    """The pipeline worker: (record, None) for a checked line, (None, error)
-    for a line that cannot be checked, (None, None) for an order above max_n."""
+    """The pipeline worker: ("record", record) for a checked line,
+    ("skipped", None) for an order above max_n, ("parse_error", error) for a
+    malformed line and ("over_cap", error) for a line above an order or size
+    cap, where error is {"line_number", "error"}."""
     line_number, line = numbered
     try:
         if max_n is not None and graph6_order(line) > max_n:
-            return None, None
-        return per_line(line, option), None
-    except (Graph6ParseError, OrderCapError, SizeCapError) as exc:
-        return None, {"line_number": line_number, "error": str(exc)}
+            return "skipped", None
+        return "record", per_line(line, option)
+    except Graph6ParseError as exc:
+        return "parse_error", {"line_number": line_number, "error": str(exc)}
+    except (OrderCapError, SizeCapError) as exc:
+        return "over_cap", {"line_number": line_number, "error": str(exc)}
 
 
 class _Pipeline:
     """Every non-empty input line through one per-line function.
 
-    Iterating yields the records in input order as they arrive: from map at
-    jobs = 1, which reads the input one line at a time, else from one ordered
-    Pool.imap, whose feeder thread reads ahead of the workers. Lines that
-    cannot be checked land in parse_errors, in line order; lines whose order
-    is above max_n are counted in skipped.
+    Use it as a context manager: at jobs > 1 the worker pool lives for the
+    with block and is terminated when the block exits, also when the consumer
+    raises. Iterating yields the records in input order as they arrive: from
+    map at jobs = 1, which reads the input one line at a time, else from
+    ordered chunks, at most CHUNKS_PER_JOB * jobs of them in flight, so the
+    input is read only as far ahead as the workers. Lines that cannot be
+    checked land in parse_errors, in line order (those above a cap also in
+    over_cap); lines whose order is above max_n are counted in skipped.
     """
 
     def __init__(self, lines, jobs, max_n, per_line, option):
         self.lines = lines
         self.jobs = jobs
         self.work = functools.partial(_run_line, per_line, max_n, option)
+        self.pool = None
         self.graphs = 0
         self.skipped = 0
         self.parse_errors = []
+        self.over_cap = set()
+
+    def __enter__(self):
+        if self.jobs > 1:
+            self.pool = multiprocessing.Pool(self.jobs)
+        return self
+
+    def __exit__(self, *exc):
+        if self.pool is not None:
+            self.pool.terminate()
+        return False
 
     def _results(self):
         numbered = (
             (number, raw.strip()) for number, raw in enumerate(self.lines, 1) if raw.strip()
         )
-        if self.jobs == 1:
+        if self.pool is None:
             yield from map(self.work, numbered)
-        else:
-            with multiprocessing.Pool(self.jobs) as pool:
-                yield from pool.imap(self.work, numbered, chunksize=64)
+            return
+        # the input is read here, not gated in a feeder thread: terminating
+        # a pool joins its task thread, which would hang on a gated input
+        pending = collections.deque()
+        while True:
+            while len(pending) < CHUNKS_PER_JOB * self.jobs:
+                chunk = list(islice(numbered, CHUNK_LINES))
+                if not chunk:
+                    break
+                pending.append(self.pool.map_async(self.work, chunk, len(chunk)))
+            if not pending:
+                return
+            yield from pending.popleft().get()
 
     def __iter__(self):
-        for rec, error in self._results():
-            if error is not None:
-                self.parse_errors.append(error)
-            elif rec is None:
+        for kind, value in self._results():
+            if kind == "record":
+                self.graphs += 1
+                yield value
+            elif kind == "skipped":
                 self.skipped += 1
             else:
-                self.graphs += 1
-                yield rec
+                self.parse_errors.append(value)
+                if kind == "over_cap":
+                    self.over_cap.add(value["line_number"])
 
 
-def verify_stream(lines, jobs=1, max_n=None, spot_check=True):
+def verify_stream(lines, jobs=1, max_n=None, spot_check=True, sink=None):
     """Run the full theorem and machinery suite over graph6 lines.
 
-    Records keep input order regardless of jobs and are aggregated as they
-    arrive, so reports are byte-identical for any worker count.
+    Each record is folded into the aggregate as it arrives, in input order
+    for any jobs, passed to sink (a callable, when given) and dropped: the
+    run keeps no record, and reports are byte-identical for any worker
+    count. A caller that wants the records collects them, for example with
+    sink=records.append; write_csv gives a sink that writes them as rows.
     """
     _require_positive("jobs", jobs)
-    stream = _Pipeline(lines, jobs, max_n, _verify_line, spot_check)
-    records = []
     hard_failures = []
     check_counts = {}
-    for rec in stream:
-        records.append(rec)
-        hard_failures.extend(rec["failures"])
-        for name, ok in rec["checks"].items():
-            slot = check_counts.setdefault(name, [0, 0])
-            slot[0] += 1
-            slot[1] += ok
+
+    def folded(records):
+        for rec in records:
+            hard_failures.extend(rec["failures"])
+            for name, ok in rec["checks"].items():
+                slot = check_counts.setdefault(name, [0, 0])
+                slot[0] += 1
+                slot[1] += ok
+            if sink is not None:
+                sink(rec)
+            yield rec
+
+    with _Pipeline(lines, jobs, max_n, _verify_line, spot_check) as stream:
+        ratios = survey_ratios(folded(stream))
 
     aggregate = {
-        "graphs": len(records),
+        "graphs": stream.graphs,
         "skipped_over_max_n": stream.skipped,
         "parse_error_count": len(stream.parse_errors),
         "hard_failure_count": len(hard_failures),
@@ -367,14 +424,14 @@ def verify_stream(lines, jobs=1, max_n=None, spot_check=True):
         },
         "max_ratios": {
             f"delta={d},k={k}": {"ratio": fraction_str(row["ratio"]), "witness": row["witness"]}
-            for (d, k), row in sorted(survey_ratios(records)["rows"].items())
+            for (d, k), row in sorted(ratios["rows"].items())
         },
     }
     return CheckReport(
-        records=records,
         aggregate=aggregate,
         hard_failures=hard_failures,
         parse_errors=stream.parse_errors,
+        over_cap=stream.over_cap,
     )
 
 
@@ -388,8 +445,8 @@ def conjecture_survey(lines, jobs=1, max_n=None, k_max=None):
     _require_positive("jobs", jobs)
     if k_max is not None:
         _require_positive("k_max", k_max)
-    stream = _Pipeline(lines, jobs, max_n, _survey_line, k_max)
-    agg = survey_ratios(stream)
+    with _Pipeline(lines, jobs, max_n, _survey_line, k_max) as stream:
+        agg = survey_ratios(stream)
     return {
         "graphs": stream.graphs,
         "parse_errors": stream.parse_errors,
@@ -520,7 +577,10 @@ def certify_family(name, params):
 
 def certify_families(grid=None):
     """Certify a grid of family instances; default covers the tight cases
-    the solvers can pin plus the two large certificate-only instances."""
+    the solvers can pin plus the two large certificate-only instances.
+
+    Returns {"aggregate", "rows", "hard_failures"}, the certify JSON report.
+    """
     rows = []
     hard_failures = []
     for name, params in DEFAULT_GRID if grid is None else grid:
@@ -535,9 +595,7 @@ def certify_families(grid=None):
             "FAIL": sum(1 for r in rows if r["status"] == "FAIL"),
         },
     }
-    return CheckReport(
-        records=rows, aggregate=aggregate, hard_failures=hard_failures, parse_errors=[]
-    )
+    return {"aggregate": aggregate, "rows": rows, "hard_failures": hard_failures}
 
 
 # ---------------------------------------------------------------------------
@@ -553,25 +611,42 @@ CSV_COLUMNS = [
 ]
 
 
-def write_csv(report, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, extrasaction="ignore")
-        writer.writeheader()
-        for rec in report.records:
-            row = {c: rec.get(c, "") for c in CSV_COLUMNS}
-            for ks, val in rec.get("iota", {}).items():
-                col = f"iota_k{ks}"
-                if col in row:
-                    row[col] = val
-            cons = rec.get("constructive", {})
-            ks = sorted(cons, key=int)
-            row["construct_sizes"] = " ".join(str(cons[k]["t_size"]) for k in ks)
-            row["construct_bounds"] = " ".join(cons[k]["bound"] for k in ks)
-            row["s_params"] = " ".join(str(cons[k]["s_param"]) for k in ks)
-            row["failure_count"] = len(rec.get("failures", []))
-            for col in ("connected", "tree", "cactus", "block_graph", "claw_free"):
-                row[col] = int(bool(rec.get(col)))
-            writer.writerow(row)
+def _csv_row(rec):
+    row = {c: rec.get(c, "") for c in CSV_COLUMNS}
+    for ks, val in rec.get("iota", {}).items():
+        col = f"iota_k{ks}"
+        if col in row:
+            row[col] = val
+    cons = rec.get("constructive", {})
+    ks = sorted(cons, key=int)
+    row["construct_sizes"] = " ".join(str(cons[k]["t_size"]) for k in ks)
+    row["construct_bounds"] = " ".join(cons[k]["bound"] for k in ks)
+    row["s_params"] = " ".join(str(cons[k]["s_param"]) for k in ks)
+    row["failure_count"] = len(rec.get("failures", []))
+    for col in ("connected", "tree", "cactus", "block_graph", "claw_free"):
+        row[col] = int(bool(rec.get(col)))
+    return row
+
+
+@contextlib.contextmanager
+def write_csv(path):
+    """A sink, for the with block, that writes each record it is given as
+    one CSV row.
+
+    The rows go to a temporary file beside path, which replaces path when
+    the block completes. A block that raises removes the temporary file and
+    leaves path as it was, so no partial CSV is ever published.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, extrasaction="ignore")
+            writer.writeheader()
+            yield lambda rec: writer.writerow(_csv_row(rec))
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
 
 
 def write_json(report_or_dict, path):

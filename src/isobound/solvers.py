@@ -143,6 +143,9 @@ def _isolation_solve(g, k):
                 start = v + 1
                 break
     assert is_k_isolating_mask(g, forced, k)
+    # dfs holds itself through its closure: clearing it frees the search
+    # state now instead of at the next cyclic garbage collection
+    dfs = None
     return SolveResult(value, tuple(witness), explored[0])
 
 
@@ -209,6 +212,7 @@ def ir(g, force=False):
     for size in range(1, g.n + 1):
         members = []
         if dfs(0, 0, members, [], 0, size):
+            dfs = None  # frees the search state now, as in _isolation_solve
             return SolveResult(size, tuple(members), explored[0])
     raise AssertionError("every nonempty graph has a maximal irredundant set")
 

@@ -5,6 +5,7 @@ guarantees held. The heavy shared pass runs the full check suite over the
 committed corpus of all 12113 connected graphs on up to 8 vertices.
 """
 
+import collections
 import os
 from fractions import Fraction
 
@@ -58,17 +59,36 @@ def corpus():
         return [ln.strip() for ln in fh if ln.strip()]
 
 
+def _streamed_run(corpus, jobs, out_dir):
+    """verify over the corpus with its CSV streamed to out_dir; returns the
+    report, the graph count by order and the JSON and CSV bytes."""
+    by_order = collections.Counter()
+    with write_csv(str(out_dir / "records.csv")) as write_row:
+
+        def sink(rec):
+            by_order[rec["n"]] += 1
+            write_row(rec)
+
+        report = verify_stream(corpus, jobs=jobs, sink=sink)
+    write_json(report, str(out_dir / "report.json"))
+    blobs = ((out_dir / "report.json").read_bytes(), (out_dir / "records.csv").read_bytes())
+    return report, dict(by_order), blobs
+
+
 @pytest.fixture(scope="module")
-def full_report(corpus):
+def pooled_run(corpus, tmp_path_factory):
     # at least two workers, so criterion 6 can hold it against a jobs=1 run
     jobs = max(2, min(8, os.cpu_count() or 1))
-    return verify_stream(corpus, jobs=jobs)
+    return _streamed_run(corpus, jobs, tmp_path_factory.mktemp("pooled"))
 
 
-def test_criterion_1_exhaustive_theorem_suite(corpus, full_report):
-    by_order = {}
-    for rec in full_report.records:
-        by_order[rec["n"]] = by_order.get(rec["n"], 0) + 1
+@pytest.fixture(scope="module")
+def full_report(pooled_run):
+    return pooled_run[0]
+
+
+def test_criterion_1_exhaustive_theorem_suite(corpus, full_report, pooled_run):
+    by_order = pooled_run[1]
     assert by_order == ORDER_COUNTS, "corpus does not cover every connected graph"
     evaluated, passed = _tally(full_report, THEOREM_CHECKS)
     theorem_failures = [
@@ -78,7 +98,7 @@ def test_criterion_1_exhaustive_theorem_suite(corpus, full_report):
     ]
     line = (
         f"criterion 1: {'PASS' if passed == evaluated and not theorem_failures else 'FAIL'} "
-        f"theorem suite over {len(full_report.records)} graphs, "
+        f"theorem suite over {sum(by_order.values())} graphs, "
         f"{passed}/{evaluated} checks, {len(theorem_failures)} violations"
     )
     print(line)
@@ -176,18 +196,11 @@ def test_criterion_5_machinery_property_suite(full_report):
     assert passed == evaluated and not machinery_failures, line
 
 
-def test_criterion_6_codec_and_determinism(corpus, full_report, tmp_path):
+def test_criterion_6_codec_and_determinism(corpus, full_report, pooled_run, tmp_path):
     slot = full_report.aggregate["checks"].get("roundtrip", {"evaluated": 0, "passed": 0})
     codec_ok = slot["evaluated"] == len(corpus) and slot["passed"] == slot["evaluated"]
 
-    single = verify_stream(corpus, jobs=1)
-    blobs = {}
-    for tag, report in (("single", single), ("pooled", full_report)):
-        jp = tmp_path / f"{tag}.json"
-        cp = tmp_path / f"{tag}.csv"
-        write_json(report, str(jp))
-        write_csv(report, str(cp))
-        blobs[tag] = (jp.read_bytes(), cp.read_bytes())
+    blobs = {"single": _streamed_run(corpus, 1, tmp_path)[2], "pooled": pooled_run[2]}
     deterministic = blobs["single"] == blobs["pooled"]
 
     line = (

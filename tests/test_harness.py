@@ -1,7 +1,14 @@
+import csv
+import errno
+import gc
+import itertools
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import pytest
 
@@ -103,6 +110,23 @@ class TestCheckGraph:
             assert len(set(calls)) == len(calls)
 
 
+    def test_random_graphs_past_the_corpus(self):
+        # seeded G(n, p), n = 9..12: the ir witness, the spot set and every
+        # applicable k, where the exhaustive corpus stops
+        for seed in range(40):
+            rng = random.Random(seed)
+            n = 9 + seed % 4
+            p = (0.2, 0.3, 0.45, 0.6)[seed // 4 % 4]
+            edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < p]
+            g = Graph(n, edges)
+            rec = check_graph(encode_graph6(g))
+            assert rec["failures"] == [], rec["failures"]
+            assert rec["checks"]["machinery_clean"] is True
+            assert rec["checks"]["witnesses_min"] and rec["checks"]["witnesses_spot"]
+            for k in applicable_ks(g.max_degree()):
+                assert rec["checks"][f"construct_k{k}"] is True
+
+
 class TestSharedMachinery:
     def test_shared_certificates_equal_fresh_ones(self, corpus_by_order):
         for n in range(1, 7):
@@ -165,16 +189,18 @@ class TestCertifyFamily:
 class TestVerifyStream:
     def test_small_corpus_clean(self, corpus_by_order):
         lines = [line for n in (1, 2, 3, 4, 5) for line, _ in corpus_by_order[n]]
-        report = verify_stream(lines)
+        records = []
+        report = verify_stream(lines, sink=records.append)
         assert report.hard_failures == []
         assert report.parse_errors == []
-        assert len(report.records) == 31
+        assert len(records) == 31
         assert report.aggregate["graphs"] == 31
 
     def test_parse_errors_recorded_not_fatal(self, corpus_by_order):
         lines = [corpus_by_order[4][0][0], "??bad??", corpus_by_order[4][1][0]]
-        report = verify_stream(lines)
-        assert len(report.records) == 2
+        records = []
+        report = verify_stream(lines, sink=records.append)
+        assert len(records) == 2
         assert len(report.parse_errors) == 1
         assert report.parse_errors[0]["line_number"] == 2
         assert report.hard_failures == []
@@ -183,8 +209,9 @@ class TestVerifyStream:
     def test_non_ascii_line_is_a_parse_error(self, max_n):
         # "Dq" passes the max_n order check and fails in the body; errors
         # still come out in line order
-        report = verify_stream(["DQc", "Dq", "B\u00e9", "DQc"], max_n=max_n)
-        assert len(report.records) == 2
+        records = []
+        report = verify_stream(["DQc", "Dq", "B\u00e9", "DQc"], max_n=max_n, sink=records.append)
+        assert len(records) == 2
         assert report.parse_errors == [
             {"line_number": 2, "error": "body needs 2 bytes, found 1 (byte offset 2)"},
             {"line_number": 3, "error": "non-ASCII character '\u00e9' (byte offset 1)"},
@@ -194,8 +221,9 @@ class TestVerifyStream:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_graph_above_ir_cap_is_a_line_error(self, jobs):
         big = encode_graph6(path(harness.IR_ORDER_CAP + 1))
-        report = verify_stream(["DQc", big, "Dq", "DQc"], jobs=jobs)
-        assert [rec["graph6"] for rec in report.records] == ["DQc", "DQc"]
+        records = []
+        report = verify_stream(["DQc", big, "Dq", "DQc"], jobs=jobs, sink=records.append)
+        assert [rec["graph6"] for rec in records] == ["DQc", "DQc"]
         assert report.parse_errors == [
             {"line_number": 2, "error": "ir solve on n=33 exceeds cap 32; pass force=True"},
             {"line_number": 3, "error": "body needs 2 bytes, found 1 (byte offset 2)"},
@@ -222,28 +250,113 @@ class TestVerifyStream:
 
     def test_max_n_skips(self, corpus_by_order):
         lines = [line for n in (3, 4, 5) for line, _ in corpus_by_order[n]]
-        report = verify_stream(lines, max_n=4)
+        records = []
+        report = verify_stream(lines, max_n=4, sink=records.append)
         assert report.aggregate["skipped_over_max_n"] == 21
-        assert len(report.records) == 8
+        assert len(records) == 8
 
     def test_jobs_byte_identical(self, corpus_by_order, tmp_path):
         lines = [line for n in (5, 6) for line, _ in corpus_by_order[n]][:60]
         outputs = {}
         for jobs in (1, 2):
-            report = verify_stream(lines, jobs=jobs)
             csv_path = tmp_path / f"j{jobs}.csv"
             json_path = tmp_path / f"j{jobs}.json"
-            write_csv(report, str(csv_path))
+            with write_csv(str(csv_path)) as sink:
+                report = verify_stream(lines, jobs=jobs, sink=sink)
             write_json(report, str(json_path))
             outputs[jobs] = (csv_path.read_bytes(), json_path.read_bytes())
         assert outputs[1] == outputs[2]
 
     def test_spot_check_toggle(self, corpus_by_order):
         lines = [corpus_by_order[6][10][0]]
-        with_spot = verify_stream(lines, spot_check=True)
-        without = verify_stream(lines, spot_check=False)
-        assert any(k.endswith("_spot") for k in with_spot.records[0]["checks"])
-        assert not any(k.endswith("_spot") for k in without.records[0]["checks"])
+        with_spot, without = [], []
+        verify_stream(lines, spot_check=True, sink=with_spot.append)
+        verify_stream(lines, spot_check=False, sink=without.append)
+        assert any(k.endswith("_spot") for k in with_spot[0]["checks"])
+        assert not any(k.endswith("_spot") for k in without[0]["checks"])
+
+
+class TestStreaming:
+    def test_peak_memory_flat_in_the_input_length(self, corpus_by_order):
+        lines = [line for n in range(1, 6) for line, _ in corpus_by_order[n]]
+        count = 200
+
+        def peak(lines_run):
+            tracemalloc.start()
+            try:
+                verify_stream(
+                    itertools.islice(itertools.cycle(lines), lines_run), spot_check=False
+                )
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        verify_stream(lines * 8, spot_check=False)  # fill the interpreter's caches first
+        small, large = peak(count), peak(4 * count)
+        # A kept record takes about 4 KiB, so keeping them would add about
+        # 4 KiB per extra line; allow a quarter of that.
+        assert large - small < 3 * count * 1024, (small, large)
+
+    def test_check_graph_leaves_no_reference_cycles(self, corpus_by_order):
+        # what a graph's checks allocate is freed as soon as its record is
+        # dropped, not at some later cyclic garbage collection
+        gc.collect()
+        gc.disable()
+        try:
+            for line, _ in corpus_by_order[6][:30] + corpus_by_order[7][:30]:
+                check_graph(line)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_pool_reads_ahead_at_most_the_chunks_in_flight(self):
+        pulled = 0
+
+        def source():
+            nonlocal pulled
+            for _ in range(3000):
+                pulled += 1
+                yield "DQc"
+
+        class Enough(Exception):
+            pass
+
+        at_first_record = []
+
+        def sink(rec):
+            at_first_record.append(pulled)
+            raise Enough
+
+        with pytest.raises(Enough):
+            verify_stream(source(), jobs=2, spot_check=False, sink=sink)
+        assert at_first_record == [harness.CHUNKS_PER_JOB * 2 * harness.CHUNK_LINES]
+        assert multiprocessing.active_children() == []
+
+    def test_failed_consumer_returns_promptly_and_publishes_no_csv(
+        self, corpus_by_order, tmp_path, monkeypatch
+    ):
+        g6 = tmp_path / "in.g6"
+        order8 = [line for line, _ in corpus_by_order[8][:1000]]
+        # about a minute of work at two jobs, were it all checked
+        g6.write_text("\n".join(order8 * 100) + "\n")
+        csv_out = tmp_path / "records.csv"
+        rows = 0
+
+        class FullDisk(csv.DictWriter):
+            def writerow(self, row):
+                nonlocal rows
+                rows += 1
+                if rows > 100:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return super().writerow(row)
+
+        monkeypatch.setattr(harness.csv, "DictWriter", FullDisk)
+        start = time.monotonic()
+        with pytest.raises(OSError):
+            main(["verify", "--g6", str(g6), "--jobs", "2", "--csv", str(csv_out)])
+        assert time.monotonic() - start < 10
+        assert sorted(os.listdir(tmp_path)) == ["in.g6"]
+        assert multiprocessing.active_children() == []
 
 
 class TestConjectureSurvey:
@@ -382,12 +495,29 @@ class TestCli:
         json_out = tmp_path / "agg.json"
         code = self.run(["verify", "--g6", str(g6), "--json", str(json_out)])
         assert code == 0
-        assert "parse error at line 2: ir solve on n=33" in capsys.readouterr().out
+        assert "line 2 not checked: ir solve on n=33" in capsys.readouterr().out
         payload = json.loads(json_out.read_text())
         assert payload["aggregate"]["graphs"] == 2
         assert payload["parse_errors"] == [
             {"line_number": 2, "error": "ir solve on n=33 exceeds cap 32; pass force=True"}
         ]
+
+    def test_verify_labels_lines_it_did_not_check(self, capsys, tmp_path):
+        # line 2 parses but is above the ir cap; line 3 is malformed
+        g6 = tmp_path / "in.g6"
+        big = encode_graph6(path(harness.IR_ORDER_CAP + 1))
+        g6.write_text(f"DQc\n{big}\nDq\n")
+        json_out = tmp_path / "agg.json"
+        assert self.run(["verify", "--g6", str(g6), "--json", str(json_out)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "parse errors: 1" in out
+        assert "not checked (above a size cap): 1" in out
+        assert "line 2 not checked: ir solve on n=33 exceeds cap 32; pass force=True" in out
+        assert "parse error at line 3: body needs 2 bytes, found 1 (byte offset 2)" in out
+        assert not any(line.startswith("parse error at line 2") for line in out)
+        payload = json.loads(json_out.read_text())
+        assert payload["aggregate"]["parse_error_count"] == 2
+        assert [e["line_number"] for e in payload["parse_errors"]] == [2, 3]
 
     def test_machinery_error_exit_three(self, capsys, monkeypatch):
         def broken(args):
@@ -431,10 +561,15 @@ class TestCli:
         assert "all instances certified" in capsys.readouterr().out
 
     def test_console_script_entry(self):
+        # the child finds the package where this process imported it from
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "isobound.cli", "bound", "--k", "3", "--delta", "3", "--ir", "4"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "4/1"
@@ -453,9 +588,9 @@ class TestSerialization:
 
     def test_csv_na_blanks(self, corpus_by_order, tmp_path):
         lines = [corpus_by_order[1][0][0]]  # single vertex: no iota beyond k=1
-        report = verify_stream(lines)
         path = tmp_path / "one.csv"
-        write_csv(report, str(path))
+        with write_csv(str(path)) as sink:
+            verify_stream(lines, sink=sink)
         rows = path.read_text().splitlines()
         header = rows[0].split(",")
         values = rows[1].split(",")
