@@ -189,6 +189,9 @@ def cmd_solve(args):
                 res = iota(g, args.k)
             witness = " ".join(map(str, res.witness))
             print(f"{line.strip()} {args.invariant}={res.value} witness=[{witness}]")
+        except SizeCapError as exc:
+            print(f"{line.strip()} error: {exc.reason}; pass --force", file=sys.stderr)
+            status = 1
         except USER_ERRORS as exc:
             print(f"{line.strip()} error: {exc}", file=sys.stderr)
             status = 1

@@ -30,7 +30,19 @@ class CertificateError(ValueError):
 
 
 class SizeCapError(RuntimeError):
-    """Input exceeds a solver size cap; pass force=True to override."""
+    """Input exceeds a solver size cap.
+
+    Made from (reason, hint): reason names the order and the cap, hint how
+    the caller lifts the cap (the library's force=True), and the message is
+    both. Callers that cannot lift the cap report reason alone.
+    """
+
+    def __init__(self, reason, hint):
+        super().__init__(reason, hint)
+        self.reason = reason
+
+    def __str__(self):
+        return "; ".join(self.args)
 
 
 class MachineryError(RuntimeError):

@@ -242,9 +242,12 @@ def encode_graph6(g):
 
 def closed_mask(g, smask):
     """N[S] as a mask."""
+    clo = g.clo
     m = 0
-    for v in bits(smask):
-        m |= g.clo[v]
+    while smask:
+        b = smask & -smask
+        m |= clo[b.bit_length() - 1]
+        smask ^= b
     return m
 
 

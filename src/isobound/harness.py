@@ -316,8 +316,11 @@ def _run_line(per_line, max_n, option, numbered):
         return "record", per_line(line, option)
     except Graph6ParseError as exc:
         return "parse_error", {"line_number": line_number, "error": str(exc)}
-    except (OrderCapError, SizeCapError) as exc:
+    except OrderCapError as exc:
         return "over_cap", {"line_number": line_number, "error": str(exc)}
+    except SizeCapError as exc:
+        # neither verify nor survey can lift the cap, so the hint is left out
+        return "over_cap", {"line_number": line_number, "error": exc.reason}
 
 
 class _Pipeline:

@@ -76,11 +76,18 @@ def irredundant_extension(g, pns, union_closed, candidates):
     private neighbor outside N[S] and no member's private neighborhood fits
     inside N[w].
     """
-    for w in bits(candidates):
-        cw = g.clo[w]
+    clo = g.clo
+    while candidates:
+        b = candidates & -candidates
+        candidates ^= b
+        w = b.bit_length() - 1
+        cw = clo[w]
         if not cw & ~union_closed:
             continue  # w would have no private neighbor of its own
-        if all(pn & ~cw for pn in pns):
+        for pn in pns:
+            if not pn & ~cw:
+                break
+        else:
             return w
     return None
 

@@ -170,51 +170,100 @@ def ir(g, force=False):
     maximality literally, by attempting every one-vertex extension. The first
     hit at the smallest feasible size is the lex-least witness.
 
+    The last member is chosen in place: a node with one member left to pick
+    scans the candidates in ascending order and stops at the first u for
+    which S + u is irredundant and maximal, reading the private
+    neighbourhoods of S + u as pn & ~N[u] without building them. Such a scan
+    counts as one node in `explored`, like every node below the target size.
+
     Refuses n > 32 unless force=True; the enumeration is exponential and the
     cap keeps accidental huge inputs from hanging.
     """
     if g.n > IR_ORDER_CAP and not force:
         raise SizeCapError(
-            f"ir solve on n={g.n} exceeds cap {IR_ORDER_CAP}; pass force=True"
+            f"ir solve on n={g.n} exceeds cap {IR_ORDER_CAP}", "pass force=True"
         )
     if g.n == 0:
         return SolveResult(0, (), 0)
+    n = g.n
+    clo = g.clo
+    full = g.full
     explored = [0]
 
     def dfs(start, smask, members, pns, union_closed, need):
         explored[0] += 1
-        if need == 0:
-            return irredundant_extension(g, pns, union_closed, g.full & ~smask) is None
-        for u in range(start, g.n - need + 1):
-            cu = g.clo[u]
+        if need == 1:
+            return _last_member(clo, full, start, smask, members, pns, union_closed)
+        for u in range(start, n - need + 1):
+            cu = clo[u]
             pn_u = cu & ~union_closed
             if not pn_u:
                 continue
             new_pns = []
-            ok = True
             for pn in pns:
-                np = pn & ~cu
-                if not np:
-                    ok = False
+                pn &= ~cu
+                if not pn:
                     break
-                new_pns.append(np)
-            if not ok:
-                continue
-            new_pns.append(pn_u)
-            members.append(u)
-            if dfs(
-                u + 1, smask | (1 << u), members, new_pns, union_closed | cu, need - 1
-            ):
-                return True
-            members.pop()
+                new_pns.append(pn)
+            else:
+                new_pns.append(pn_u)
+                members.append(u)
+                if dfs(
+                    u + 1,
+                    smask | (1 << u),
+                    members,
+                    new_pns,
+                    union_closed | cu,
+                    need - 1,
+                ):
+                    return True
+                members.pop()
         return False
 
-    for size in range(1, g.n + 1):
+    for size in range(1, n + 1):
         members = []
         if dfs(0, 0, members, [], 0, size):
             dfs = None  # frees the search state now, as in _isolation_solve
             return SolveResult(size, tuple(members), explored[0])
     raise AssertionError("every nonempty graph has a maximal irredundant set")
+
+
+def _last_member(clo, full, start, smask, members, pns, union_closed):
+    """Append to members the lowest u >= start with S + u maximal
+    irredundant and return True, or return False when there is none.
+
+    (pns, union_closed) is the state of the irredundant set S. S + u keeps
+    the private neighbourhoods pn & ~N[u] of S and gives u the part of N[u]
+    outside N[S]; an outside vertex w extends S + u exactly when N[w] leaves
+    part of N[S + u] uncovered and no one of those neighbourhoods fits
+    inside N[w].
+    """
+    for u in range(start, len(clo)):
+        cu = clo[u]
+        pn_u = cu & ~union_closed
+        if not pn_u:
+            continue
+        for pn in pns:
+            if not pn & ~cu:
+                break
+        else:
+            free = full & ~(union_closed | cu)
+            rest = full & ~(smask | 1 << u)
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                cw = clo[b.bit_length() - 1]
+                if not cw & free or not pn_u & ~cw:
+                    continue
+                for pn in pns:
+                    if not pn & ~(cu | cw):
+                        break
+                else:
+                    break  # w extends S + u
+            else:
+                members.append(u)
+                return True
+    return False
 
 
 def iota_lower_bound(g, k, designated=None):

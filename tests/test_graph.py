@@ -17,7 +17,7 @@ from isobound import (
     parse_graph6,
     remove_closed_neighborhood,
 )
-from isobound.graph import bits, components_masks, graph6_order
+from isobound.graph import bits, closed_mask, components_masks, graph6_order
 
 import oracles
 
@@ -268,6 +268,29 @@ class TestNeighborhoods:
         g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         assert closed_neighborhood(g, [1]) == {0, 1, 2}
         assert closed_neighborhood(g, [0, 4]) == {0, 1, 3, 4}
+
+    @staticmethod
+    def union_of_closed(g, smask):
+        m = 0
+        for v in range(g.n):
+            if smask >> v & 1:
+                m |= g.clo[v]
+        return m
+
+    def test_closed_mask_on_every_subset(self, corpus_by_order):
+        for n in range(1, 7):
+            for line, g in corpus_by_order[n]:
+                for smask in range(1 << n):
+                    assert closed_mask(g, smask) == self.union_of_closed(g, smask), line
+
+    def test_closed_mask_random(self):
+        rng = random.Random(616)
+        for n in range(9, 17):
+            for _ in range(6):
+                g = random_graph(n, rng.choice((0.15, 0.3, 0.5)), rng)
+                for _ in range(40):
+                    smask = rng.getrandbits(n)
+                    assert closed_mask(g, smask) == self.union_of_closed(g, smask)
 
     def test_remove_closed_neighborhood(self):
         g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])

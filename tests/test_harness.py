@@ -225,7 +225,7 @@ class TestVerifyStream:
         report = verify_stream(["DQc", big, "Dq", "DQc"], jobs=jobs, sink=records.append)
         assert [rec["graph6"] for rec in records] == ["DQc", "DQc"]
         assert report.parse_errors == [
-            {"line_number": 2, "error": "ir solve on n=33 exceeds cap 32; pass force=True"},
+            {"line_number": 2, "error": "ir solve on n=33 exceeds cap 32"},
             {"line_number": 3, "error": "body needs 2 bytes, found 1 (byte offset 2)"},
         ]
         assert report.aggregate["parse_error_count"] == 2
@@ -382,7 +382,7 @@ class TestConjectureSurvey:
         out = conjecture_survey(["DQc", big, "DQc"])
         assert out["graphs"] == 2
         assert out["parse_errors"] == [
-            {"line_number": 2, "error": "ir solve on n=33 exceeds cap 32; pass force=True"}
+            {"line_number": 2, "error": "ir solve on n=33 exceeds cap 32"}
         ]
         assert out["rows"] == conjecture_survey(["DQc", "DQc"])["rows"]
 
@@ -429,6 +429,21 @@ class TestCli:
         g6 = tmp_path / "in.g6"
         g6.write_text("DQc\n")
         assert self.run(["solve", "--invariant", "iota", "--g6", str(g6)]) == 1
+
+    def test_solve_ir_above_cap_points_to_force(self, capsys, tmp_path):
+        n = harness.IR_ORDER_CAP + 1
+        k33 = encode_graph6(Graph(n, list(itertools.combinations(range(n), 2))))
+        g6 = tmp_path / "in.g6"
+        g6.write_text(f"{k33}\n")
+        argv = ["solve", "--invariant", "ir", "--g6", str(g6)]
+        assert self.run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{k33} error: ir solve on n=33 exceeds cap 32; pass --force\n"
+        assert self.run(argv + ["--force"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"{k33} ir=1 witness=[0]\n"
+        assert captured.err == ""
 
     def test_verify_writes_reports(self, capsys, tmp_path, corpus_by_order):
         g6 = tmp_path / "in.g6"
@@ -499,7 +514,7 @@ class TestCli:
         payload = json.loads(json_out.read_text())
         assert payload["aggregate"]["graphs"] == 2
         assert payload["parse_errors"] == [
-            {"line_number": 2, "error": "ir solve on n=33 exceeds cap 32; pass force=True"}
+            {"line_number": 2, "error": "ir solve on n=33 exceeds cap 32"}
         ]
 
     def test_verify_labels_lines_it_did_not_check(self, capsys, tmp_path):
@@ -512,7 +527,7 @@ class TestCli:
         out = capsys.readouterr().out.splitlines()
         assert "parse errors: 1" in out
         assert "not checked (above a size cap): 1" in out
-        assert "line 2 not checked: ir solve on n=33 exceeds cap 32; pass force=True" in out
+        assert "line 2 not checked: ir solve on n=33 exceeds cap 32" in out
         assert "parse error at line 3: body needs 2 bytes, found 1 (byte offset 2)" in out
         assert not any(line.startswith("parse error at line 2") for line in out)
         payload = json.loads(json_out.read_text())

@@ -12,6 +12,7 @@ from isobound import (
 )
 from isobound.graph import bits, mask_of
 from isobound.predicates import (
+    irredundant_extension,
     is_maximal_irredundant_mask,
     private_neighborhoods,
     private_neighbors_mask,
@@ -135,6 +136,18 @@ def random_graph(rng, n, p):
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
 
 
+def reference_irredundant_extension(g, pns, union_closed, candidates):
+    """`irredundant_extension` as a generator scan with all(); kept as the
+    reference the loop version must agree with."""
+    for w in bits(candidates):
+        cw = g.clo[w]
+        if not cw & ~union_closed:
+            continue
+        if all(pn & ~cw for pn in pns):
+            return w
+    return None
+
+
 class TestIrredundanceState:
     def test_private_neighborhoods_match_per_member(self, corpus_by_order):
         for line, g in corpus_by_order[5]:
@@ -174,6 +187,42 @@ class TestIrredundanceState:
                     expected = oracles.maximal_irredundant(g, s)
                     assert is_maximal_irredundant_mask(g, mask_of(s)) == expected, (n, s)
                 assert is_maximal_irredundant_mask(g, mask_of(greedy))
+
+
+class TestIrredundantExtension:
+    @staticmethod
+    def assert_matches_reference(g, smask, candidates):
+        pns, union_closed = private_neighborhoods(g, smask)
+        got = irredundant_extension(g, pns, union_closed, candidates)
+        expected = reference_irredundant_extension(g, pns, union_closed, candidates)
+        assert got == expected, (g.n, smask, candidates)
+        if got is not None:
+            assert is_irredundant(g, list(bits(smask | 1 << got)))
+
+    def test_every_irredundant_subset(self, corpus_by_order):
+        for n in range(1, 7):
+            for line, g in corpus_by_order[n]:
+                for smask in range(1 << n):
+                    if private_neighborhoods(g, smask) is None:
+                        continue
+                    outside = g.full & ~smask
+                    self.assert_matches_reference(g, smask, outside)
+                    # every candidate set but the lowest outside vertex
+                    self.assert_matches_reference(g, smask, outside & (outside - 1))
+
+    def test_random(self):
+        rng = random.Random(717)
+        for n in range(9, 17):
+            for _ in range(6):
+                g = random_graph(rng, n, rng.choice((0.15, 0.3, 0.5)))
+                for _ in range(40):
+                    # sets of at most n / 3 vertices are mostly irredundant
+                    smask = mask_of(rng.sample(range(n), rng.randint(0, n // 3)))
+                    if private_neighborhoods(g, smask) is None:
+                        continue
+                    outside = g.full & ~smask
+                    self.assert_matches_reference(g, smask, outside)
+                    self.assert_matches_reference(g, smask, outside & rng.getrandbits(n))
 
 
 class TestIsolation:

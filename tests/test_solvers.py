@@ -19,6 +19,7 @@ from isobound import (
 )
 from isobound.families import gen_five_thirds
 from isobound.graph import bits, closed_mask
+from isobound.predicates import irredundant_extension
 from isobound.solvers import SolveResult, _clique_targets, _isolation_solve
 
 import oracles
@@ -93,6 +94,50 @@ def reference_isolation_solve(g, k):
     return SolveResult(value, tuple(witness), explored[0])
 
 
+def reference_ir(g):
+    """The irredundance search before the last member was chosen in place:
+    one DFS node per final candidate, each testing maximality through
+    `irredundant_extension`. Kept as the reference the in-place search must
+    agree with."""
+    if g.n == 0:
+        return SolveResult(0, (), 0)
+    explored = [0]
+
+    def dfs(start, smask, members, pns, union_closed, need):
+        explored[0] += 1
+        if need == 0:
+            return irredundant_extension(g, pns, union_closed, g.full & ~smask) is None
+        for u in range(start, g.n - need + 1):
+            cu = g.clo[u]
+            pn_u = cu & ~union_closed
+            if not pn_u:
+                continue
+            new_pns = []
+            ok = True
+            for pn in pns:
+                np = pn & ~cu
+                if not np:
+                    ok = False
+                    break
+                new_pns.append(np)
+            if not ok:
+                continue
+            new_pns.append(pn_u)
+            members.append(u)
+            if dfs(
+                u + 1, smask | (1 << u), members, new_pns, union_closed | cu, need - 1
+            ):
+                return True
+            members.pop()
+        return False
+
+    for size in range(1, g.n + 1):
+        members = []
+        if dfs(0, 0, members, [], 0, size):
+            return SolveResult(size, tuple(members), explored[0])
+    raise AssertionError("every nonempty graph has a maximal irredundant set")
+
+
 def random_gnm(n, m, rng):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     return Graph(n, rng.sample(pairs, m))
@@ -162,12 +207,13 @@ class TestIr:
         assert ir(path(4)).value == 2
 
     def test_against_oracle(self, corpus_by_order):
-        for line, g in corpus_by_order[6][:80]:
-            res = ir(g)
-            size, brute = oracles.brute_ir(g)
-            assert res.value == size, line
-            assert res.witness == brute
-            assert is_maximal_irredundant(g, res.witness)
+        for n in range(1, 7):
+            for line, g in corpus_by_order[n]:
+                res = ir(g)
+                size, brute = oracles.brute_ir(g)
+                assert res.value == size, line
+                assert res.witness == brute
+                assert is_maximal_irredundant(g, res.witness)
 
     def test_ir_at_most_gamma(self, corpus_by_order):
         for line, g in corpus_by_order[7][:200]:
@@ -175,7 +221,7 @@ class TestIr:
 
     def test_order_cap(self):
         big = complete(33)
-        with pytest.raises(SizeCapError):
+        with pytest.raises(SizeCapError, match=r"n=33 exceeds cap 32; pass force=True$"):
             ir(big)
         assert ir(big, force=True).value == 1
 
@@ -190,6 +236,37 @@ class TestIr:
                 edges = [tuple(sorted(e)) for e in t.edges()]
                 g = Graph(n, edges)
                 assert 2 * gamma(g).value < 3 * ir(g).value
+
+
+class TestIrInPlace:
+    """The ir search that picks its last member in place, against the search
+    it replaced, past the orders the brute-force oracle reaches."""
+
+    @staticmethod
+    def assert_matches_reference(g):
+        got = ir(g)
+        ref = reference_ir(g)
+        assert (got.value, got.witness) == (ref.value, ref.witness), encode_graph6(g)
+
+    def test_matches_reference_gnm(self):
+        rng = random.Random(6006)
+        for n in range(9, 21):
+            for _ in range(8):
+                m = rng.randint(n, 3 * n)
+                self.assert_matches_reference(random_gnm(n, m, rng))
+
+    def test_matches_reference_unit_disk(self):
+        rng = random.Random(6007)
+        for n in range(12, 21):
+            for degree in (3.5, 4.5, 5.5, 6.5) * 2:
+                self.assert_matches_reference(unit_disk(n, degree, rng))
+
+    def test_seeded_n28(self):
+        rng = random.Random(28)
+        n = 28
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.15]
+        res = ir(Graph(n, edges))
+        assert (res.value, res.witness) == (6, (0, 4, 6, 7, 20, 22))
 
 
 class TestIota:
