@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .errors import CertificateError, SizeCapError
 from .graph import bits, closed_mask, enumerate_k_cliques
-from .predicates import irredundant_extension, is_k_isolating_mask
+from .predicates import is_k_isolating_mask
 
 IR_ORDER_CAP = 32
 
@@ -234,9 +234,9 @@ def _last_member(clo, full, start, smask, members, pns, union_closed):
 
     (pns, union_closed) is the state of the irredundant set S. S + u keeps
     the private neighbourhoods pn & ~N[u] of S and gives u the part of N[u]
-    outside N[S]; an outside vertex w extends S + u exactly when N[w] leaves
-    part of N[S + u] uncovered and no one of those neighbourhoods fits
-    inside N[w].
+    outside N[S]; an outside vertex w extends S + u exactly when N[w]
+    reaches outside N[S + u] and none of those neighbourhoods fits inside
+    N[w].
     """
     for u in range(start, len(clo)):
         cu = clo[u]
