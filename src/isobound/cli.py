@@ -26,8 +26,8 @@ from .errors import (
     RegimeError,
     SizeCapError,
 )
-from .families import FAMILIES
-from .graph import encode_graph6, parse_graph6
+from .families import FAMILIES, make_instance
+from .graph import bits, encode_graph6, parse_graph6
 from .harness import (
     certify_families,
     certify_family,
@@ -72,7 +72,12 @@ def _first_graph(path):
     for line in _read_lines(path):
         if line.strip():
             return parse_graph6(line)
-    raise Graph6ParseError("no graph6 line found in input")
+    raise Graph6ParseError("no graph6 line found in input", 0)
+
+
+def _vertices(vertices):
+    """A vertex sequence as printed: space separated, "-" when empty."""
+    return " ".join(map(str, vertices)) or "-"
 
 
 def _parse_vertex_set(text):
@@ -154,15 +159,15 @@ def cmd_certify(args):
     if args.json:
         write_json(report, args.json)
     for row in report["rows"]:
-        bits = [f"{row['family']} {row['params']}: n={row['n']} delta={row['delta']}"]
+        fields = [f"{row['family']} {row['params']}: n={row['n']} delta={row['delta']}"]
         for key in ("gamma", "ir", "iota", "iota_lower", "iota_upper"):
             if key in row:
-                bits.append(f"{key}={row[key]}")
+                fields.append(f"{key}={row[key]}")
         for key in ("gamma_certification", "ir_certification", "iota_certification"):
             if key in row:
-                bits.append(f"{key.split('_')[0]}:{row[key]}")
-        bits.append(row["status"])
-        print("  ".join(bits))
+                fields.append(f"{key.split('_')[0]}:{row[key]}")
+        fields.append(row["status"])
+        print("  ".join(fields))
     if report["hard_failures"]:
         print(f"HARD FAILURES: {len(report['hard_failures'])}")
         for msg in report["hard_failures"]:
@@ -202,22 +207,23 @@ def cmd_partition(args):
     g = _first_graph(args.g6)
     iset = _parse_vertex_set(args.iset)
     part = compute_partition(g, iset)
-    for name in ("i", "u", "p", "s", "z", "a", "q", "b", "nset", "m", "nhat"):
-        print(f"{name}: {' '.join(map(str, getattr(part, name))) or '-'}")
-    for x in part.i:
-        print(f"pn[{x}]: {' '.join(map(str, part.pn[x])) or '-'}")
+    for name in ("i", "u", "p", "s", "z", "a", "q", "b", "nset", "m"):
+        print(f"{name}: {_vertices(bits(getattr(part, name)))}")
+    print(f"nhat: {_vertices(part.nhat)}")
+    for x in bits(part.i):
+        print(f"pn[{x}]: {_vertices(bits(part.pn[x]))}")
     for wit in undominated_witnesses(g, iset, part):
         pairs = "; ".join(f"({a},{b})<-({c},{d})" for a, b, c, d in wit.pairs)
         print(f"witness u={wit.u} x={wit.x} pairs=[{pairs}]")
     delta = g.max_degree()
     if args.refine and delta >= 2:
-        ref = refine_pairs(g, iset, part, delta - 1)
-        print(f"pairs: s={ref.s_param} anchor={ref.anchor} x={list(ref.x)}")
+        ref = refine_pairs(g, part, delta - 1)
+        print(f"pairs: s={ref.s_param} anchor={ref.anchor} x={list(bits(ref.x))}")
     if args.refine and delta >= 3:
-        ref2 = refine_twins(g, iset, part, delta - 2)
+        ref2 = refine_twins(g, part, delta - 2)
         print(
             f"twins: isolated={ref2.isolated_count} twin={ref2.twin_count} "
-            f"x={list(ref2.x)}"
+            f"x={list(bits(ref2.x))}"
         )
     return 0
 
@@ -227,7 +233,7 @@ def cmd_construct(args):
     iset = _parse_vertex_set(args.iset)
     cert = build_isolating_set(g, iset, args.k)
     print(f"regime: {cert.regime}")
-    print(f"t: {' '.join(map(str, cert.t)) or '-'}")
+    print(f"t: {_vertices(cert.t)}")
     print(f"size: {len(cert.t)}  bound: {fraction_str(cert.bound)}  s: {cert.s_param}")
     print(f"bound satisfied: {cert.satisfied}")
     print(f"isolating verified: {cert.isolating_verified}")
@@ -235,12 +241,7 @@ def cmd_construct(args):
 
 
 def cmd_family(args):
-    gen = FAMILIES.get(args.name)
-    if gen is None:
-        raise ParameterError(
-            f"unknown family {args.name!r}; choices: {' '.join(sorted(FAMILIES))}"
-        )
-    inst = gen(**_parse_params(args.params))
+    inst = make_instance(args.name, _parse_params(args.params))
     g = inst.graph
     print(
         f"{inst.name} {json.dumps(inst.params, sort_keys=True)}: "

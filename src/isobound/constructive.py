@@ -39,12 +39,12 @@ class BoundCertificate:
     s_param: Optional[int] = None
 
 
-def _certificate(g, regime, k, iset, t, bound, s_param=None):
-    t = tuple(sorted(set(t)))
+def _certificate(g, regime, k, iset, tmask, bound, s_param=None):
+    t = tuple(bits(tmask))
     return BoundCertificate(
         regime=regime,
         k=k,
-        input_set=tuple(sorted(iset)),
+        input_set=iset,
         t=t,
         bound=bound,
         satisfied=len(t) * bound.denominator <= bound.numerator,
@@ -75,33 +75,27 @@ def build_isolating_set(
     iset = machinery.i
     delta = machinery.delta
 
+    # T is the union of vertex masks the partition machinery hands over
     if k == delta + 1:
         # only components that are complete on k vertices can host a
         # k-clique when the maximum degree is k - 1; each holds a member
         # of every maximal irredundant set
-        t = []
+        t = 0
         for comp in components_masks(g):
             if comp.bit_count() != k:
                 continue
             if all(g.adj[v] & comp == comp & ~(1 << v) for v in bits(comp)):
-                t.append(next(bits(comp)))
+                t |= comp & -comp
         return _certificate(g, "delta_plus_1", k, iset, t, Fraction(len(iset)))
 
     if k == delta:
         machinery.delta_regime  # raises unless the k = Delta claims hold
-        t = list(part.nhat) + list(part.m) + list(part.q) + list(part.z)
+        t = part.nhat_mask | part.m | part.q | part.z
         return _certificate(g, "delta", k, iset, t, Fraction(len(iset)))
 
     if k == delta - 1:
         ref = machinery.pairs
-        t = (
-            list(part.nhat)
-            + list(ref.y)
-            + list(ref.x)
-            + list(ref.mtilde)
-            + list(part.q)
-            + list(part.z)
-        )
+        t = part.nhat_mask | ref.y | ref.x | ref.mtilde | part.q | part.z
         if ref.s_param == 0:
             bound = Fraction(len(iset))
         else:
@@ -110,15 +104,7 @@ def build_isolating_set(
 
     if k == delta - 2:
         ref = machinery.twins
-        t = (
-            list(part.nhat)
-            + list(ref.mhat)
-            + list(ref.mbar)
-            + list(ref.qhat)
-            + list(ref.qtilde)
-            + list(part.z)
-            + list(ref.x)
-        )
+        t = part.nhat_mask | ref.mhat | ref.mbar | ref.qhat | ref.qtilde | part.z | ref.x
         return _certificate(g, "delta_minus_2", k, iset, t, Fraction(3 * len(iset), 2))
 
     raise RegimeError(

@@ -7,6 +7,7 @@ label map from construction names to vertex indices. Generators validate
 their parameters loudly and build deterministically; they never solve.
 """
 
+import inspect
 from dataclasses import dataclass, field
 
 from .errors import ParameterError
@@ -561,3 +562,23 @@ FAMILIES = {
     "Fks": gen_Fks,
     "Hksl": gen_Hksl,
 }
+
+
+def make_instance(name, params):
+    """The instance of family `name` built from the keyword dict `params`.
+
+    Raises ParameterError for an unknown family or when the keys are not
+    exactly the generator's parameters; the generator checks the values.
+    """
+    gen = FAMILIES.get(name)
+    if gen is None:
+        raise ParameterError(
+            f"unknown family {name!r}; choices: {' '.join(sorted(FAMILIES))}"
+        )
+    expected = list(inspect.signature(gen).parameters)
+    if sorted(params) != sorted(expected):
+        raise ParameterError(
+            f"family {name} takes parameters {', '.join(expected) or 'none'}; "
+            f"got {', '.join(params) or 'none'}"
+        )
+    return gen(**params)

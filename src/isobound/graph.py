@@ -31,6 +31,17 @@ def mask_of(vertices):
     return m
 
 
+def vertex_mask(g, vertices):
+    """The vertices as a mask of g; ValueError naming the first one outside
+    0..n-1."""
+    m = 0
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range for n={g.n}")
+        m |= 1 << v
+    return m
+
+
 class Graph:
     """Undirected simple graph over vertices 0..n-1.
 
@@ -253,31 +264,17 @@ def closed_mask(g, smask):
 
 def closed_neighborhood(g, s):
     """N[S]: s together with every vertex adjacent to it."""
-    smask = mask_of(s)
-    if smask & ~g.full:
-        raise ValueError("vertex out of range")
-    return set(bits(closed_mask(g, smask)))
+    return set(bits(closed_mask(g, vertex_mask(g, s))))
 
 
 def remove_closed_neighborhood(g, s):
     """Induced subgraph on V \\ N[S] plus the map back to original indices."""
-    smask = mask_of(s)
-    if smask & ~g.full:
-        raise ValueError("vertex out of range")
-    return g.induced(g.full & ~closed_mask(g, smask))
+    return g.induced(g.full & ~closed_mask(g, vertex_mask(g, s)))
 
 
 # ---------------------------------------------------------------------------
 # cliques
 # ---------------------------------------------------------------------------
-
-
-def _clique_level_one(g, allowed):
-    """The 1-cliques of `allowed`, each with its neighbours in `allowed`
-    above it: the first level `_grow_cliques` extends."""
-    adj = g.adj
-    vertices = list(bits(allowed))
-    return [(v,) for v in vertices], [adj[v] & allowed >> (v + 1) << (v + 1) for v in vertices]
 
 
 def _grow_cliques(adj, levels, k):
@@ -301,30 +298,53 @@ def _grow_cliques(adj, levels, k):
 
 
 @lru_cache(maxsize=1)
-def _whole_graph_levels(g):
-    # One graph's levels, grown in place as larger k are asked for. The
-    # isolation search and the partition checks ask for several k of the
-    # same graph in a row, so each size is built once; holding one graph
-    # keeps memory to that graph's cliques.
-    return [_clique_level_one(g, g.full)]
+def _kept_cliques(g):
+    # One graph's clique levels and clique tables, grown as larger k are
+    # asked for. The isolation search and the partition checks ask for
+    # several k of the same graph in a row, so each size is built once;
+    # holding one graph keeps memory to that graph's cliques.
+    adj = g.adj
+    vertices = range(g.n)
+    level_one = ([(v,) for v in vertices], [adj[v] >> (v + 1) << (v + 1) for v in vertices])
+    return [level_one], {}
 
 
-def enumerate_k_cliques(g, k, within=None):
+def enumerate_k_cliques(g, k):
     """All k-cliques, each a sorted tuple, in ascending lexicographic order.
 
-    within restricts the search to an induced vertex mask. Sizes are built
-    up from 1: each j-clique is extended by its common neighbours above its
-    last vertex. Without `within`, the sizes built for the most recently
+    Sizes are built up from 1: each j-clique is extended by its common
+    neighbours above its last vertex. The sizes built for the most recently
     asked graph are kept and reused.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    if within is None:
-        levels = _whole_graph_levels(g)
-    else:
-        levels = [_clique_level_one(g, within)]
+    levels = _kept_cliques(g)[0]
     _grow_cliques(g.adj, levels, k)
     return list(levels[k - 1][0]) if k <= len(levels) else []
+
+
+def clique_table(g, k):
+    """(vertex mask, closed-neighbourhood mask) per k-clique, in lex order.
+
+    Built once from enumerate_k_cliques and kept beside its sizes for the
+    most recently asked graph; the returned tuple is shared, not copied.
+    The cliques inside a vertex mask `zone` are the entries with
+    `not vmask & ~zone`, still in lex order.
+    """
+    tables = _kept_cliques(g)[1]
+    table = tables.get(k)
+    if table is None:
+        clo = g.clo
+        rows = []
+        for c in enumerate_k_cliques(g, k):
+            vmask = 0
+            cover = 0
+            for v in c:
+                vmask |= 1 << v
+                cover |= clo[v]
+            rows.append((vmask, cover))
+        table = tables[k] = tuple(rows)
+    return table
 
 
 def _clique_within(adj, cand, need):

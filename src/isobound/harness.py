@@ -29,7 +29,7 @@ from itertools import combinations, islice
 
 from .constructive import build_isolating_set, fraction_str, survey_ratios
 from .errors import Graph6ParseError, OrderCapError, ParameterError, SizeCapError
-from .families import FAMILIES
+from .families import make_instance
 from .graph import bits, classify, encode_graph6, graph6_order, mask_of, parse_graph6
 from .partition import SetMachinery, representatives_dominate, undominated_witnesses
 from .predicates import (
@@ -128,7 +128,7 @@ def _run_machinery(machinery, tag, checks, failures, g6):
     part = machinery.partition
     wit = undominated_witnesses(g, machinery.i, part)
     checks[f"witnesses_{tag}"] = True
-    if len(wit) != len(part.u):
+    if len(wit) != part.u.bit_count():
         failures.append(f"{g6} {tag}: witness count mismatch")
         checks[f"witnesses_{tag}"] = False
     if not representatives_dominate(g, part):
@@ -496,7 +496,7 @@ EXPECTED_DELTA = {
 
 def certify_family(name, params):
     """Certify one family instance; returns (row, failures)."""
-    inst = FAMILIES[name](**params)
+    inst = make_instance(name, params)
     g = inst.graph
     failures = []
     row = {

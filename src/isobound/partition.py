@@ -4,22 +4,23 @@ Fixing a maximal irredundant set I splits the graph into zones (undominated
 vertices, external private neighbors, shared neighbors) and splits I itself
 by how members keep their private neighborhoods. The refinements for the
 k = Delta-1 and k = Delta-2 regimes further organize the shared zone into
-clique clusters. Everything here is exact set algebra over bit masks; any
-failure of a guaranteed structural property raises MachineryError rather
-than degrading silently.
+clique clusters. Everything here is exact set algebra over bit masks: the
+zones and private neighborhoods are held as masks, and the k-cliques are
+read from graph.clique_table. Any failure of a guaranteed structural
+property raises MachineryError rather than degrading silently.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DichotomyError, MachineryError, PreconditionError, RegimeError
-from .graph import bits, closed_mask, enumerate_k_cliques, mask_of
+from .graph import bits, clique_table, closed_mask, mask_of, vertex_mask
 from .predicates import is_maximal_irredundant_mask, private_neighborhoods
 
 
 @dataclass(frozen=True, eq=True)
 class IrredundancePartition:
-    """Zones carved out by a maximal irredundant set i.
+    """Zones carved out by a maximal irredundant set i, each a vertex mask.
 
     u: vertices outside N[i] (undominated).
     p: external private neighbors of members of i.
@@ -29,21 +30,23 @@ class IrredundancePartition:
        neighborhood of some undominated vertex; q: the rest of a.
     nset: the closure inside b seeded by members whose private neighborhood
        is a clique (see compute_partition); m: b minus nset.
-    nhat: per member of nset, its lowest-index private neighbor.
-    pn: private neighborhood of every member of i, as sorted tuples.
+    nhat: per member of nset in ascending order, its lowest-index private
+       neighbor, as a tuple; nhat_mask: the same vertices as a mask.
+    pn: private neighborhood mask of every member of i.
     """
 
-    i: tuple
-    u: tuple
-    p: tuple
-    s: tuple
-    z: tuple
-    a: tuple
-    q: tuple
-    b: tuple
-    nset: tuple
-    m: tuple
+    i: int
+    u: int
+    p: int
+    s: int
+    z: int
+    a: int
+    q: int
+    b: int
+    nset: int
+    m: int
     nhat: tuple
+    nhat_mask: int
     pn: dict
 
 
@@ -66,8 +69,21 @@ def _is_clique_mask(g, m):
     return True
 
 
-def _tuple(mask):
-    return tuple(bits(mask))
+def _select(mask, keep):
+    """The members x of mask with keep(x), as a mask."""
+    out = 0
+    for x in bits(mask):
+        if keep(x):
+            out |= 1 << x
+    return out
+
+
+def _lows(masks):
+    """The lowest vertex of each nonempty mask, together as one mask."""
+    out = 0
+    for m in masks:
+        out |= m & -m
+    return out
 
 
 def compute_partition(g, i):
@@ -77,46 +93,31 @@ def compute_partition(g, i):
     MachineryError if any structural guarantee fails (which would mean a bug,
     not a property of the input).
     """
-    imask = mask_of(i)
-    if imask & ~g.full:
-        raise ValueError("vertex out of range")
+    imask = vertex_mask(g, i)
     if not is_maximal_irredundant_mask(g, imask):
         raise PreconditionError("input set is not maximal irredundant")
 
     pns, closed_i = private_neighborhoods(g, imask)
     pn = dict(zip(bits(imask), pns))
     seen = 0
-    for x, pnm in pn.items():
+    for pnm in pns:
         if pnm & seen:
             raise MachineryError("private neighborhoods of distinct members overlap")
         seen |= pnm
 
     umask = g.full & ~closed_i
     open_i = 0
-    for x in bits(imask):
+    for x in pn:
         open_i |= g.adj[x]
-    pmask = 0
-    for pnm in pn.values():
-        pmask |= pnm
-    pmask &= ~imask
+    pmask = seen & ~imask
     smask = open_i & ~pmask & ~imask
     for v in bits(smask):
         if (g.adj[v] & imask).bit_count() < 2:
             raise MachineryError(f"shared vertex {v} has fewer than two i-neighbors")
 
-    zmask = 0
-    for x in bits(imask):
-        if not g.adj[x] & imask:
-            zmask |= 1 << x
+    zmask = _select(imask, lambda x: not g.adj[x] & imask)
     amask = imask & ~zmask
-
-    bmask = 0
-    for x in bits(amask):
-        pnx = pn[x]
-        for u in bits(umask):
-            if not pnx & ~g.adj[u]:
-                bmask |= 1 << x
-                break
+    bmask = _select(amask, lambda x: any(not pn[x] & ~g.adj[u] for u in bits(umask)))
     qmask = amask & ~bmask
     if umask and not bmask:
         raise MachineryError("undominated vertices exist but no member qualifies")
@@ -124,24 +125,12 @@ def compute_partition(g, i):
     # closure: seed with members whose private neighborhood is a clique, then
     # keep adding members all of whose private neighbors dominate the private
     # neighborhood of some member already inside, in ascending index order
-    blist = list(bits(bmask))
-    nmask = 0
-    for x in blist:
-        if _is_clique_mask(g, pn[x]):
-            nmask |= 1 << x
+    nmask = _select(bmask, lambda x: _is_clique_mask(g, pn[x]))
     changed = True
     while changed:
         changed = False
-        for x in blist:
-            if nmask >> x & 1:
-                continue
-            qualifies = True
-            for xp in bits(pn[x]):
-                cxp = g.clo[xp]
-                if not any(not pn[y] & ~cxp for y in bits(nmask)):
-                    qualifies = False
-                    break
-            if qualifies:
+        for x in bits(bmask & ~nmask):
+            if all(any(not pn[y] & ~g.clo[xp] for y in bits(nmask)) for xp in bits(pn[x])):
                 nmask |= 1 << x
                 changed = True
     mmask = bmask & ~nmask
@@ -150,22 +139,24 @@ def compute_partition(g, i):
             raise MachineryError(f"member {x} outside the closure has a tiny private neighborhood")
 
     nhat = tuple((pn[x] & -pn[x]).bit_length() - 1 for x in bits(nmask))
-    if len(set(nhat)) != len(nhat):
+    nhat_mask = mask_of(nhat)
+    if nhat_mask.bit_count() != len(nhat):
         raise MachineryError("closure representatives collide")
 
     return IrredundancePartition(
-        i=_tuple(imask),
-        u=_tuple(umask),
-        p=_tuple(pmask),
-        s=_tuple(smask),
-        z=_tuple(zmask),
-        a=_tuple(amask),
-        q=_tuple(qmask),
-        b=_tuple(bmask),
-        nset=_tuple(nmask),
-        m=_tuple(mmask),
+        i=imask,
+        u=umask,
+        p=pmask,
+        s=smask,
+        z=zmask,
+        a=amask,
+        q=qmask,
+        b=bmask,
+        nset=nmask,
+        m=mmask,
         nhat=nhat,
-        pn={x: _tuple(m) for x, m in pn.items()},
+        nhat_mask=nhat_mask,
+        pn=pn,
     )
 
 
@@ -173,9 +164,9 @@ def representatives_dominate(g, part):
     """Whether nhat dominates the union of closure members' private
     neighborhoods. Guaranteed by construction; exposed for the harness."""
     union = 0
-    for x in part.nset:
-        union |= mask_of(part.pn[x])
-    return not union & ~closed_mask(g, mask_of(part.nhat))
+    for x in bits(part.nset):
+        union |= part.pn[x]
+    return not union & ~closed_mask(g, part.nhat_mask)
 
 
 def undominated_witnesses(g, i, part=None):
@@ -189,36 +180,33 @@ def undominated_witnesses(g, i, part=None):
     """
     if part is None:
         part = compute_partition(g, i)
-    pn_mask = {x: mask_of(t) for x, t in part.pn.items()}
-    amask = mask_of(part.a)
-    zmask = mask_of(part.z)
+    pn = part.pn
     out = []
-    for u in part.u:
+    for u in bits(part.u):
         nu = g.adj[u]
         x = None
-        for cand in part.b:
-            if not pn_mask[cand] & ~nu:
+        for cand in bits(part.b):
+            if not pn[cand] & ~nu:
                 x = cand
                 break
         if x is None:
             raise MachineryError(f"no member's private neighborhood fits N({u})")
-        pnx = part.pn[x]
+        pnx = pn[x]
         pairs = []
-        for ii, x1 in enumerate(pnx):
-            for x2 in pnx[ii + 1 :]:
-                if g.has_edge(x1, x2):
-                    continue
+        for x1 in bits(pnx):
+            # the members of pn_x above x1 and not adjacent to it
+            for x2 in bits((pnx >> (x1 + 1) << (x1 + 1)) & ~g.adj[x1]):
                 ys = []
                 for xi in (x1, x2):
                     cxi = g.clo[xi]
                     y = None
-                    for cand in bits(amask & ~(1 << x)):
-                        if not pn_mask[cand] & ~cxi:
+                    for cand in bits(part.a & ~(1 << x)):
+                        if not pn[cand] & ~cxi:
                             y = cand
                             break
                     if y is None:
-                        for cand in bits(zmask):
-                            if not pn_mask[cand] & ~cxi:
+                        for cand in bits(part.z):
+                            if not pn[cand] & ~cxi:
                                 raise MachineryError(
                                     f"only an isolated member covers for pair vertex {xi}"
                                 )
@@ -247,26 +235,22 @@ def check_delta_regime(g, part, k):
     """
     if k != g.max_degree():
         raise RegimeError(f"k={k} is not the maximum degree {g.max_degree()}")
-    imask = mask_of(part.i)
-    smask = mask_of(part.s)
-    umask = mask_of(part.u)
-    pmask = mask_of(part.p)
-    nhat_mask = mask_of(part.nhat)
-    npn = [mask_of(part.pn[x]) for x in part.nset]
-    for c in enumerate_k_cliques(g, k):
-        cmask = mask_of(c)
-        if not cmask & imask and cmask & smask:
-            raise MachineryError(f"clique {c} avoids the set but meets the shared zone")
-        if not cmask & ~umask:
-            for v in c:
+    npn = [part.pn[x] for x in bits(part.nset)]
+    for cmask, _ in clique_table(g, k):
+        if not cmask & part.i and cmask & part.s:
+            raise MachineryError(
+                f"clique {tuple(bits(cmask))} avoids the set but meets the shared zone"
+            )
+        if not cmask & ~part.u:
+            for v in bits(cmask):
                 cv = g.clo[v]
                 if not any(not pn & ~cv for pn in npn):
                     raise MachineryError(
                         f"undominated clique vertex {v} dominates no closure member's privates"
                     )
-        if not cmask & (pmask | imask):
-            for v in c:
-                if not g.adj[v] & nhat_mask:
+        if not cmask & (part.p | part.i):
+            for v in bits(cmask):
+                if not g.adj[v] & part.nhat_mask:
                     raise MachineryError(
                         f"clique vertex {v} misses every representative"
                     )
@@ -280,31 +264,31 @@ def check_delta_regime(g, part, k):
 
 @dataclass(frozen=True)
 class PairRefinement:
-    """Refinement data for the k = Delta-1 regime.
+    """Refinement data for the k = Delta-1 regime; vertex sets are masks.
 
     mprime: members of m with exactly two private neighbors; mtilde: the rest.
     pairs: (member, low private neighbor, high private neighbor) triples.
     y / w: the low / high private neighbors across mprime.
     sprime: shared vertices whose i-neighbors all lie in nset or mprime.
-    cliques: the k-cliques inside sprime.
+    cliques: the k-cliques inside sprime, as sorted tuples in lex order.
     s_param: the largest number of those cliques adjacent to one vertex of
     nset or mprime; anchor: the lowest vertex attaining it (None when 0).
     x: the anchor plus the lowest vertex of every clique not adjacent to it.
     """
 
-    mprime: tuple
-    mtilde: tuple
+    mprime: int
+    mtilde: int
     pairs: tuple
-    y: tuple
-    w: tuple
-    sprime: tuple
+    y: int
+    w: int
+    sprime: int
     cliques: tuple
     s_param: int
     anchor: object
-    x: tuple
+    x: int
 
 
-def refine_pairs(g, i, part, k):
+def refine_pairs(g, part, k):
     """Organize the shared zone for the k = Delta-1 bound.
 
     sprime keeps the shared vertices with no i-neighbor outside nset and
@@ -316,88 +300,67 @@ def refine_pairs(g, i, part, k):
     delta = g.max_degree()
     if delta < 2 or k != delta - 1:
         raise RegimeError(f"k={k} outside the delta-1 regime for delta={delta}")
-    imask = mask_of(part.i)
-    smask = mask_of(part.s)
+    pn = part.pn
+    smask = part.s
+    mprime = _select(part.m, lambda x: pn[x].bit_count() == 2)
+    pairs = tuple((x, *bits(pn[x])) for x in bits(mprime))
+    nm_mask = part.nset | mprime
+    sprime = _select(smask, lambda v: not g.adj[v] & part.i & ~nm_mask)
 
-    mprime = tuple(x for x in part.m if len(part.pn[x]) == 2)
-    mtilde = tuple(x for x in part.m if len(part.pn[x]) != 2)
-    pairs = tuple((x, part.pn[x][0], part.pn[x][1]) for x in mprime)
-    y = tuple(p[1] for p in pairs)
-    w = tuple(p[2] for p in pairs)
-
-    nm_mask = mask_of(part.nset) | mask_of(mprime)
-    sprime_mask = 0
-    for v in bits(smask):
-        if not g.adj[v] & imask & ~nm_mask:
-            sprime_mask |= 1 << v
-
-    # k-cliques of the shared zone must be closed off inside it
-    for c in enumerate_k_cliques(g, k, within=smask):
-        cmask = mask_of(c)
-        reach = 0
-        for v in c:
-            reach |= g.adj[v]
-        if reach & smask & ~cmask:
-            raise MachineryError(f"shared-zone clique {c} is not a component there")
-
-    cliques = tuple(enumerate_k_cliques(g, k, within=sprime_mask))
+    # one pass over the k-cliques: those of the shared zone must be closed
+    # off inside it, those of sprime must be disjoint, and those meeting the
+    # undominated zone but not the private one must keep their qualifying
+    # members among the anchors
+    outside = part.b & ~nm_mask
+    cliques = []
     seen = 0
-    for c in cliques:
-        cmask = mask_of(c)
-        if cmask & seen:
-            raise MachineryError("sprime cliques overlap")
-        seen |= cmask
-
-    nm = sorted(bits(nm_mask))
-    if 2 * k * len(cliques) > (delta - 2) * len(nm):
-        raise MachineryError(
-            f"clique count {len(cliques)} breaks the counting bound for {len(nm)} anchors"
-        )
-
-    umask = mask_of(part.u)
-    pmask = mask_of(part.p)
-    bpn = [(x, mask_of(part.pn[x])) for x in part.b]
-    for c in enumerate_k_cliques(g, k):
-        cmask = mask_of(c)
-        if cmask & umask and not cmask & pmask:
-            for u in bits(cmask & umask):
+    for cmask, cover in clique_table(g, k):
+        if not cmask & ~smask:
+            if cover & smask & ~cmask:
+                raise MachineryError(
+                    f"shared-zone clique {tuple(bits(cmask))} is not a component there"
+                )
+            if not cmask & ~sprime:
+                if cmask & seen:
+                    raise MachineryError("sprime cliques overlap")
+                seen |= cmask
+                cliques.append(cmask)
+        if cmask & part.u and not cmask & part.p:
+            for u in bits(cmask & part.u):
                 nu = g.adj[u]
-                for x, pnx in bpn:
-                    if not pnx & ~nu and not nm_mask >> x & 1:
+                for x in bits(outside):
+                    if not pn[x] & ~nu:
                         raise MachineryError(
                             f"qualifying member {x} for undominated {u} sits outside the anchors"
                         )
 
+    anchors = nm_mask.bit_count()
+    if 2 * k * len(cliques) > (delta - 2) * anchors:
+        raise MachineryError(
+            f"clique count {len(cliques)} breaks the counting bound for {anchors} anchors"
+        )
+
     s_param = 0
     anchor = None
-    counts = []
-    for v in nm:
-        cnt = sum(1 for c in cliques if g.adj[v] & mask_of(c))
-        counts.append(cnt)
+    for v in bits(nm_mask):
+        cnt = sum(1 for c in cliques if g.adj[v] & c)
         if cnt > s_param:
             s_param = cnt
             anchor = v
     if s_param > delta - 2:
         raise MachineryError(f"anchor degree {s_param} exceeds delta-2")
-    if s_param == 0:
-        xs = ()
-        anchor = None
-    else:
-        amask_adj = g.adj[anchor]
-        xs = [anchor]
-        for c in cliques:
-            if not amask_adj & mask_of(c):
-                xs.append(c[0])
-        xs = tuple(sorted(xs))
+    xs = 0
+    if s_param:
+        xs = 1 << anchor | _lows(c for c in cliques if not g.adj[anchor] & c)
 
     return PairRefinement(
         mprime=mprime,
-        mtilde=mtilde,
+        mtilde=part.m & ~mprime,
         pairs=pairs,
-        y=y,
-        w=w,
-        sprime=_tuple(sprime_mask),
-        cliques=cliques,
+        y=mask_of(lo for _, lo, _ in pairs),
+        w=mask_of(hi for _, _, hi in pairs),
+        sprime=sprime,
+        cliques=tuple(tuple(bits(c)) for c in cliques),
         s_param=s_param,
         anchor=anchor,
         x=xs,
@@ -411,35 +374,36 @@ def refine_pairs(g, i, part, k):
 
 @dataclass(frozen=True)
 class TwinRefinement:
-    """Refinement data for the k = Delta-2 regime.
+    """Refinement data for the k = Delta-2 regime; vertex sets are masks.
 
     mprime / mdouble: members of m with exactly two / three private
     neighbors; mbar: the rest of m. qprime: members of q with exactly one
     private neighbor; qtilde: the rest of q. sdouble: shared vertices whose
     i-neighbors all lie in nset, mprime, mdouble or qprime. cliques: the
-    k-cliques inside sdouble. Clusters of intersecting cliques are either a
-    single clique (isolated) or two cliques on k+1 vertices (twin);
-    isolated_count / twin_count tally them and x holds the lowest vertex of
-    each cluster. mhat / qhat are lowest-index private neighbors for
-    mprime u mdouble and qprime respectively.
+    k-cliques inside sdouble, as sorted tuples in lex order. Clusters of
+    intersecting cliques are either a single clique (isolated) or two
+    cliques on k+1 vertices (twin); clusters holds each one's vertices as a
+    sorted tuple, isolated_count / twin_count tally them and x holds the
+    lowest vertex of each. mhat / qhat are lowest-index private neighbors
+    for mprime u mdouble and qprime respectively.
     """
 
-    mprime: tuple
-    mdouble: tuple
-    mbar: tuple
-    qprime: tuple
-    qtilde: tuple
-    sdouble: tuple
+    mprime: int
+    mdouble: int
+    mbar: int
+    qprime: int
+    qtilde: int
+    sdouble: int
     cliques: tuple
     clusters: tuple
     isolated_count: int
     twin_count: int
-    mhat: tuple
-    qhat: tuple
-    x: tuple
+    mhat: int
+    qhat: int
+    x: int
 
 
-def refine_twins(g, i, part, k):
+def refine_twins(g, part, k):
     """Organize the shared zone for the k = Delta-2 bound.
 
     Enforces the guarantees the bound's counting argument rests on:
@@ -450,26 +414,19 @@ def refine_twins(g, i, part, k):
     delta = g.max_degree()
     if delta < 3 or k != delta - 2:
         raise RegimeError(f"k={k} outside the delta-2 regime for delta={delta}")
-    imask = mask_of(part.i)
-    smask = mask_of(part.s)
+    pn = part.pn
+    mprime = _select(part.m, lambda x: pn[x].bit_count() == 2)
+    mdouble = _select(part.m, lambda x: pn[x].bit_count() == 3)
+    mbar = _select(part.m, lambda x: pn[x].bit_count() > 3)
+    qprime = _select(part.q, lambda x: pn[x].bit_count() == 1)
+    core_mask = part.nset | mprime | mdouble | qprime
+    sdouble = _select(part.s, lambda v: not g.adj[v] & part.i & ~core_mask)
 
-    mprime = tuple(x for x in part.m if len(part.pn[x]) == 2)
-    mdouble = tuple(x for x in part.m if len(part.pn[x]) == 3)
-    mbar = tuple(x for x in part.m if len(part.pn[x]) > 3)
-    qprime = tuple(x for x in part.q if len(part.pn[x]) == 1)
-    qtilde = tuple(x for x in part.q if len(part.pn[x]) != 1)
-
-    core_mask = mask_of(part.nset) | mask_of(mprime) | mask_of(mdouble) | mask_of(qprime)
-    sdouble_mask = 0
-    for v in bits(smask):
-        if not g.adj[v] & imask & ~core_mask:
-            sdouble_mask |= 1 << v
-
-    apn = [mask_of(part.pn[y]) for y in part.a]
-    for x in mprime + mdouble:
-        pnx = mask_of(part.pn[x])
-        for xp in part.pn[x]:
-            if g.adj[xp] & pnx & ~(1 << xp):
+    apn = [pn[y] for y in bits(part.a)]
+    for x in bits(mprime | mdouble):
+        pnx = pn[x]
+        for xp in bits(pnx):
+            if g.adj[xp] & pnx:
                 continue
             cxp = g.clo[xp]
             if not any(not pny & ~cxp for pny in apn):
@@ -477,8 +434,8 @@ def refine_twins(g, i, part, k):
                     f"lonely private neighbor {xp} of {x} dominates nobody's privates"
                 )
 
-    cliques = tuple(enumerate_k_cliques(g, k, within=sdouble_mask))
-    cmasks = [mask_of(c) for c in cliques]
+    cmasks = [c for c, _ in clique_table(g, k) if not c & ~sdouble]
+    cliques = tuple(tuple(bits(c)) for c in cmasks)
 
     # cluster intersecting cliques
     parent = list(range(len(cliques)))
@@ -524,33 +481,29 @@ def refine_twins(g, i, part, k):
             raise DichotomyError(
                 f"clique cluster on {size} vertices is neither a single clique nor a twin"
             )
-        clusters.append(_tuple(union))
+        clusters.append(tuple(bits(union)))
     clusters.sort()
 
-    core = sorted(bits(core_mask))
-    if 2 * (isolated_count + twin_count) > len(core):
+    anchors = core_mask.bit_count()
+    if 2 * (isolated_count + twin_count) > anchors:
         raise MachineryError(
-            f"{isolated_count + twin_count} clusters break the counting bound for {len(core)} anchors"
+            f"{isolated_count + twin_count} clusters break the counting bound for {anchors} anchors"
         )
-
-    mhat = tuple(part.pn[x][0] for x in mprime + mdouble)
-    qhat = tuple(part.pn[x][0] for x in qprime)
-    xs = tuple(sorted(c[0] for c in clusters))
 
     return TwinRefinement(
         mprime=mprime,
         mdouble=mdouble,
         mbar=mbar,
         qprime=qprime,
-        qtilde=qtilde,
-        sdouble=_tuple(sdouble_mask),
+        qtilde=part.q & ~qprime,
+        sdouble=sdouble,
         cliques=cliques,
         clusters=tuple(clusters),
         isolated_count=isolated_count,
         twin_count=twin_count,
-        mhat=mhat,
-        qhat=qhat,
-        x=xs,
+        mhat=_lows(pn[x] for x in bits(mprime | mdouble)),
+        qhat=_lows(pn[x] for x in bits(qprime)),
+        x=mask_of(c[0] for c in clusters),
     )
 
 
@@ -584,8 +537,8 @@ class SetMachinery:
 
     @cached_property
     def pairs(self):
-        return refine_pairs(self.g, self.i, self.partition, self.delta - 1)
+        return refine_pairs(self.g, self.partition, self.delta - 1)
 
     @cached_property
     def twins(self):
-        return refine_twins(self.g, self.i, self.partition, self.delta - 2)
+        return refine_twins(self.g, self.partition, self.delta - 2)

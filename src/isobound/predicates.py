@@ -5,14 +5,7 @@ The _mask variants work on raw bit masks without validation; solvers and the
 partition machinery call those in hot loops.
 """
 
-from .graph import bits, closed_mask, has_k_clique, mask_of
-
-
-def _check_set(g, s):
-    smask = mask_of(s)
-    if smask & ~g.full:
-        raise ValueError("vertex out of range")
-    return smask
+from .graph import bits, closed_mask, has_k_clique, vertex_mask
 
 
 def private_neighbors_mask(g, smask, x):
@@ -27,8 +20,8 @@ def private_neighbors(g, s, x):
     x must be a member of s; vertices of s \\ {x} never qualify, and x itself
     qualifies exactly when it has no neighbor inside s.
     """
-    smask = _check_set(g, s)
-    if not smask >> x & 1:
+    smask = vertex_mask(g, s)
+    if x < 0 or not smask >> x & 1:
         raise ValueError(f"vertex {x} is not in the set")
     return tuple(bits(private_neighbors_mask(g, smask, x)))
 
@@ -39,7 +32,7 @@ def is_dominating_mask(g, smask):
 
 def is_dominating(g, s):
     """Whether N[s] covers every vertex."""
-    return is_dominating_mask(g, _check_set(g, s))
+    return is_dominating_mask(g, vertex_mask(g, s))
 
 
 def private_neighborhoods(g, smask):
@@ -101,7 +94,7 @@ def is_irredundant(g, s):
 
     The empty set is irredundant.
     """
-    return is_irredundant_mask(g, _check_set(g, s))
+    return is_irredundant_mask(g, vertex_mask(g, s))
 
 
 def is_maximal_irredundant_mask(g, smask):
@@ -114,7 +107,7 @@ def is_maximal_irredundant_mask(g, smask):
 
 def is_maximal_irredundant(g, s):
     """Irredundant and not extendable by any single outside vertex."""
-    return is_maximal_irredundant_mask(g, _check_set(g, s))
+    return is_maximal_irredundant_mask(g, vertex_mask(g, s))
 
 
 def is_k_isolating_mask(g, smask, k):
@@ -129,4 +122,4 @@ def is_k_isolating(g, s, k):
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    return is_k_isolating_mask(g, _check_set(g, s), k)
+    return is_k_isolating_mask(g, vertex_mask(g, s), k)

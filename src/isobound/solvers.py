@@ -30,7 +30,7 @@ neither depends on the order the DFS visits nodes in.
 from dataclasses import dataclass
 
 from .errors import CertificateError, SizeCapError
-from .graph import bits, closed_mask, enumerate_k_cliques
+from .graph import bits, clique_table, closed_mask
 from .predicates import is_k_isolating_mask
 
 IR_ORDER_CAP = 32
@@ -57,24 +57,11 @@ class PackingCertificate:
     regions: tuple
 
 
-def _clique_targets(g, k):
-    """(vertex mask, closed-neighborhood mask) per k-clique, lex order."""
-    targets = []
-    for c in enumerate_k_cliques(g, k):
-        vmask = 0
-        cover = 0
-        for v in c:
-            vmask |= 1 << v
-            cover |= g.clo[v]
-        targets.append((vmask, cover))
-    return targets
-
-
 def _isolation_solve(g, k):
     # Smallest closed neighbourhoods first (stable, so ties keep lex order):
     # the packing below gets tighter and a forced target turns up sooner.
     # The order decides only which nodes are visited, never what is feasible.
-    targets = sorted(_clique_targets(g, k), key=lambda t: t[1].bit_count())
+    targets = sorted(clique_table(g, k), key=lambda t: t[1].bit_count())
     explored = [0]
     if not targets:
         return SolveResult(0, (), 0)
@@ -301,7 +288,7 @@ def iota_lower_bound(g, k, designated=None):
             cliques.append(cs)
             regions.append(tuple(bits(cover)))
     else:
-        for vmask, cover in _clique_targets(g, k):
+        for vmask, cover in clique_table(g, k):
             if not cover & used:
                 used |= cover
                 cliques.append(tuple(bits(vmask)))

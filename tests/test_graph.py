@@ -12,12 +12,26 @@ from isobound import (
     OrderCapError,
     classify,
     closed_neighborhood,
+    compute_partition,
     encode_graph6,
     enumerate_k_cliques,
+    is_dominating,
+    is_irredundant,
+    is_k_isolating,
+    is_maximal_irredundant,
     parse_graph6,
+    private_neighbors,
     remove_closed_neighborhood,
 )
-from isobound.graph import bits, closed_mask, components_masks, graph6_order
+from isobound.graph import (
+    bits,
+    clique_table,
+    closed_mask,
+    components_masks,
+    graph6_order,
+    mask_of,
+    vertex_mask,
+)
 
 import oracles
 
@@ -221,42 +235,51 @@ class TestCliques:
                 assert mine == brute
 
     def test_exact_list_against_brute_force(self):
-        # the emitted list itself, order included, with and without `within`
+        # the emitted list itself, order included, and the table rows: the
+        # clique and closed-neighbourhood masks in the same order, whose
+        # filter by a zone mask is the list restricted to that zone
         rng = random.Random(4097)
         for _ in range(80):
             n = rng.randint(1, 12)
             g = random_graph(n, rng.uniform(0.3, 0.9), rng)
-            within = rng.getrandbits(n)
+            zone = rng.getrandbits(n)
             for k in range(1, 7):
                 brute = oracles.all_k_cliques(g, k)
                 assert enumerate_k_cliques(g, k) == brute
-                assert enumerate_k_cliques(g, k, within=within) == [
-                    c for c in brute if all(within >> v & 1 for v in c)
+                table = clique_table(g, k)
+                assert table == tuple((mask_of(c), closed_mask(g, mask_of(c))) for c in brute)
+                assert [vmask for vmask, _ in table if not vmask & ~zone] == [
+                    mask_of(c) for c in brute if all(zone >> v & 1 for v in c)
                 ]
 
     def test_kept_sizes_survive_any_call_order(self):
-        # the sizes kept for the last graph: k asked in any order, graphs and
-        # `within` calls interleaved, and a caller editing a returned list
+        # the sizes and tables kept for the last graph: k asked in any order,
+        # graphs and both kinds of call interleaved, and a caller editing a
+        # returned list
         rng = random.Random(4098)
         graphs = [random_graph(rng.randint(1, 11), rng.uniform(0.4, 0.9), rng) for _ in range(12)]
         for _ in range(300):
             g = rng.choice(graphs)
             k = rng.randint(1, 8)
-            within = rng.choice([None, rng.getrandbits(g.n)])
-            got = enumerate_k_cliques(g, k, within=within)
             brute = oracles.all_k_cliques(g, k)
-            if within is not None:
-                brute = [c for c in brute if all(within >> v & 1 for v in c)]
+            if rng.random() < 0.5:
+                assert clique_table(g, k) == tuple(
+                    (mask_of(c), closed_mask(g, mask_of(c))) for c in brute
+                )
+                continue
+            got = enumerate_k_cliques(g, k)
             assert got == brute
             got.append((-1,))
             got.reverse()
         twin = Graph.from_adj(graphs[0].adj)
         assert enumerate_k_cliques(twin, 3) == oracles.all_k_cliques(graphs[0], 3)
+        assert clique_table(twin, 2) == clique_table(graphs[0], 2)
 
     def test_within_restriction(self):
+        # a zone's cliques are the table rows inside the zone mask
         g = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (2, 4)])
-        inside = list(enumerate_k_cliques(g, 3, within=0b00111))
-        assert inside == [(0, 1, 2)]
+        inside = [vmask for vmask, _ in clique_table(g, 3) if not vmask & ~0b00111]
+        assert inside == [0b00111]
 
     def test_lex_order(self):
         g = Graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
@@ -291,6 +314,28 @@ class TestNeighborhoods:
                 for _ in range(40):
                     smask = rng.getrandbits(n)
                     assert closed_mask(g, smask) == self.union_of_closed(g, smask)
+
+    def test_vertex_sets_validated_in_one_place(self):
+        # every entry point that takes a vertex set names the bad vertex,
+        # below 0 as well as at n
+        g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        takers = [
+            lambda s: vertex_mask(g, s),
+            lambda s: closed_neighborhood(g, s),
+            lambda s: remove_closed_neighborhood(g, s),
+            lambda s: is_dominating(g, s),
+            lambda s: is_irredundant(g, s),
+            lambda s: is_maximal_irredundant(g, s),
+            lambda s: is_k_isolating(g, s, 2),
+            lambda s: compute_partition(g, s),
+        ]
+        for take in takers:
+            for bad in (-1, g.n):
+                with pytest.raises(ValueError, match=f"vertex {bad} out of range for n=5"):
+                    take([1, bad])
+        assert vertex_mask(g, [4, 0, 4]) == 0b10001
+        with pytest.raises(ValueError, match="vertex -1 is not in the set"):
+            private_neighbors(g, [1], -1)
 
     def test_remove_closed_neighborhood(self):
         g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])

@@ -503,6 +503,49 @@ class TestCli:
         code = self.run(["partition", "--g6", str(g6), "--iset", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["partition", "--iset", "0"],
+            ["construct", "--iset", "0", "--k", "1"],
+            ["check", "--set", "0", "--predicate", "dominating"],
+        ],
+    )
+    def test_empty_input_exit_two(self, capsys, tmp_path, argv):
+        g6 = tmp_path / "in.g6"
+        g6.write_text("\n")
+        assert self.run(argv + ["--g6", str(g6)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: no graph6 line found in input (byte offset 0)\n"
+
+    def test_vertex_out_of_range_exit_two(self, capsys, tmp_path):
+        g6 = tmp_path / "in.g6"
+        g6.write_text("Cr\n")
+        for bad in ("-1", "4"):
+            code = self.run(["partition", "--g6", str(g6), f"--iset=1,{bad}"])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err == f"error: vertex {bad} out of range for n=4\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["family", "--name", "G1", "--params", "foo=1"],
+            ["family", "--name", "G1", "--params", "t=2"],
+            ["certify", "--family", "G1", "--params", "foo=1"],
+            ["certify", "--family", "G1", "--params", "t=1,k=2,foo=1"],
+        ],
+    )
+    def test_unknown_family_parameters_exit_two(self, capsys, argv):
+        assert self.run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: family G1 takes parameters t, k; got ")
+        assert captured.out == ""
+
+    def test_unknown_family_name_exit_two(self, capsys):
+        assert self.run(["family", "--name", "G9"]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown family 'G9'; choices: ")
+
     def test_verify_graph_above_ir_cap(self, capsys, tmp_path):
         g6 = tmp_path / "in.g6"
         big = encode_graph6(path(harness.IR_ORDER_CAP + 1))

@@ -14,7 +14,7 @@ from isobound import (
     representatives_dominate,
     undominated_witnesses,
 )
-from isobound.graph import mask_of
+from isobound.graph import bits, mask_of
 
 import oracles
 
@@ -31,34 +31,48 @@ def complete(n):
     return Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
 
 
+def members(mask):
+    return tuple(bits(mask))
+
+
+def assert_split(whole, *parts):
+    """The part masks are pairwise disjoint and their union is whole."""
+    union = 0
+    for part in parts:
+        assert not part & union
+        union |= part
+    assert union == whole
+
+
 class TestComputePartition:
     def test_path_example(self):
         part = compute_partition(p4(), (1, 2))
-        assert part.i == (1, 2)
-        assert part.u == ()
-        assert part.p == (0, 3)
-        assert part.s == ()
-        assert part.z == ()
-        assert part.a == (1, 2)
-        assert part.q == (1, 2)
-        assert part.b == ()
-        assert part.nset == () and part.m == ()
-        assert part.pn == {1: (0,), 2: (3,)}
+        assert members(part.i) == (1, 2)
+        assert members(part.u) == ()
+        assert members(part.p) == (0, 3)
+        assert members(part.s) == ()
+        assert members(part.z) == ()
+        assert members(part.a) == (1, 2)
+        assert members(part.q) == (1, 2)
+        assert members(part.b) == ()
+        assert members(part.nset) == () and members(part.m) == ()
+        assert part.nhat == () and part.nhat_mask == 0
+        assert part.pn == {1: 0b0001, 2: 0b1000}
 
     def test_cycle_isolated_members(self):
         part = compute_partition(c6(), (0, 3))
-        assert part.z == (0, 3)
-        assert part.a == ()
-        assert part.p == (1, 2, 4, 5)
-        assert part.u == () and part.s == ()
-        assert part.pn[0] == (0, 1, 5)
+        assert members(part.z) == (0, 3)
+        assert members(part.a) == ()
+        assert members(part.p) == (1, 2, 4, 5)
+        assert members(part.u) == () and members(part.s) == ()
+        assert members(part.pn[0]) == (0, 1, 5)
 
     def test_complete_graph(self):
         part = compute_partition(complete(4), (0,))
-        assert part.i == (0,)
-        assert part.z == (0,)
-        assert part.p == (1, 2, 3)
-        assert part.u == () and part.s == ()
+        assert members(part.i) == (0,)
+        assert members(part.z) == (0,)
+        assert members(part.p) == (1, 2, 3)
+        assert members(part.u) == () and members(part.s) == ()
 
     def test_rejects_non_maximal(self):
         with pytest.raises(PreconditionError):
@@ -73,16 +87,18 @@ class TestComputePartition:
             for line, g in corpus_by_order[n]:
                 for iset in oracles.maximal_irredundant_sets(g):
                     part = compute_partition(g, iset)
-                    everyone = sorted(part.i + part.u + part.p + part.s)
-                    assert everyone == list(range(g.n)), line
-                    assert sorted(part.z + part.a) == sorted(part.i)
-                    assert sorted(part.b + part.q) == sorted(part.a)
-                    assert sorted(part.nset + part.m) == sorted(part.b)
-                    assert len(part.nhat) == len(part.nset)
-                    for x in part.i:
-                        assert set(part.pn[x]) == oracles.privates(g, iset, x), line
-                    for v in part.s:
-                        hits = sum(1 for y in part.i if g.has_edge(v, y))
+                    assert members(part.i) == tuple(iset), line
+                    assert_split(g.full, part.i, part.u, part.p, part.s)
+                    assert_split(part.i, part.z, part.a)
+                    assert_split(part.a, part.b, part.q)
+                    assert_split(part.b, part.nset, part.m)
+                    assert len(part.nhat) == part.nset.bit_count()
+                    assert part.nhat_mask == mask_of(part.nhat)
+                    assert list(part.pn) == list(iset)
+                    for x in iset:
+                        assert set(bits(part.pn[x])) == oracles.privates(g, iset, x), line
+                    for v in bits(part.s):
+                        hits = sum(1 for y in iset if g.has_edge(v, y))
                         assert hits >= 2
                     if part.u:
                         assert part.b, line
@@ -98,16 +114,16 @@ class TestUndominatedWitnesses:
                 for iset in oracles.maximal_irredundant_sets(g):
                     part = compute_partition(g, iset)
                     wits = undominated_witnesses(g, iset, part)
-                    assert len(wits) == len(part.u)
+                    assert len(wits) == part.u.bit_count()
                     for wit in wits:
-                        assert wit.u in part.u
-                        assert wit.x in part.b
+                        assert part.u >> wit.u & 1
+                        assert part.b >> wit.x & 1
                         # the designated member's privates sit in N(u)
-                        assert set(part.pn[wit.x]) <= oracles.nbrs(g, wit.u)
+                        assert set(bits(part.pn[wit.x])) <= oracles.nbrs(g, wit.u)
                         for x1, x2, y1, y2 in wit.pairs:
                             assert x1 < x2
                             assert not g.has_edge(x1, x2)
-                            assert {x1, x2} <= set(part.pn[wit.x])
+                            assert {x1, x2} <= set(bits(part.pn[wit.x]))
 
     def test_representatives_dominate_exhaustive(self, corpus_by_order):
         for n in (4, 5, 6):
@@ -137,7 +153,7 @@ class TestRefinePairs:
         g = complete(4)
         part = compute_partition(g, (0,))
         with pytest.raises(RegimeError):
-            refine_pairs(g, (0,), part, 3)  # delta - 1 is 2
+            refine_pairs(g, part, 3)  # delta - 1 is 2
 
     def test_readings_agree_exhaustive(self, corpus_by_order):
         # sprime is read as "no i-neighbor outside nset and mprime"; the
@@ -150,13 +166,13 @@ class TestRefinePairs:
                     continue
                 for iset in oracles.maximal_irredundant_sets(g):
                     part = compute_partition(g, iset)
-                    ref = refine_pairs(g, iset, part, delta - 1)
-                    rest = mask_of(ref.mtilde) | mask_of(part.q) | mask_of(part.z)
-                    via_g = tuple(v for v in part.s if not g.adj[v] & rest)
+                    ref = refine_pairs(g, part, delta - 1)
+                    rest = ref.mtilde | part.q | part.z
+                    via_g = mask_of(v for v in bits(part.s) if not g.adj[v] & rest)
                     assert ref.sprime == via_g, line
                     assert 0 <= ref.s_param <= max(0, delta - 2)
                     if ref.s_param == 0:
-                        assert ref.x == ()
+                        assert ref.x == 0
 
     def test_pair_fields(self, corpus_by_order):
         for line, g in corpus_by_order[6][:60]:
@@ -167,13 +183,14 @@ class TestRefinePairs:
 
             iset = ir(g).witness
             part = compute_partition(g, iset)
-            ref = refine_pairs(g, iset, part, delta - 1)
-            assert sorted(ref.mprime + ref.mtilde) == sorted(part.m)
+            ref = refine_pairs(g, part, delta - 1)
+            assert_split(part.m, ref.mprime, ref.mtilde)
+            assert [x for x, _, _ in ref.pairs] == list(bits(ref.mprime))
             for x, lo, hi in ref.pairs:
-                assert x in ref.mprime
                 assert lo < hi
-                assert part.pn[x] == (lo, hi)
-            assert ref.y == tuple(lo for _, lo, _ in ref.pairs)
+                assert members(part.pn[x]) == (lo, hi)
+            assert ref.y == mask_of(lo for _, lo, _ in ref.pairs)
+            assert ref.w == mask_of(hi for _, _, hi in ref.pairs)
 
 
 class TestRefineTwins:
@@ -181,13 +198,13 @@ class TestRefineTwins:
         g = complete(4)
         part = compute_partition(g, (0,))
         with pytest.raises(RegimeError):
-            refine_twins(g, (0,), part, 3)  # delta - 2 is 1
+            refine_twins(g, part, 3)  # delta - 2 is 1
 
     def test_low_degree_rejected(self):
         g = c6()
         part = compute_partition(g, (0, 3))
         with pytest.raises(RegimeError):
-            refine_twins(g, (0, 3), part, 1)
+            refine_twins(g, part, 1)
 
     def test_exhaustive_clean(self, corpus_by_order):
         for n in (4, 5, 6):
@@ -197,13 +214,36 @@ class TestRefineTwins:
                     continue
                 for iset in oracles.maximal_irredundant_sets(g):
                     part = compute_partition(g, iset)
-                    ref = refine_twins(g, iset, part, delta - 2)
-                    assert sorted(ref.mprime + ref.mdouble + ref.mbar) == sorted(part.m)
-                    assert sorted(ref.qprime + ref.qtilde) == sorted(part.q)
+                    ref = refine_twins(g, part, delta - 2)
+                    assert_split(part.m, ref.mprime, ref.mdouble, ref.mbar)
+                    assert_split(part.q, ref.qprime, ref.qtilde)
                     assert ref.isolated_count + ref.twin_count == len(ref.clusters)
-                    assert len(ref.x) == len(ref.clusters)
-                    assert len(ref.mhat) == len(ref.mprime) + len(ref.mdouble)
-                    assert len(ref.qhat) == len(ref.qprime)
+                    assert ref.x == mask_of(c[0] for c in ref.clusters)
+                    pair_members = ref.mprime | ref.mdouble
+                    assert ref.mhat.bit_count() == pair_members.bit_count()
+                    assert ref.qhat.bit_count() == ref.qprime.bit_count()
+
+
+class TestRefinementCliques:
+    def test_cliques_are_the_zone_cliques(self, corpus_by_order):
+        # each refinement keeps the k-cliques of the whole graph that lie
+        # inside its zone, in lex order
+        for n in (3, 4, 5, 6):
+            for line, g in corpus_by_order[n]:
+                delta = g.max_degree()
+                if delta < 2:
+                    continue
+                for iset in oracles.maximal_irredundant_sets(g):
+                    part = compute_partition(g, iset)
+                    pairs = refine_pairs(g, part, delta - 1)
+                    zones = [(pairs.cliques, pairs.sprime, delta - 1)]
+                    if delta >= 3:
+                        twins = refine_twins(g, part, delta - 2)
+                        zones.append((twins.cliques, twins.sdouble, delta - 2))
+                    for cliques, zone, k in zones:
+                        inside = set(bits(zone))
+                        want = [c for c in oracles.all_k_cliques(g, k) if set(c) <= inside]
+                        assert cliques == tuple(want), line
 
 
 class TestSetMachinery:
@@ -218,9 +258,9 @@ class TestSetMachinery:
                 assert mach.partition is mach.partition
                 assert mach.delta_regime is True
                 if delta >= 2:
-                    assert mach.pairs == refine_pairs(g, iset, part, delta - 1)
+                    assert mach.pairs == refine_pairs(g, part, delta - 1)
                 if delta >= 3:
-                    assert mach.twins == refine_twins(g, iset, part, delta - 2)
+                    assert mach.twins == refine_twins(g, part, delta - 2)
 
     def test_failure_is_not_kept(self):
         mach = SetMachinery(c6(), (0,))

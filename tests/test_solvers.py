@@ -18,9 +18,9 @@ from isobound import (
     parse_graph6,
 )
 from isobound.families import gen_five_thirds
-from isobound.graph import bits, closed_mask
+from isobound.graph import bits, clique_table, closed_mask
 from isobound.predicates import irredundant_extension
-from isobound.solvers import SolveResult, _clique_targets, _isolation_solve
+from isobound.solvers import SolveResult, _isolation_solve
 
 import oracles
 from graphgen import connected_trees
@@ -30,7 +30,7 @@ def reference_isolation_solve(g, k):
     """The isolation search before pruning: branch on a smallest live target
     in lex order, with one greedy packing at the root as its only bound.
     Kept as the reference the pruned search must agree with."""
-    targets = _clique_targets(g, k)
+    targets = clique_table(g, k)
     explored = [0]
     if not targets:
         return SolveResult(0, (), 0)
