@@ -154,6 +154,8 @@ def cmd_certify(args):
     if args.family:
         grid = [(args.family, _parse_params(args.params))]
         report = certify_families(grid)
+    elif args.params:
+        raise ParameterError("--params needs --family")
     else:
         report = certify_families()
     if args.json:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import ParameterError, RegimeError
-from .graph import Graph, bits, components_masks
+from .graph import Graph, bits, clique_table
 from .partition import SetMachinery
 from .predicates import is_k_isolating
 
@@ -77,15 +77,12 @@ def build_isolating_set(
 
     # T is the union of vertex masks the partition machinery hands over
     if k == delta + 1:
-        # only components that are complete on k vertices can host a
-        # k-clique when the maximum degree is k - 1; each holds a member
-        # of every maximal irredundant set
+        # at maximum degree k - 1 a k-clique is a whole component, complete
+        # on k vertices; each holds a member of every maximal irredundant
+        # set, and T takes the lowest vertex of each
         t = 0
-        for comp in components_masks(g):
-            if comp.bit_count() != k:
-                continue
-            if all(g.adj[v] & comp == comp & ~(1 << v) for v in bits(comp)):
-                t |= comp & -comp
+        for vmask, _cover in clique_table(g, k):
+            t |= vmask & -vmask
         return _certificate(g, "delta_plus_1", k, iset, t, Fraction(len(iset)))
 
     if k == delta:

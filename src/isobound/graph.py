@@ -388,71 +388,61 @@ class GraphClass:
     cyclomatic_number: int
 
 
-def components_masks(g):
-    """Vertex masks of the connected components, ordered by least vertex."""
-    seen = 0
-    comps = []
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = g.adj[v] & ~comp
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            for w in bits(frontier):
-                nxt |= g.adj[w]
-            frontier = nxt & ~comp
-        comps.append(comp)
-        seen |= comp
-    return comps
+def _blocks(g):
+    """The biconnected blocks of g as vertex masks, and the number of
+    connected components.
 
-
-def _biconnected_blocks(g):
-    """Edge lists of the biconnected blocks (bridges come out as 1-edge blocks)."""
-    n = g.n
-    depth = [0] * n
-    low = [0] * n
+    One iterative lowpoint DFS (Hopcroft & Tarjan, CACM 1973) over a vertex
+    stack: when the subtree of a child w of v has no edge to a vertex above
+    v, v and the vertices pushed since w form a block. A bridge is a block
+    of two vertices; an isolated vertex is in none. Each DFS root starts one
+    component.
+    """
+    adj = g.adj
+    depth = [0] * g.n
+    low = [0] * g.n
     blocks = []
-    estack = []
+    roots = 0
     t = 0
-    for root in range(n):
+    for root in range(g.n):
         if depth[root]:
             continue
+        roots += 1
         t += 1
         depth[root] = low[root] = t
-        frames = [[root, -1, list(bits(g.adj[root])), 0]]
+        stack = [root]
+        frames = [[root, adj[root]]]
         while frames:
-            fr = frames[-1]
-            v, parent, nbrs, idx = fr[0], fr[1], fr[2], fr[3]
-            if idx < len(nbrs):
-                fr[3] += 1
-                w = nbrs[idx]
-                if w == parent:
-                    continue
+            frame = frames[-1]
+            v, rest = frame
+            if rest:
+                b = rest & -rest
+                frame[1] = rest ^ b
+                w = b.bit_length() - 1
                 if not depth[w]:
                     t += 1
                     depth[w] = low[w] = t
-                    estack.append((v, w))
-                    frames.append([w, v, list(bits(g.adj[w])), 0])
-                elif depth[w] < depth[v]:
-                    estack.append((v, w))
-                    if depth[w] < low[v]:
-                        low[v] = depth[w]
-            else:
-                frames.pop()
-                if not frames:
-                    continue
-                u = frames[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-                if low[v] >= depth[u]:
-                    blk = []
-                    while estack[-1] != (u, v):
-                        blk.append(estack.pop())
-                    blk.append(estack.pop())
-                    blocks.append(blk)
-    return blocks
+                    stack.append(w)
+                    frames.append([w, adj[w]])
+                elif depth[w] < low[v]:
+                    # the tree edge back to the parent lowers low[v] at most
+                    # to the parent's depth, which leaves the block test as is
+                    low[v] = depth[w]
+                continue
+            frames.pop()
+            if not frames:
+                continue
+            u = frames[-1][0]
+            if low[v] < low[u]:
+                low[u] = low[v]
+            if low[v] >= depth[u]:
+                blk = 1 << u
+                w = -1
+                while w != v:
+                    w = stack.pop()
+                    blk |= 1 << w
+                blocks.append(blk)
+    return blocks, roots
 
 
 def _is_claw_free(g):
@@ -472,18 +462,15 @@ def classify(g):
     """Structural summary used by the theorem harness to route subclass checks."""
     n = g.n
     m = g.edge_count()
-    comps = components_masks(g)
-    ncomp = len(comps)
+    blocks, ncomp = _blocks(g)
     connected = ncomp <= 1
-    blocks = _biconnected_blocks(g)
+    adj = g.adj
     cactus = True
     block_graph = True
     for blk in blocks:
-        vs = set()
-        for u, v in blk:
-            vs.add(u)
-            vs.add(v)
-        ne, nv = len(blk), len(vs)
+        # a block is an induced subgraph, so its edges are those inside it
+        nv = blk.bit_count()
+        ne = sum((adj[v] & blk).bit_count() for v in bits(blk)) // 2
         if ne > 1 and ne != nv:
             cactus = False
         if ne != nv * (nv - 1) // 2:

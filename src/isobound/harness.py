@@ -30,7 +30,7 @@ from itertools import combinations, islice
 from .constructive import build_isolating_set, fraction_str, survey_ratios
 from .errors import Graph6ParseError, OrderCapError, ParameterError, SizeCapError
 from .families import make_instance
-from .graph import bits, classify, encode_graph6, graph6_order, mask_of, parse_graph6
+from .graph import GRAPH6_HEADER, bits, classify, encode_graph6, graph6_order, mask_of, parse_graph6
 from .partition import SetMachinery, representatives_dominate, undominated_witnesses
 from .predicates import (
     irredundant_extension,
@@ -160,76 +160,60 @@ def _exact_invariants(g, top):
     return gam, irr, iotas
 
 
+def _theorem_checks(g6, g, cls, gam, ir_value, iotas):
+    """(name, holds, failure message) for each theorem check that applies
+    to g, in report order; iotas holds iota_k for k = 1..delta+1."""
+    delta, gv = cls.max_degree, gam.value
+    enc = encode_graph6(g)
+    # g was parsed from exactly this body, so equal text is a full round trip
+    body = g6.strip().removeprefix(GRAPH6_HEADER)
+    yield "roundtrip", enc == body, f"{g6} roundtrip: re-encoded to {enc}"
+    if g.n <= GAMMA_RECHECK_ORDER_CAP:
+        yield "iota1_is_gamma", _is_minimum_dominating(g, gam), (
+            f"{g6}: gamma={gv} witness {list(gam.witness)} is not a minimum dominating set"
+        )
+    monotone = all(iotas[k + 1] <= iotas[k] for k in range(1, delta + 1))
+    yield "iota_monotone", monotone, f"{g6}: iota not monotone in k: {iotas}"
+    if not (g.n and ir_value):
+        return
+    yield "gamma_lt_2ir", gv < 2 * ir_value, f"{g6}: gamma={gv} not < 2*ir={2 * ir_value}"
+    if delta >= 1:
+        at, above = iotas[delta], iotas[delta + 1]
+        yield "iota_le_ir_at_delta", at <= ir_value, f"{g6}: iota({delta})={at} > ir={ir_value}"
+        yield "iota_le_ir_above_delta", above <= ir_value, f"{g6}: iota({delta + 1}) > ir"
+    if delta >= 2:
+        below = iotas[delta - 1]
+        yield "ratio_bound_below_delta", (2 * delta - 2) * below <= (3 * delta - 4) * ir_value, (
+            f"{g6}: iota({delta - 1})={below} breaks the (3d-4)/(2d-2) bound"
+        )
+    if delta >= 3:
+        yield "three_halves_two_below", 2 * iotas[delta - 2] <= 3 * ir_value, (
+            f"{g6}: iota({delta - 2}) breaks the 3/2 bound"
+        )
+    if delta == 3:
+        yield "delta3_gamma_3_2", 2 * gv <= 3 * ir_value, (
+            f"{g6}: gamma breaks the 3/2 bound at delta 3"
+        )
+    if cls.is_tree:
+        yield "tree_strict_3_2", 2 * gv < 3 * ir_value, f"{g6}: tree gamma not < 3/2 ir"
+    if cls.is_cactus:
+        yield "cactus_8_5", 5 * gv < 8 * ir_value, f"{g6}: cactus gamma not < 8/5 ir"
+    if cls.is_claw_free:
+        yield "clawfree_3_2", 2 * gv <= 3 * ir_value, f"{g6}: claw-free gamma exceeds 3/2 ir"
+
+
 def check_graph(g6, spot_check=True):
     """Full per-graph verification; returns the record dict."""
     g = parse_graph6(g6)
     cls = classify(g)
     delta = cls.max_degree
+    gam, irr, iotas = _exact_invariants(g, delta + 1)
     failures = []
     checks = {}
-
-    enc = encode_graph6(g)
-    stripped = g6.strip()
-    if stripped.startswith(">>graph6<<"):
-        stripped = stripped[len(">>graph6<<") :]
-    checks["roundtrip"] = enc == stripped and parse_graph6(enc) == g
-    if not checks["roundtrip"]:
-        failures.append(f"{g6} roundtrip: re-encoded to {enc}")
-
-    gam, irr, iotas = _exact_invariants(g, delta + 1)
-
-    if g.n <= GAMMA_RECHECK_ORDER_CAP:
-        checks["iota1_is_gamma"] = _is_minimum_dominating(g, gam)
-        if not checks["iota1_is_gamma"]:
-            failures.append(
-                f"{g6}: gamma={gam.value} witness {list(gam.witness)} "
-                "is not a minimum dominating set"
-            )
-    checks["iota_monotone"] = all(
-        iotas[k + 1] <= iotas[k] for k in range(1, delta + 1)
-    )
-    if not checks["iota_monotone"]:
-        failures.append(f"{g6}: iota not monotone in k: {iotas}")
-
-    if g.n and irr.value:
-        checks["gamma_lt_2ir"] = gam.value < 2 * irr.value
-        if not checks["gamma_lt_2ir"]:
-            failures.append(f"{g6}: gamma={gam.value} not < 2*ir={2 * irr.value}")
-        if delta >= 1:
-            checks["iota_le_ir_at_delta"] = iotas[delta] <= irr.value
-            checks["iota_le_ir_above_delta"] = iotas[delta + 1] <= irr.value
-            if not checks["iota_le_ir_at_delta"]:
-                failures.append(f"{g6}: iota({delta})={iotas[delta]} > ir={irr.value}")
-            if not checks["iota_le_ir_above_delta"]:
-                failures.append(f"{g6}: iota({delta + 1}) > ir")
-        if delta >= 2:
-            checks["ratio_bound_below_delta"] = (
-                (2 * delta - 2) * iotas[delta - 1] <= (3 * delta - 4) * irr.value
-            )
-            if not checks["ratio_bound_below_delta"]:
-                failures.append(
-                    f"{g6}: iota({delta - 1})={iotas[delta - 1]} breaks the (3d-4)/(2d-2) bound"
-                )
-        if delta >= 3:
-            checks["three_halves_two_below"] = 2 * iotas[delta - 2] <= 3 * irr.value
-            if not checks["three_halves_two_below"]:
-                failures.append(f"{g6}: iota({delta - 2}) breaks the 3/2 bound")
-        if delta == 3:
-            checks["delta3_gamma_3_2"] = 2 * gam.value <= 3 * irr.value
-            if not checks["delta3_gamma_3_2"]:
-                failures.append(f"{g6}: gamma breaks the 3/2 bound at delta 3")
-        if cls.is_tree:
-            checks["tree_strict_3_2"] = 2 * gam.value < 3 * irr.value
-            if not checks["tree_strict_3_2"]:
-                failures.append(f"{g6}: tree gamma not < 3/2 ir")
-        if cls.is_cactus:
-            checks["cactus_8_5"] = 5 * gam.value < 8 * irr.value
-            if not checks["cactus_8_5"]:
-                failures.append(f"{g6}: cactus gamma not < 8/5 ir")
-        if cls.is_claw_free:
-            checks["clawfree_3_2"] = 2 * gam.value <= 3 * irr.value
-            if not checks["clawfree_3_2"]:
-                failures.append(f"{g6}: claw-free gamma exceeds 3/2 ir")
+    for name, ok, message in _theorem_checks(g6, g, cls, gam, irr.value, iotas):
+        checks[name] = ok
+        if not ok:
+            failures.append(message)
 
     # each set's partition and refinements are computed once, on first use,
     # and shared by its constructive and machinery stages

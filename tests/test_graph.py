@@ -27,7 +27,6 @@ from isobound.graph import (
     bits,
     clique_table,
     closed_mask,
-    components_masks,
     graph6_order,
     mask_of,
     vertex_mask,
@@ -344,12 +343,6 @@ class TestNeighborhoods:
         assert mapping == (3, 4)
         assert sorted(h.edges()) == [(0, 1)]
 
-    def test_components(self):
-        g = Graph(5, [(0, 1), (2, 3)])
-        comps = components_masks(g)
-        assert sorted(comps) == [0b00011, 0b01100, 0b10000]
-        assert sorted(bits(comps[0]))
-
 
 class TestClassify:
     def test_path(self):
@@ -392,9 +385,31 @@ class TestClassify:
         assert cls.is_tree is False  # forests that are not trees do not count
 
     def test_against_networkx(self, corpus_by_order):
-        for line, g in corpus_by_order[6]:
+        # the connected corpus up to n = 7 and seeded G(n, p), n <= 12,
+        # many of them disconnected or with isolated vertices
+        graphs = [g for n in range(1, 8) for _, g in corpus_by_order[n]]
+        rng = random.Random(9)
+        for i in range(200):
+            graphs.append(random_graph(rng.randint(0, 12), rng.choice((0.1, 0.2, 0.35, 0.6)), rng))
+        for g in graphs:
             h = to_nx(g)
             cls = classify(g)
-            assert cls.is_tree == nx.is_tree(h)
-            cycles = nx.cycle_basis(h)
-            assert cls.cyclomatic_number == len(cycles)
+            assert cls.components == nx.number_connected_components(h)
+            assert cls.is_connected == (cls.components <= 1)
+            assert cls.is_tree == (g.n > 0 and nx.is_tree(h))
+            assert cls.cyclomatic_number == len(nx.cycle_basis(h))
+            blocks = [h.subgraph(b) for b in nx.biconnected_components(h)]
+            assert cls.is_cactus == all(
+                b.number_of_edges() == 1 or b.number_of_edges() == b.number_of_nodes()
+                for b in blocks
+            )
+            assert cls.is_block_graph == all(
+                2 * b.number_of_edges() == b.number_of_nodes() * (b.number_of_nodes() - 1)
+                for b in blocks
+            )
+            claw = any(
+                not any(h.has_edge(a, b) for a, b in combinations(leaves, 2))
+                for v in h
+                for leaves in combinations(h[v], 3)
+            )
+            assert cls.is_claw_free == (not claw)

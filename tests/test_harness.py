@@ -127,6 +127,94 @@ class TestCheckGraph:
                 assert rec["checks"][f"construct_k{k}"] is True
 
 
+def _breaking_invariants(real):
+    """_exact_invariants with gamma = 5 (empty witness), ir = 1 and
+    iota_k = 4 + k: every theorem inequality that applies fails. ir keeps
+    its real witness, so the machinery stages still run."""
+
+    def fake(g, top):
+        _gam, irr, _iotas = real(g, top)
+        iotas = {k: 4 + k for k in range(1, top + 1)}
+        return SolveResult(5, (), 0), SolveResult(1, irr.witness, 0), iotas
+
+    return fake
+
+
+THEOREM_FAILURES = {
+    # spider with legs 3, 3, 4: a tree, so a cactus, with delta 3 and n = 11,
+    # above the gamma recheck order
+    "Jh_GK?@?G?_": [
+        ("iota_monotone", "iota not monotone in k: {1: 5, 2: 6, 3: 7, 4: 8}"),
+        ("gamma_lt_2ir", "gamma=5 not < 2*ir=2"),
+        ("iota_le_ir_at_delta", "iota(3)=7 > ir=1"),
+        ("iota_le_ir_above_delta", "iota(4) > ir"),
+        ("ratio_bound_below_delta", "iota(2)=6 breaks the (3d-4)/(2d-2) bound"),
+        ("three_halves_two_below", "iota(1) breaks the 3/2 bound"),
+        ("delta3_gamma_3_2", "gamma breaks the 3/2 bound at delta 3"),
+        ("tree_strict_3_2", "tree gamma not < 3/2 ir"),
+        ("cactus_8_5", "cactus gamma not < 8/5 ir"),
+    ],
+    # a triangle and a 4-cycle sharing a vertex, plus a pendant: a cactus
+    "FxCgO": [
+        ("iota1_is_gamma", "gamma=5 witness [] is not a minimum dominating set"),
+        ("iota_monotone", "iota not monotone in k: {1: 5, 2: 6, 3: 7, 4: 8, 5: 9}"),
+        ("gamma_lt_2ir", "gamma=5 not < 2*ir=2"),
+        ("iota_le_ir_at_delta", "iota(4)=8 > ir=1"),
+        ("iota_le_ir_above_delta", "iota(5) > ir"),
+        ("ratio_bound_below_delta", "iota(3)=7 breaks the (3d-4)/(2d-2) bound"),
+        ("three_halves_two_below", "iota(2) breaks the 3/2 bound"),
+        ("cactus_8_5", "cactus gamma not < 8/5 ir"),
+    ],
+    # the octahedron K(2,2,2): claw-free
+    "EznW": [
+        ("iota1_is_gamma", "gamma=5 witness [] is not a minimum dominating set"),
+        ("iota_monotone", "iota not monotone in k: {1: 5, 2: 6, 3: 7, 4: 8, 5: 9}"),
+        ("gamma_lt_2ir", "gamma=5 not < 2*ir=2"),
+        ("iota_le_ir_at_delta", "iota(4)=8 > ir=1"),
+        ("iota_le_ir_above_delta", "iota(5) > ir"),
+        ("ratio_bound_below_delta", "iota(3)=7 breaks the (3d-4)/(2d-2) bound"),
+        ("three_halves_two_below", "iota(2) breaks the 3/2 bound"),
+        ("clawfree_3_2", "claw-free gamma exceeds 3/2 ir"),
+    ],
+    # the Petersen graph: delta 3, n = 10, in no subclass
+    "IheA@GUAo": [
+        ("iota1_is_gamma", "gamma=5 witness [] is not a minimum dominating set"),
+        ("iota_monotone", "iota not monotone in k: {1: 5, 2: 6, 3: 7, 4: 8}"),
+        ("gamma_lt_2ir", "gamma=5 not < 2*ir=2"),
+        ("iota_le_ir_at_delta", "iota(3)=7 > ir=1"),
+        ("iota_le_ir_above_delta", "iota(4) > ir"),
+        ("ratio_bound_below_delta", "iota(2)=6 breaks the (3d-4)/(2d-2) bound"),
+        ("three_halves_two_below", "iota(1) breaks the 3/2 bound"),
+        ("delta3_gamma_3_2", "gamma breaks the 3/2 bound at delta 3"),
+    ],
+}
+
+
+class TestTheoremChecks:
+    @pytest.mark.parametrize("g6", sorted(THEOREM_FAILURES))
+    def test_every_applicable_check_reports_its_failure(self, g6, monkeypatch):
+        monkeypatch.setattr(
+            harness, "_exact_invariants", _breaking_invariants(harness._exact_invariants)
+        )
+        rec = check_graph(g6)
+        expected = THEOREM_FAILURES[g6]
+        names = list(rec["checks"])
+        # the theorem checks come first, after the roundtrip, in this order
+        assert names[: len(expected) + 1] == ["roundtrip"] + [name for name, _ in expected]
+        assert names[len(expected) + 1].startswith("construct_k")
+        assert rec["checks"]["roundtrip"] is True
+        assert [rec["checks"][name] for name, _ in expected] == [False] * len(expected)
+        assert rec["failures"][: len(expected)] == [f"{g6}: {text}" for _, text in expected]
+        assert " construct k=" in rec["failures"][len(expected)]
+
+    def test_roundtrip_compares_the_body(self, monkeypatch):
+        assert check_graph(">>graph6<<DQc")["checks"]["roundtrip"] is True
+        monkeypatch.setattr(harness, "encode_graph6", lambda g: "DQg")
+        rec = check_graph(">>graph6<<DQc")
+        assert rec["checks"]["roundtrip"] is False
+        assert rec["failures"] == [">>graph6<<DQc roundtrip: re-encoded to DQg"]
+
+
 class TestSharedMachinery:
     def test_shared_certificates_equal_fresh_ones(self, corpus_by_order):
         for n in range(1, 7):
@@ -617,6 +705,12 @@ class TestCli:
     def test_certify_single_family(self, capsys):
         assert self.run(["certify", "--family", "G1", "--params", "t=1,k=2"]) == 0
         assert "all instances certified" in capsys.readouterr().out
+
+    def test_certify_params_need_a_family(self, capsys):
+        assert self.run(["certify", "--params", "t=1,k=2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --params needs --family\n"
+        assert captured.out == ""
 
     def test_console_script_entry(self):
         # the child finds the package where this process imported it from
