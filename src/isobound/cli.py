@@ -68,11 +68,19 @@ def _read_lines(path):
             yield ln.rstrip("\n")
 
 
-def _first_graph(path):
-    for line in _read_lines(path):
-        if line.strip():
-            return parse_graph6(line)
-    raise Graph6ParseError("no graph6 line found in input", 0)
+def _only_graph(path):
+    """The one graph of the input; reading stops at a second graph6 line,
+    which is an error."""
+    g = None
+    for number, line in enumerate(_read_lines(path), 1):
+        if not line.strip():
+            continue
+        if g is not None:
+            raise ParameterError(f"expected one graph, found a second at line {number}")
+        g = parse_graph6(line)
+    if g is None:
+        raise Graph6ParseError("no graph6 line found in input", 0)
+    return g
 
 
 def _vertices(vertices):
@@ -206,7 +214,7 @@ def cmd_solve(args):
 
 
 def cmd_partition(args):
-    g = _first_graph(args.g6)
+    g = _only_graph(args.g6)
     iset = _parse_vertex_set(args.iset)
     part = compute_partition(g, iset)
     for name in ("i", "u", "p", "s", "z", "a", "q", "b", "nset", "m"):
@@ -214,15 +222,15 @@ def cmd_partition(args):
     print(f"nhat: {_vertices(part.nhat)}")
     for x in bits(part.i):
         print(f"pn[{x}]: {_vertices(bits(part.pn[x]))}")
-    for wit in undominated_witnesses(g, iset, part):
+    for wit in undominated_witnesses(g, part):
         pairs = "; ".join(f"({a},{b})<-({c},{d})" for a, b, c, d in wit.pairs)
         print(f"witness u={wit.u} x={wit.x} pairs=[{pairs}]")
     delta = g.max_degree()
     if args.refine and delta >= 2:
-        ref = refine_pairs(g, part, delta - 1)
+        ref = refine_pairs(g, part)
         print(f"pairs: s={ref.s_param} anchor={ref.anchor} x={list(bits(ref.x))}")
     if args.refine and delta >= 3:
-        ref2 = refine_twins(g, part, delta - 2)
+        ref2 = refine_twins(g, part)
         print(
             f"twins: isolated={ref2.isolated_count} twin={ref2.twin_count} "
             f"x={list(bits(ref2.x))}"
@@ -231,7 +239,7 @@ def cmd_partition(args):
 
 
 def cmd_construct(args):
-    g = _first_graph(args.g6)
+    g = _only_graph(args.g6)
     iset = _parse_vertex_set(args.iset)
     cert = build_isolating_set(g, iset, args.k)
     print(f"regime: {cert.regime}")
@@ -273,7 +281,7 @@ def cmd_family(args):
 
 
 def cmd_check(args):
-    g = _first_graph(args.g6)
+    g = _only_graph(args.g6)
     vset = _parse_vertex_set(args.set)
     if args.predicate == "dominating":
         ok = is_dominating(g, vset)

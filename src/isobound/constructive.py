@@ -13,10 +13,8 @@ from typing import Optional, Sequence
 
 from .errors import ParameterError, RegimeError
 from .graph import Graph, bits, clique_table
-from .partition import SetMachinery
+from .partition import SetMachinery, check_delta_regime, refine_pairs, refine_twins
 from .predicates import is_k_isolating
-
-REGIMES = ("delta_plus_1", "delta", "delta_minus_1", "delta_minus_2")
 
 
 @dataclass(frozen=True)
@@ -39,17 +37,17 @@ class BoundCertificate:
     s_param: Optional[int] = None
 
 
-def _certificate(g, regime, k, iset, tmask, bound, s_param=None):
-    t = tuple(bits(tmask))
-    return BoundCertificate(
-        regime=regime,
-        k=k,
-        input_set=iset,
-        t=t,
-        bound=bound,
-        satisfied=len(t) * bound.denominator <= bound.numerator,
-        isolating_verified=is_k_isolating(g, t, k),
-        s_param=s_param,
+def applicable_ks(delta):
+    """The isolation orders the bounds and the certificates cover at
+    maximum degree delta: Delta-2 to Delta+1, from 1 up."""
+    return list(range(max(1, delta - 2), delta + 2))
+
+
+def _regime_error(kind, k, delta):
+    ks = applicable_ks(delta)
+    return RegimeError(
+        f"no {kind} regime for k={k} at maximum degree {delta}; "
+        f"supported orders are {ks[0]}..{ks[-1]}"
     )
 
 
@@ -58,12 +56,13 @@ def build_isolating_set(
 ) -> BoundCertificate:
     """Build a k-isolating set from the maximal irredundant set i.
 
-    Supported orders are k in {delta-2, ..., delta+1} where delta is the
-    maximum degree; anything else raises RegimeError. The input set must
-    be maximal irredundant (PreconditionError otherwise): computing its
-    partition certifies that. machinery, when given, is the SetMachinery
-    of i in g; the partition and refinements it already holds are reused,
-    and what it lacks is computed into it.
+    Supported orders are applicable_ks(delta), where delta is the maximum
+    degree; anything else raises RegimeError. The input set must be maximal
+    irredundant (PreconditionError otherwise): computing its partition
+    certifies that. machinery, when given, is the SetMachinery of i in g,
+    whose partition is reused. At k = Delta, Delta-1 and Delta-2 the check
+    or refinement of that k runs on the partition and raises unless its
+    guarantees hold. The bound is isolation_bound at ir = |i|.
     """
     if k < 1:
         raise ParameterError(f"isolation order must be positive, got {k}")
@@ -72,41 +71,42 @@ def build_isolating_set(
     elif machinery.g is not g or machinery.i != tuple(sorted(set(i))):
         raise ValueError("machinery belongs to another graph or set")
     part = machinery.partition
-    iset = machinery.i
     delta = machinery.delta
+    s_param = None
 
     # T is the union of vertex masks the partition machinery hands over
     if k == delta + 1:
         # at maximum degree k - 1 a k-clique is a whole component, complete
         # on k vertices; each holds a member of every maximal irredundant
         # set, and T takes the lowest vertex of each
-        t = 0
+        regime, t = "delta_plus_1", 0
         for vmask, _cover in clique_table(g, k):
             t |= vmask & -vmask
-        return _certificate(g, "delta_plus_1", k, iset, t, Fraction(len(iset)))
-
-    if k == delta:
-        machinery.delta_regime  # raises unless the k = Delta claims hold
-        t = part.nhat_mask | part.m | part.q | part.z
-        return _certificate(g, "delta", k, iset, t, Fraction(len(iset)))
-
-    if k == delta - 1:
-        ref = machinery.pairs
+    elif k == delta:
+        check_delta_regime(g, part)
+        regime, t = "delta", part.nhat_mask | part.m | part.q | part.z
+    elif k == delta - 1:
+        ref = refine_pairs(g, part)
+        regime, s_param = "delta_minus_1", ref.s_param
         t = part.nhat_mask | ref.y | ref.x | ref.mtilde | part.q | part.z
-        if ref.s_param == 0:
-            bound = Fraction(len(iset))
-        else:
-            bound = Fraction((3 * delta - 4) * len(iset), 2 * delta - 2) - ref.s_param + 1
-        return _certificate(g, "delta_minus_1", k, iset, t, bound, s_param=ref.s_param)
-
-    if k == delta - 2:
-        ref = machinery.twins
+    elif k == delta - 2:
+        ref = refine_twins(g, part)
+        regime = "delta_minus_2"
         t = part.nhat_mask | ref.mhat | ref.mbar | ref.qhat | ref.qtilde | part.z | ref.x
-        return _certificate(g, "delta_minus_2", k, iset, t, Fraction(3 * len(iset), 2))
+    else:
+        raise _regime_error("constructive", k, delta)
 
-    raise RegimeError(
-        f"no constructive regime for k={k} at maximum degree {delta}; "
-        f"supported orders are {max(1, delta - 2)}..{delta + 1}"
+    bound = isolation_bound(k, delta, len(machinery.i), s_param)
+    t = tuple(bits(t))
+    return BoundCertificate(
+        regime=regime,
+        k=k,
+        input_set=machinery.i,
+        t=t,
+        bound=bound,
+        satisfied=len(t) * bound.denominator <= bound.numerator,
+        isolating_verified=is_k_isolating(g, t, k),
+        s_param=s_param,
     )
 
 
@@ -116,7 +116,8 @@ def fraction_str(f: Fraction) -> str:
 
 
 def isolation_bound(k: int, delta: int, ir_value: int, s: Optional[int] = None) -> Fraction:
-    """The certified upper bound on iota_k in terms of ir.
+    """The certified upper bound on iota_k in terms of ir, for k in
+    applicable_ks(delta); the one place the bounds are written down.
 
     For k in {delta, delta + 1} the bound is ir itself. For k = delta - 1
     it is (3*delta - 4) * ir / (2*delta - 2), refined to ir when s = 0 and
@@ -130,11 +131,12 @@ def isolation_bound(k: int, delta: int, ir_value: int, s: Optional[int] = None) 
     if ir_value < 0:
         raise ParameterError(f"ir must be non-negative, got {ir_value}")
 
-    if k in (delta, delta + 1):
+    # k >= 1, so k = delta - 1 needs delta >= 2 and k = delta - 2 needs delta >= 3
+    if k in (delta, delta + 1, delta - 2):
         if s is not None:
             raise ParameterError("the s parameter only applies when k = delta - 1")
-        return Fraction(ir_value)
-    if k == delta - 1 and delta >= 2:
+        return Fraction(3 * ir_value, 2) if k == delta - 2 else Fraction(ir_value)
+    if k == delta - 1:
         base = Fraction((3 * delta - 4) * ir_value, 2 * delta - 2)
         if s is None:
             return base
@@ -143,14 +145,7 @@ def isolation_bound(k: int, delta: int, ir_value: int, s: Optional[int] = None) 
         if 1 <= s <= delta - 2:
             return base - s + 1
         raise ParameterError(f"s must lie in 0..{delta - 2}, got {s}")
-    if k == delta - 2 and delta >= 3:
-        if s is not None:
-            raise ParameterError("the s parameter only applies when k = delta - 1")
-        return Fraction(3 * ir_value, 2)
-    raise RegimeError(
-        f"no bound regime for k={k} at maximum degree {delta}; "
-        f"supported orders are {max(1, delta - 2)}..{delta + 1}"
-    )
+    raise _regime_error("bound", k, delta)
 
 
 def survey_ratios(records):

@@ -8,8 +8,10 @@ their parameters loudly and build deterministically; they never solve.
 """
 
 import inspect
+import math
 from dataclasses import dataclass, field
 
+from .constructive import isolation_bound
 from .errors import ParameterError
 from .graph import Graph
 
@@ -121,7 +123,7 @@ def gen_Gkl(k, l):
     if k < 6 or l < 1:
         raise ParameterError(f"Gkl needs k >= 6 and l >= 1, got k={k}, l={l}")
     delta = k + 1
-    if 4 * l != (3 * delta - 4) * 3 * l // (2 * delta - 2):
+    if 4 * l != math.floor(isolation_bound(k, delta, 3 * l)):
         raise ParameterError(
             f"l={l} incompatible with k={k}: the floored bound misses 4l"
         )

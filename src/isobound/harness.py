@@ -27,7 +27,9 @@ import zlib
 from dataclasses import dataclass
 from itertools import combinations, islice
 
-from .constructive import build_isolating_set, fraction_str, survey_ratios
+from .constructive import (
+    applicable_ks, build_isolating_set, fraction_str, isolation_bound, survey_ratios
+)
 from .errors import Graph6ParseError, OrderCapError, ParameterError, SizeCapError
 from .families import make_instance
 from .graph import GRAPH6_HEADER, bits, classify, encode_graph6, graph6_order, mask_of, parse_graph6
@@ -70,11 +72,6 @@ class CheckReport:
     over_cap: set
 
 
-def applicable_ks(delta):
-    """The isolation orders the constructive machinery covers for a graph."""
-    return [k for k in range(max(1, delta - 2), delta + 2)]
-
-
 def random_maximal_irredundant(g, rng):
     """A maximal irredundant set grown greedily in a seeded random order.
 
@@ -108,10 +105,19 @@ def _is_minimum_dominating(g, res):
     )
 
 
-def _run_constructive(machinery, k, record_key, checks, failures, g6, iotas):
+# The report key of the check or refinement that each regime's certificate runs
+REGIME_CHECKS = {"delta": "delta_regime", "delta_minus_1": "pairs", "delta_minus_2": "twins"}
+
+
+def _run_constructive(machinery, k, tag, record_key, checks, failures, g6, iotas):
     cert = build_isolating_set(machinery.g, machinery.i, k, machinery)
     ok = cert.satisfied and cert.isolating_verified
     checks[f"construct_k{k}"] = checks.get(f"construct_k{k}", True) and ok
+    # below Delta + 1, building T ran the check or refinement of its regime,
+    # which raises unless the guarantees it checks hold
+    piece = REGIME_CHECKS.get(cert.regime)
+    if piece:
+        checks[f"{piece}_{tag}"] = True
     if not cert.satisfied:
         failures.append(
             f"{g6} {record_key} k={k}: |T|={len(cert.t)} exceeds bound {fraction_str(cert.bound)}"
@@ -124,9 +130,8 @@ def _run_constructive(machinery, k, record_key, checks, failures, g6, iotas):
 
 
 def _run_machinery(machinery, tag, checks, failures, g6):
-    g, delta = machinery.g, machinery.delta
-    part = machinery.partition
-    wit = undominated_witnesses(g, machinery.i, part)
+    g, part = machinery.g, machinery.partition
+    wit = undominated_witnesses(g, part)
     checks[f"witnesses_{tag}"] = True
     if len(wit) != part.u.bit_count():
         failures.append(f"{g6} {tag}: witness count mismatch")
@@ -134,16 +139,6 @@ def _run_machinery(machinery, tag, checks, failures, g6):
     if not representatives_dominate(g, part):
         failures.append(f"{g6} {tag}: representatives fail to dominate member privates")
         checks[f"witnesses_{tag}"] = False
-    # each piece raises unless the guarantees it checks hold
-    if delta >= 1:
-        machinery.delta_regime
-        checks[f"delta_regime_{tag}"] = True
-    if delta >= 2:
-        machinery.pairs
-        checks[f"pairs_{tag}"] = True
-    if delta >= 3:
-        machinery.twins
-        checks[f"twins_{tag}"] = True
 
 
 def _exact_invariants(g, top):
@@ -162,44 +157,52 @@ def _exact_invariants(g, top):
 
 def _theorem_checks(g6, g, cls, gam, ir_value, iotas):
     """(name, holds, failure message) for each theorem check that applies
-    to g, in report order; iotas holds iota_k for k = 1..delta+1."""
+    to g, in report order; iotas holds iota_k for k = 1..delta+1. Each
+    message is a callable, so it is formatted only for a failed check."""
     delta, gv = cls.max_degree, gam.value
     enc = encode_graph6(g)
     # g was parsed from exactly this body, so equal text is a full round trip
     body = g6.strip().removeprefix(GRAPH6_HEADER)
-    yield "roundtrip", enc == body, f"{g6} roundtrip: re-encoded to {enc}"
+    yield "roundtrip", enc == body, lambda: f"{g6} roundtrip: re-encoded to {enc}"
     if g.n <= GAMMA_RECHECK_ORDER_CAP:
-        yield "iota1_is_gamma", _is_minimum_dominating(g, gam), (
+        yield "iota1_is_gamma", _is_minimum_dominating(g, gam), lambda: (
             f"{g6}: gamma={gv} witness {list(gam.witness)} is not a minimum dominating set"
         )
     monotone = all(iotas[k + 1] <= iotas[k] for k in range(1, delta + 1))
-    yield "iota_monotone", monotone, f"{g6}: iota not monotone in k: {iotas}"
+    yield "iota_monotone", monotone, lambda: f"{g6}: iota not monotone in k: {iotas}"
     if not (g.n and ir_value):
         return
-    yield "gamma_lt_2ir", gv < 2 * ir_value, f"{g6}: gamma={gv} not < 2*ir={2 * ir_value}"
+    yield "gamma_lt_2ir", gv < 2 * ir_value, lambda: f"{g6}: gamma={gv} not < 2*ir={2 * ir_value}"
+
+    def bounded(k):
+        bound = isolation_bound(k, delta, ir_value)
+        return iotas[k] * bound.denominator <= bound.numerator
+
     if delta >= 1:
-        at, above = iotas[delta], iotas[delta + 1]
-        yield "iota_le_ir_at_delta", at <= ir_value, f"{g6}: iota({delta})={at} > ir={ir_value}"
-        yield "iota_le_ir_above_delta", above <= ir_value, f"{g6}: iota({delta + 1}) > ir"
+        yield "iota_le_ir_at_delta", bounded(delta), lambda: (
+            f"{g6}: iota({delta})={iotas[delta]} > ir={ir_value}"
+        )
+        yield "iota_le_ir_above_delta", bounded(delta + 1), lambda: f"{g6}: iota({delta + 1}) > ir"
     if delta >= 2:
-        below = iotas[delta - 1]
-        yield "ratio_bound_below_delta", (2 * delta - 2) * below <= (3 * delta - 4) * ir_value, (
-            f"{g6}: iota({delta - 1})={below} breaks the (3d-4)/(2d-2) bound"
+        yield "ratio_bound_below_delta", bounded(delta - 1), lambda: (
+            f"{g6}: iota({delta - 1})={iotas[delta - 1]} breaks the (3d-4)/(2d-2) bound"
         )
     if delta >= 3:
-        yield "three_halves_two_below", 2 * iotas[delta - 2] <= 3 * ir_value, (
+        yield "three_halves_two_below", bounded(delta - 2), lambda: (
             f"{g6}: iota({delta - 2}) breaks the 3/2 bound"
         )
     if delta == 3:
-        yield "delta3_gamma_3_2", 2 * gv <= 3 * ir_value, (
+        yield "delta3_gamma_3_2", 2 * gv <= 3 * ir_value, lambda: (
             f"{g6}: gamma breaks the 3/2 bound at delta 3"
         )
     if cls.is_tree:
-        yield "tree_strict_3_2", 2 * gv < 3 * ir_value, f"{g6}: tree gamma not < 3/2 ir"
+        yield "tree_strict_3_2", 2 * gv < 3 * ir_value, lambda: f"{g6}: tree gamma not < 3/2 ir"
     if cls.is_cactus:
-        yield "cactus_8_5", 5 * gv < 8 * ir_value, f"{g6}: cactus gamma not < 8/5 ir"
+        yield "cactus_8_5", 5 * gv < 8 * ir_value, lambda: f"{g6}: cactus gamma not < 8/5 ir"
     if cls.is_claw_free:
-        yield "clawfree_3_2", 2 * gv <= 3 * ir_value, f"{g6}: claw-free gamma exceeds 3/2 ir"
+        yield "clawfree_3_2", 2 * gv <= 3 * ir_value, lambda: (
+            f"{g6}: claw-free gamma exceeds 3/2 ir"
+        )
 
 
 def check_graph(g6, spot_check=True):
@@ -213,15 +216,15 @@ def check_graph(g6, spot_check=True):
     for name, ok, message in _theorem_checks(g6, g, cls, gam, irr.value, iotas):
         checks[name] = ok
         if not ok:
-            failures.append(message)
+            failures.append(message())
 
-    # each set's partition and refinements are computed once, on first use,
-    # and shared by its constructive and machinery stages
+    # each set's partition is computed once, on first use, and shared by its
+    # certificates and witness checks
     constructive = {}
     try:
         min_set = SetMachinery(g, irr.witness)
         for k in applicable_ks(delta):
-            cert = _run_constructive(min_set, k, "construct", checks, failures, g6, iotas)
+            cert = _run_constructive(min_set, k, "min", "construct", checks, failures, g6, iotas)
             if iotas[k] > cert.bound:
                 failures.append(f"{g6} k={k}: exact iota exceeds the certified bound")
                 checks[f"construct_k{k}"] = False
@@ -241,7 +244,7 @@ def check_graph(g6, spot_check=True):
             spot_set = min_set if spot == min_set.i else SetMachinery(g, spot)
             _run_machinery(spot_set, "spot", checks, failures, g6)
             for k in applicable_ks(delta):
-                _run_constructive(spot_set, k, "spot", checks, failures, g6, iotas)
+                _run_constructive(spot_set, k, "spot", "spot", checks, failures, g6, iotas)
     except Exception as exc:  # machinery violations are hard failures, not crashes
         failures.append(f"{g6} machinery: {type(exc).__name__}: {exc}")
         checks["machinery_clean"] = False

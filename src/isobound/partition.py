@@ -169,8 +169,9 @@ def representatives_dominate(g, part):
     return not union & ~closed_mask(g, part.nhat_mask)
 
 
-def undominated_witnesses(g, i, part=None):
-    """The guaranteed witness structure for every undominated vertex.
+def undominated_witnesses(g, part):
+    """The guaranteed witness structure for every undominated vertex of the
+    partition part of g.
 
     For each u outside N[i]: the lowest-index member x of b with its private
     neighborhood inside N(u), and for every nonadjacent pair x1, x2 of that
@@ -178,8 +179,6 @@ def undominated_witnesses(g, i, part=None):
     neighborhoods x1 and x2 dominate. Absence of any of these raises
     MachineryError, since maximal irredundance guarantees them.
     """
-    if part is None:
-        part = compute_partition(g, i)
     pn = part.pn
     out = []
     for u in bits(part.u):
@@ -224,8 +223,8 @@ def undominated_witnesses(g, i, part=None):
 # ---------------------------------------------------------------------------
 
 
-def check_delta_regime(g, part, k):
-    """Clique-zone exclusions guaranteed when k equals the maximum degree.
+def check_delta_regime(g, part):
+    """Clique-zone exclusions guaranteed at k = Delta, the maximum degree.
 
     For every k-clique H: if H avoids i it avoids the shared zone entirely;
     if H lies in the undominated zone, each of its vertices dominates the
@@ -233,10 +232,8 @@ def check_delta_regime(g, part, k):
     private zone, each of its vertices is adjacent to a representative.
     Raises MachineryError on violation.
     """
-    if k != g.max_degree():
-        raise RegimeError(f"k={k} is not the maximum degree {g.max_degree()}")
     npn = [part.pn[x] for x in bits(part.nset)]
-    for cmask, _ in clique_table(g, k):
+    for cmask, _ in clique_table(g, g.max_degree()):
         if not cmask & part.i and cmask & part.s:
             raise MachineryError(
                 f"clique {tuple(bits(cmask))} avoids the set but meets the shared zone"
@@ -288,7 +285,7 @@ class PairRefinement:
     x: int
 
 
-def refine_pairs(g, part, k):
+def refine_pairs(g, part):
     """Organize the shared zone for the k = Delta-1 bound.
 
     sprime keeps the shared vertices with no i-neighbor outside nset and
@@ -298,8 +295,9 @@ def refine_pairs(g, part, k):
     times the clique count is at most (Delta-2) times |nset u mprime|.
     """
     delta = g.max_degree()
-    if delta < 2 or k != delta - 1:
-        raise RegimeError(f"k={k} outside the delta-1 regime for delta={delta}")
+    if delta < 2:
+        raise RegimeError(f"the delta-1 regime needs delta >= 2, got delta={delta}")
+    k = delta - 1
     pn = part.pn
     smask = part.s
     mprime = _select(part.m, lambda x: pn[x].bit_count() == 2)
@@ -403,7 +401,7 @@ class TwinRefinement:
     x: int
 
 
-def refine_twins(g, part, k):
+def refine_twins(g, part):
     """Organize the shared zone for the k = Delta-2 bound.
 
     Enforces the guarantees the bound's counting argument rests on:
@@ -412,8 +410,9 @@ def refine_twins(g, part, k):
     twice the cluster count never exceeds the anchor count.
     """
     delta = g.max_degree()
-    if delta < 3 or k != delta - 2:
-        raise RegimeError(f"k={k} outside the delta-2 regime for delta={delta}")
+    if delta < 3:
+        raise RegimeError(f"the delta-2 regime needs delta >= 3, got delta={delta}")
+    k = delta - 2
     pn = part.pn
     mprime = _select(part.m, lambda x: pn[x].bit_count() == 2)
     mdouble = _select(part.m, lambda x: pn[x].bit_count() == 3)
@@ -513,13 +512,11 @@ def refine_twins(g, part, k):
 
 
 class SetMachinery:
-    """The partition machinery of one set i in g, each piece computed on
-    first use and kept.
+    """The partition of one set i in g, computed on first use and kept.
 
     partition is compute_partition(g, i), which certifies that i is maximal
-    irredundant; delta_regime, pairs and twins are check_delta_regime at
-    k = Delta, refine_pairs at Delta-1 and refine_twins at Delta-2 on that
-    partition. A piece that raises is not kept, so asking again raises again.
+    irredundant; it is the one piece that the certificates at every k read.
+    A partition that raises is not kept, so asking again raises again.
     """
 
     def __init__(self, g, i):
@@ -530,15 +527,3 @@ class SetMachinery:
     @cached_property
     def partition(self):
         return compute_partition(self.g, self.i)
-
-    @cached_property
-    def delta_regime(self):
-        return check_delta_regime(self.g, self.partition, self.delta)
-
-    @cached_property
-    def pairs(self):
-        return refine_pairs(self.g, self.partition, self.delta - 1)
-
-    @cached_property
-    def twins(self):
-        return refine_twins(self.g, self.partition, self.delta - 2)

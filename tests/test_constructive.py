@@ -7,8 +7,11 @@ from isobound import (
     ParameterError,
     PreconditionError,
     RegimeError,
+    applicable_ks,
     build_isolating_set,
+    classify,
     gamma,
+    harness,
     iota,
     ir,
     is_k_isolating,
@@ -18,6 +21,7 @@ from isobound import (
 
 import oracles
 from graphgen import cubic_graphs
+from isobound.families import make_instance
 
 
 def complete(n):
@@ -124,6 +128,82 @@ class TestIsolationBound:
             irv = ir(g).value
             for k in range(max(1, delta - 2), delta + 2):
                 assert Fraction(iota(g, k).value) <= isolation_bound(k, delta, irv)
+
+
+def reference_bound(k, delta, ir_value, s=None):
+    """The certified bound on iota_k, written out apart from
+    isolation_bound: ir at k = Delta and Delta + 1, 3 ir / 2 at Delta - 2,
+    and (3 Delta - 4) ir / (2 Delta - 2) at Delta - 1, which is ir when the
+    defect parameter s is 0 and drops by s - 1 when s is at least 1."""
+    if k in (delta, delta + 1):
+        return Fraction(ir_value)
+    if k == delta - 2:
+        return Fraction(3 * ir_value, 2)
+    assert k == delta - 1
+    if s == 0:
+        return Fraction(ir_value)
+    return Fraction((3 * delta - 4) * ir_value, 2 * delta - 2) - s + 1
+
+
+def reference_checks(delta, ir_value, iotas):
+    """The four iota-ir theorem checks as integer inequalities."""
+    out = {}
+    if delta >= 1:
+        out["iota_le_ir_at_delta"] = iotas[delta] <= ir_value
+        out["iota_le_ir_above_delta"] = iotas[delta + 1] <= ir_value
+    if delta >= 2:
+        out["ratio_bound_below_delta"] = (2 * delta - 2) * iotas[delta - 1] <= (3 * delta - 4) * ir_value
+    if delta >= 3:
+        out["three_halves_two_below"] = 2 * iotas[delta - 2] <= 3 * ir_value
+    return out
+
+
+class TestReferenceBounds:
+    def test_certificate_bounds(self, corpus_by_order):
+        regimes = set()
+        for n in range(1, 7):
+            for line, g in corpus_by_order[n]:
+                delta = g.max_degree()
+                for iset in oracles.maximal_irredundant_sets(g):
+                    for k in applicable_ks(delta):
+                        cert = build_isolating_set(g, iset, k)
+                        want = reference_bound(k, delta, len(iset), cert.s_param)
+                        assert cert.bound == want, (line, iset, k)
+                        regimes.add(cert.regime)
+        assert regimes == {"delta_plus_1", "delta", "delta_minus_1", "delta_minus_2"}
+
+    def test_certificate_bounds_with_a_defect(self):
+        # the corpus only has s = 0 at k = Delta - 1; these instances have
+        # s = 1 and s = 6
+        seen = set()
+        for name, params in (("Gkl", {"k": 6, "l": 3}), ("Hksl", {"k": 8, "s": 6})):
+            inst = make_instance(name, params)
+            g, iset = inst.graph, inst.witness_irredundant
+            delta = g.max_degree()
+            for k in applicable_ks(delta):
+                cert = build_isolating_set(g, iset, k)
+                assert cert.bound == reference_bound(k, delta, len(iset), cert.s_param), (name, k)
+                seen.add(cert.s_param)
+        assert seen == {None, 1, 6}
+
+    def test_theorem_checks(self, corpus_by_order):
+        outcomes = set()
+        for n in range(1, 8):
+            for line, g in corpus_by_order[n]:
+                cls = classify(g)
+                gam, irr, iotas = harness._exact_invariants(g, cls.max_degree + 1)
+                for shift in (-1, 0, 1):
+                    shifted = {k: v + shift for k, v in iotas.items()}
+                    want = reference_checks(cls.max_degree, irr.value, shifted)
+                    got = {
+                        name: ok
+                        for name, ok, _ in harness._theorem_checks(line, g, cls, gam, irr.value, shifted)
+                        if name in want
+                    }
+                    assert got == want, (line, shift)
+                    outcomes.update(want.items())
+        # each check both holds and fails somewhere, so no comparison is vacuous
+        assert len(outcomes) == 8
 
 
 class TestSurveyRatios:

@@ -22,8 +22,8 @@ from isobound import (
 )
 from isobound import MachineryError, ParameterError, cli, harness, partition
 from isobound.cli import main
+from isobound.constructive import applicable_ks
 from isobound.harness import (
-    applicable_ks,
     certify_family,
     random_maximal_irredundant,
     write_csv,
@@ -502,6 +502,14 @@ class TestConjectureSurvey:
         assert out["graphs"] == 1
 
 
+# the commands that read exactly one graph from --g6
+ONE_GRAPH_COMMANDS = [
+    ["partition", "--iset", "1,2"],
+    ["construct", "--iset", "1,2", "--k", "2"],
+    ["check", "--set", "1,2", "--predicate", "dominating"],
+]
+
+
 class TestCli:
     def run(self, argv):
         return main(argv)
@@ -605,6 +613,25 @@ class TestCli:
         assert self.run(argv + ["--g6", str(g6)]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: no graph6 line found in input (byte offset 0)\n"
+
+    @pytest.mark.parametrize("argv", ONE_GRAPH_COMMANDS)
+    def test_second_graph_exit_two(self, capsys, tmp_path, argv):
+        g6 = tmp_path / "in.g6"
+        g6.write_text("Cr\n\nCr\nDQc\n")
+        assert self.run(argv + ["--g6", str(g6)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: expected one graph, found a second at line 3\n"
+
+    @pytest.mark.parametrize("argv", ONE_GRAPH_COMMANDS)
+    def test_input_read_up_to_the_second_graph(self, capsys, monkeypatch, argv):
+        def lines(path):
+            yield from ("Cr", "", "Cr")
+            raise AssertionError("read past the second graph line")
+
+        monkeypatch.setattr(cli, "_read_lines", lines)
+        assert self.run(argv) == 2
+        assert "found a second at line 3" in capsys.readouterr().err
 
     def test_vertex_out_of_range_exit_two(self, capsys, tmp_path):
         g6 = tmp_path / "in.g6"

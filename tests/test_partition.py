@@ -14,6 +14,7 @@ from isobound import (
     representatives_dominate,
     undominated_witnesses,
 )
+from isobound import partition
 from isobound.graph import bits, mask_of
 
 import oracles
@@ -106,14 +107,14 @@ class TestComputePartition:
 
 class TestUndominatedWitnesses:
     def test_empty_when_dominating(self):
-        assert undominated_witnesses(p4(), (1, 2)) == ()
+        assert undominated_witnesses(p4(), compute_partition(p4(), (1, 2))) == ()
 
     def test_witness_structure_exhaustive(self, corpus_by_order):
         for n in (4, 5, 6):
             for line, g in corpus_by_order[n]:
                 for iset in oracles.maximal_irredundant_sets(g):
                     part = compute_partition(g, iset)
-                    wits = undominated_witnesses(g, iset, part)
+                    wits = undominated_witnesses(g, part)
                     assert len(wits) == part.u.bit_count()
                     for wit in wits:
                         assert part.u >> wit.u & 1
@@ -134,10 +135,18 @@ class TestUndominatedWitnesses:
 
 
 class TestDeltaRegime:
-    def test_wrong_k_rejected(self):
-        part = compute_partition(p4(), (1, 2))
-        with pytest.raises(RegimeError):
-            check_delta_regime(p4(), part, 1)  # delta is 2
+    def test_reads_the_cliques_of_order_delta(self, monkeypatch):
+        # the check takes k from the graph: at Delta = 2 it reads the edges
+        asked = []
+        real = partition.clique_table
+
+        def recording(g, k):
+            asked.append(k)
+            return real(g, k)
+
+        monkeypatch.setattr(partition, "clique_table", recording)
+        assert check_delta_regime(p4(), compute_partition(p4(), (1, 2))) is True
+        assert asked == [2]
 
     def test_exhaustive_clean(self, corpus_by_order):
         for n in (2, 3, 4, 5, 6):
@@ -145,15 +154,15 @@ class TestDeltaRegime:
                 delta = g.max_degree()
                 for iset in oracles.maximal_irredundant_sets(g):
                     part = compute_partition(g, iset)
-                    check_delta_regime(g, part, delta)
+                    check_delta_regime(g, part)
 
 
 class TestRefinePairs:
-    def test_requires_matching_k(self):
-        g = complete(4)
+    def test_low_degree_rejected(self):
+        g = Graph(2, [(0, 1)])
         part = compute_partition(g, (0,))
         with pytest.raises(RegimeError):
-            refine_pairs(g, part, 3)  # delta - 1 is 2
+            refine_pairs(g, part)  # delta is 1
 
     def test_readings_agree_exhaustive(self, corpus_by_order):
         # sprime is read as "no i-neighbor outside nset and mprime"; the
@@ -166,7 +175,7 @@ class TestRefinePairs:
                     continue
                 for iset in oracles.maximal_irredundant_sets(g):
                     part = compute_partition(g, iset)
-                    ref = refine_pairs(g, part, delta - 1)
+                    ref = refine_pairs(g, part)
                     rest = ref.mtilde | part.q | part.z
                     via_g = mask_of(v for v in bits(part.s) if not g.adj[v] & rest)
                     assert ref.sprime == via_g, line
@@ -183,7 +192,7 @@ class TestRefinePairs:
 
             iset = ir(g).witness
             part = compute_partition(g, iset)
-            ref = refine_pairs(g, part, delta - 1)
+            ref = refine_pairs(g, part)
             assert_split(part.m, ref.mprime, ref.mtilde)
             assert [x for x, _, _ in ref.pairs] == list(bits(ref.mprime))
             for x, lo, hi in ref.pairs:
@@ -194,17 +203,21 @@ class TestRefinePairs:
 
 
 class TestRefineTwins:
-    def test_requires_matching_k(self):
+    def test_reads_the_cliques_of_order_delta_minus_2(self):
+        # K4 has Delta = 3, so the twin regime is k = 1: the cliques are the
+        # single vertices of the shared zone, which {0} leaves empty
         g = complete(4)
-        part = compute_partition(g, (0,))
-        with pytest.raises(RegimeError):
-            refine_twins(g, part, 3)  # delta - 2 is 1
+        ref = refine_twins(g, compute_partition(g, (0,)))
+        assert ref.cliques == () and ref.x == 0
+        g = Graph(5, [(0, 1), (0, 2), (0, 4), (1, 3), (1, 4)])  # Delta = 3
+        ref = refine_twins(g, compute_partition(g, (0, 1)))
+        assert ref.cliques == ((4,),) and ref.x == 1 << 4
 
     def test_low_degree_rejected(self):
         g = c6()
         part = compute_partition(g, (0, 3))
         with pytest.raises(RegimeError):
-            refine_twins(g, part, 1)
+            refine_twins(g, part)
 
     def test_exhaustive_clean(self, corpus_by_order):
         for n in (4, 5, 6):
@@ -214,7 +227,7 @@ class TestRefineTwins:
                     continue
                 for iset in oracles.maximal_irredundant_sets(g):
                     part = compute_partition(g, iset)
-                    ref = refine_twins(g, part, delta - 2)
+                    ref = refine_twins(g, part)
                     assert_split(part.m, ref.mprime, ref.mdouble, ref.mbar)
                     assert_split(part.q, ref.qprime, ref.qtilde)
                     assert ref.isolated_count + ref.twin_count == len(ref.clusters)
@@ -235,10 +248,10 @@ class TestRefinementCliques:
                     continue
                 for iset in oracles.maximal_irredundant_sets(g):
                     part = compute_partition(g, iset)
-                    pairs = refine_pairs(g, part, delta - 1)
+                    pairs = refine_pairs(g, part)
                     zones = [(pairs.cliques, pairs.sprime, delta - 1)]
                     if delta >= 3:
-                        twins = refine_twins(g, part, delta - 2)
+                        twins = refine_twins(g, part)
                         zones.append((twins.cliques, twins.sdouble, delta - 2))
                     for cliques, zone, k in zones:
                         inside = set(bits(zone))
@@ -249,18 +262,13 @@ class TestRefinementCliques:
 class TestSetMachinery:
     def test_pieces_match_direct_calls(self, corpus_by_order):
         for line, g in corpus_by_order[6][:40]:
-            delta = g.max_degree()
             for iset in oracles.maximal_irredundant_sets(g)[:4]:
                 mach = SetMachinery(g, reversed(iset))
                 part = compute_partition(g, iset)
                 assert mach.i == tuple(iset)
+                assert mach.delta == g.max_degree()
                 assert mach.partition == part
                 assert mach.partition is mach.partition
-                assert mach.delta_regime is True
-                if delta >= 2:
-                    assert mach.pairs == refine_pairs(g, part, delta - 1)
-                if delta >= 3:
-                    assert mach.twins == refine_twins(g, part, delta - 2)
 
     def test_failure_is_not_kept(self):
         mach = SetMachinery(c6(), (0,))
@@ -271,7 +279,7 @@ class TestSetMachinery:
     def test_low_degree_refinements_raise(self):
         mach = SetMachinery(c6(), (0, 3))
         with pytest.raises(RegimeError):
-            mach.twins
+            refine_twins(mach.g, mach.partition)
 
 
 class TestMachineryGuard:
