@@ -151,7 +151,6 @@ class TestDeltaRegime:
     def test_exhaustive_clean(self, corpus_by_order):
         for n in (2, 3, 4, 5, 6):
             for line, g in corpus_by_order[n]:
-                delta = g.max_degree()
                 for iset in oracles.maximal_irredundant_sets(g):
                     part = compute_partition(g, iset)
                     check_delta_regime(g, part)
