@@ -262,16 +262,6 @@ def closed_mask(g, smask):
     return m
 
 
-def closed_neighborhood(g, s):
-    """N[S]: s together with every vertex adjacent to it."""
-    return set(bits(closed_mask(g, vertex_mask(g, s))))
-
-
-def remove_closed_neighborhood(g, s):
-    """Induced subgraph on V \\ N[S] plus the map back to original indices."""
-    return g.induced(g.full & ~closed_mask(g, vertex_mask(g, s)))
-
-
 # ---------------------------------------------------------------------------
 # cliques
 # ---------------------------------------------------------------------------

@@ -232,8 +232,11 @@ def check_delta_regime(g, part):
     private zone, each of its vertices is adjacent to a representative.
     Raises MachineryError on violation.
     """
+    delta = g.max_degree()
+    if delta < 1:
+        raise RegimeError(f"the delta regime needs delta >= 1, got delta={delta}")
     npn = [part.pn[x] for x in bits(part.nset)]
-    for cmask, _ in clique_table(g, g.max_degree()):
+    for cmask, _ in clique_table(g, delta):
         if not cmask & part.i and cmask & part.s:
             raise MachineryError(
                 f"clique {tuple(bits(cmask))} avoids the set but meets the shared zone"

@@ -22,9 +22,12 @@ fewest candidate vertices and prunes by three rules, each exact:
   size, which packs tighter and meets a one-candidate target sooner. The
   order changes only which nodes are visited, not what is feasible.
 
-The value is the smallest feasible size and the witness is fixed vertex by
-vertex in lex order by asking only whether a prefix still extends, so
-neither depends on the order the DFS visits nodes in.
+The value is the smallest feasible size, and the DFS returns the set it
+found. The witness is fixed vertex by vertex in lex order from that set:
+the set's next vertex is known to extend the prefix, so only the vertices
+below it are tried, each by asking whether the prefix plus that vertex
+still extends, and a success replaces the set. Neither the value nor the
+witness depends on the order the DFS visits nodes in.
 """
 
 from dataclasses import dataclass
@@ -67,8 +70,9 @@ def _isolation_solve(g, k):
         return SolveResult(0, (), 0)
 
     def dfs(budget, covered, allowed):
-        # Is there a set of exactly `budget` vertices of `allowed` that kills
-        # every target not yet killed by `covered`?
+        # A set of exactly `budget` vertices of `allowed` that kills every
+        # target not yet killed by `covered`, as a mask, or None if there is
+        # none (a success at budget 0 is the mask 0).
         explored[0] += 1
         best_cando = None
         best_size = None
@@ -80,7 +84,7 @@ def _isolation_solve(g, k):
             cando = cover & allowed
             size = cando.bit_count()
             if size == 0:
-                return False
+                return None
             # Live targets with pairwise disjoint candidate sets each need
             # their own vertex, so packing more than `budget` of them proves
             # the node infeasible (this also covers budget == 0).
@@ -88,48 +92,61 @@ def _isolation_solve(g, k):
                 used |= cando
                 packed += 1
                 if packed > budget:
-                    return False
+                    return None
             if best_size is None or size < best_size:
                 best_cando, best_size = cando, size
                 if size == 1:
                     break
         if best_cando is None:
-            # nothing left to kill; pad up to the exact target size
-            return allowed.bit_count() >= budget
+            # nothing left to kill; pad with the lowest allowed vertices
+            if allowed.bit_count() < budget:
+                return None
+            pad = 0
+            for _ in range(budget):
+                low = allowed & -allowed
+                pad |= low
+                allowed ^= low
+            return pad
         # Sibling exclusion: a solution holding v lies in v's branch, whose
         # `allowed` only shrinks below it, so later siblings may drop v.
         for v in bits(best_cando):
-            allowed &= ~(1 << v)
-            if dfs(budget - 1, covered | g.clo[v], allowed):
-                return True
-        return False
+            bit = 1 << v
+            allowed &= ~bit
+            found = dfs(budget - 1, covered | g.clo[v], allowed)
+            if found is not None:
+                return found | bit
+        return None
 
-    def feasible(size, forced, min_free):
-        budget = size - forced.bit_count()
-        if budget < 0:
-            return False
-        allowed = (g.full >> min_free << min_free) & ~forced
-        return dfs(budget, closed_mask(g, forced), allowed)
-
-    value = None
     # no separate lower bound: the packing at each node cuts too-small sizes
-    for size in range(g.n + 1):
-        if feasible(size, 0, 0):
-            value = size
+    for value in range(g.n + 1):
+        known = dfs(value, 0, g.full)
+        if known is not None:
             break
-    assert value is not None, "the full vertex set is always isolating"
+    assert known is not None, "the full vertex set is always isolating"
+    # The lex-least witness, one vertex per position. `known` is a solution
+    # holding the prefix, with the rest above the prefix's last vertex, so
+    # its lowest vertex past the prefix, nxt, is a feasible next vertex: only
+    # the vertices below nxt are searched, and the first that extends is the
+    # next witness vertex, with its solution as the new `known`.
     witness = []
-    forced = 0
+    prefix = 0
+    covered = 0
     start = 0
     for _ in range(value):
-        for v in range(start, g.n):
-            trial = forced | (1 << v)
-            if feasible(value, trial, v + 1):
-                forced = trial
-                witness.append(v)
-                start = v + 1
+        rest = known & ~prefix
+        nxt = (rest & -rest).bit_length() - 1
+        budget = value - len(witness) - 1
+        for v in range(start, nxt):
+            found = dfs(budget, covered | g.clo[v], g.full >> (v + 1) << (v + 1))
+            if found is not None:
+                known = prefix | found | (1 << v)
+                nxt = v
                 break
-    assert is_k_isolating_mask(g, forced, k)
+        prefix |= 1 << nxt
+        covered |= g.clo[nxt]
+        witness.append(nxt)
+        start = nxt + 1
+    assert is_k_isolating_mask(g, prefix, k)
     # dfs holds itself through its closure: clearing it frees the search
     # state now instead of at the next cyclic garbage collection
     dfs = None

@@ -11,7 +11,6 @@ from isobound import (
     Graph6ParseError,
     OrderCapError,
     classify,
-    closed_neighborhood,
     compute_partition,
     encode_graph6,
     enumerate_k_cliques,
@@ -21,7 +20,6 @@ from isobound import (
     is_maximal_irredundant,
     parse_graph6,
     private_neighbors,
-    remove_closed_neighborhood,
 )
 from isobound.graph import (
     bits,
@@ -286,11 +284,6 @@ class TestCliques:
 
 
 class TestNeighborhoods:
-    def test_closed_neighborhood(self):
-        g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        assert closed_neighborhood(g, [1]) == {0, 1, 2}
-        assert closed_neighborhood(g, [0, 4]) == {0, 1, 3, 4}
-
     @staticmethod
     def union_of_closed(g, smask):
         m = 0
@@ -320,8 +313,6 @@ class TestNeighborhoods:
         g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         takers = [
             lambda s: vertex_mask(g, s),
-            lambda s: closed_neighborhood(g, s),
-            lambda s: remove_closed_neighborhood(g, s),
             lambda s: is_dominating(g, s),
             lambda s: is_irredundant(g, s),
             lambda s: is_maximal_irredundant(g, s),
@@ -335,13 +326,6 @@ class TestNeighborhoods:
         assert vertex_mask(g, [4, 0, 4]) == 0b10001
         with pytest.raises(ValueError, match="vertex -1 is not in the set"):
             private_neighbors(g, [1], -1)
-
-    def test_remove_closed_neighborhood(self):
-        g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        h, mapping = remove_closed_neighborhood(g, [1])
-        assert h.n == 2
-        assert mapping == (3, 4)
-        assert sorted(h.edges()) == [(0, 1)]
 
 
 class TestClassify:

@@ -148,6 +148,12 @@ class TestDeltaRegime:
         assert check_delta_regime(p4(), compute_partition(p4(), (1, 2))) is True
         assert asked == [2]
 
+    def test_edgeless_rejected(self):
+        g = Graph(3, [])
+        part = compute_partition(g, (0, 1, 2))
+        with pytest.raises(RegimeError, match="needs delta >= 1, got delta=0"):
+            check_delta_regime(g, part)
+
     def test_exhaustive_clean(self, corpus_by_order):
         for n in (2, 3, 4, 5, 6):
             for line, g in corpus_by_order[n]:

@@ -330,6 +330,12 @@ class TestPrunedSearch:
             for degree in (4.5, 5.5, 6.5, 7.5) * 2:
                 self.assert_matches_reference(unit_disk(n, degree, rng))
 
+    def test_matches_reference_large_unit_disk(self):
+        rng = random.Random(3005)
+        for n in range(21, 35):
+            for degree in (4.5, 5.5, 6.5, 7.5):
+                self.assert_matches_reference(unit_disk(n, degree, rng))
+
     def test_prunes_below_reference(self):
         g = parse_graph6(CLIQUE_RICH_G6)
         explored = {}
@@ -338,8 +344,39 @@ class TestPrunedSearch:
             assert got.explored < reference_isolation_solve(g, k).explored
             explored[k] = got.explored
         # DFS node counts of the pruned search; they move whenever its rules
-        # change. Without sibling exclusion k = 2 explores 128 nodes.
-        assert explored == {1: 258, 2: 109, 3: 39}
+        # change. Without sibling exclusion k = 2 explores 122 nodes.
+        assert explored == {1: 242, 2: 103, 3: 28}
+
+
+class TestRelabelling:
+    """gamma and iota_k are invariants: relabelling the vertices keeps every
+    value, and the relabelled graph's witness still dominates or isolates at
+    that size."""
+
+    @staticmethod
+    def assert_relabelling_keeps_values(g, rng):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        res = gamma(h)
+        assert res.value == gamma(g).value, encode_graph6(g)
+        assert is_dominating(h, res.witness) and len(res.witness) == res.value
+        for k in range(2, g.max_degree() + 2):
+            res = iota(h, k)
+            assert res.value == iota(g, k).value, (encode_graph6(g), k)
+            assert is_k_isolating(h, res.witness, k)
+            assert len(res.witness) == res.value
+
+    def test_corpus(self, corpus_by_order):
+        rng = random.Random(4004)
+        for line, g in rng.sample(corpus_by_order[8], 40):
+            self.assert_relabelling_keeps_values(g, rng)
+
+    def test_unit_disk(self):
+        rng = random.Random(4005)
+        for n in range(15, 25):
+            for degree in (4.5, 6.5):
+                self.assert_relabelling_keeps_values(unit_disk(n, degree, rng), rng)
 
 
 class TestPackingBound:
