@@ -39,7 +39,6 @@ from .harness import (
 from .partition import (
     IrredundancePartition,
     PairRefinement,
-    SetMachinery,
     TwinRefinement,
     UndominatedWitness,
     check_delta_regime,
@@ -85,7 +84,6 @@ __all__ = [
     "ParameterError",
     "PreconditionError",
     "RegimeError",
-    "SetMachinery",
     "SizeCapError",
     "SolveResult",
     "TwinRefinement",

@@ -12,8 +12,10 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import ParameterError, RegimeError
-from .graph import Graph, bits, clique_table
-from .partition import SetMachinery, check_delta_regime, refine_pairs, refine_twins
+from .graph import Graph, bits, clique_table, vertex_mask
+from .partition import (
+    IrredundancePartition, check_delta_regime, compute_partition, refine_pairs, refine_twins
+)
 from .predicates import is_k_isolating
 
 
@@ -52,26 +54,26 @@ def _regime_error(kind, k, delta):
 
 
 def build_isolating_set(
-    g: Graph, i: Sequence[int], k: int, machinery: Optional[SetMachinery] = None
+    g: Graph, i: Sequence[int], k: int, part: Optional[IrredundancePartition] = None
 ) -> BoundCertificate:
     """Build a k-isolating set from the maximal irredundant set i.
 
     Supported orders are applicable_ks(delta), where delta is the maximum
     degree; anything else raises RegimeError. The input set must be maximal
     irredundant (PreconditionError otherwise): computing its partition
-    certifies that. machinery, when given, is the SetMachinery of i in g,
-    whose partition is reused. At k = Delta, Delta-1 and Delta-2 the check
-    or refinement of that k runs on the partition and raises unless its
+    certifies that. part, when given, is compute_partition(g, i), and is
+    read instead of computed, so the certificates of one set at every k
+    share one partition. At k = Delta, Delta-1 and Delta-2 the check or
+    refinement of that k runs on the partition and raises unless its
     guarantees hold. The bound is isolation_bound at ir = |i|.
     """
     if k < 1:
         raise ParameterError(f"isolation order must be positive, got {k}")
-    if machinery is None:
-        machinery = SetMachinery(g, i)
-    elif machinery.g is not g or machinery.i != tuple(sorted(set(i))):
-        raise ValueError("machinery belongs to another graph or set")
-    part = machinery.partition
-    delta = machinery.delta
+    if part is None:
+        part = compute_partition(g, i)
+    elif part.i != vertex_mask(g, i):
+        raise ValueError("the partition belongs to another set")
+    delta = g.max_degree()
     s_param = None
 
     # T is the union of vertex masks the partition machinery hands over
@@ -96,12 +98,12 @@ def build_isolating_set(
     else:
         raise _regime_error("constructive", k, delta)
 
-    bound = isolation_bound(k, delta, len(machinery.i), s_param)
+    bound = isolation_bound(k, delta, part.i.bit_count(), s_param)
     t = tuple(bits(t))
     return BoundCertificate(
         regime=regime,
         k=k,
-        input_set=machinery.i,
+        input_set=tuple(bits(part.i)),
         t=t,
         bound=bound,
         satisfied=len(t) * bound.denominator <= bound.numerator,

@@ -33,7 +33,7 @@ from .constructive import (
 from .errors import Graph6ParseError, OrderCapError, ParameterError, SizeCapError
 from .families import make_instance
 from .graph import GRAPH6_HEADER, bits, classify, encode_graph6, graph6_order, mask_of, parse_graph6
-from .partition import SetMachinery, representatives_dominate, undominated_witnesses
+from .partition import compute_partition, representatives_dominate, undominated_witnesses
 from .predicates import (
     irredundant_extension,
     is_dominating,
@@ -109,8 +109,8 @@ def _is_minimum_dominating(g, res):
 REGIME_CHECKS = {"delta": "delta_regime", "delta_minus_1": "pairs", "delta_minus_2": "twins"}
 
 
-def _run_constructive(machinery, k, tag, record_key, checks, failures, g6, iotas):
-    cert = build_isolating_set(machinery.g, machinery.i, k, machinery)
+def _record_certificate(cert, tag, record_key, checks, failures, g6, iotas):
+    k = cert.k
     ok = cert.satisfied and cert.isolating_verified
     checks[f"construct_k{k}"] = checks.get(f"construct_k{k}", True) and ok
     # below Delta + 1, building T ran the check or refinement of its regime,
@@ -126,19 +126,22 @@ def _run_constructive(machinery, k, tag, record_key, checks, failures, g6, iotas
         failures.append(f"{g6} {record_key} k={k}: T is not {k}-isolating")
     if len(cert.t) < iotas[k]:
         failures.append(f"{g6} {record_key} k={k}: |T| beats the exact optimum")
-    return cert
 
 
-def _run_machinery(machinery, tag, checks, failures, g6):
-    g, part = machinery.g, machinery.partition
-    wit = undominated_witnesses(g, part)
-    checks[f"witnesses_{tag}"] = True
-    if len(wit) != part.u.bit_count():
-        failures.append(f"{g6} {tag}: witness count mismatch")
-        checks[f"witnesses_{tag}"] = False
+def _witness_problems(g, part):
+    """What fails among the witness checks of a partition, as message tails;
+    raises if undominated_witnesses does."""
+    problems = []
+    if len(undominated_witnesses(g, part)) != part.u.bit_count():
+        problems.append("witness count mismatch")
     if not representatives_dominate(g, part):
-        failures.append(f"{g6} {tag}: representatives fail to dominate member privates")
-        checks[f"witnesses_{tag}"] = False
+        problems.append("representatives fail to dominate member privates")
+    return problems
+
+
+def _record_witnesses(problems, tag, checks, failures, g6):
+    checks[f"witnesses_{tag}"] = not problems
+    failures.extend(f"{g6} {tag}: {problem}" for problem in problems)
 
 
 def _exact_invariants(g, top):
@@ -218,13 +221,18 @@ def check_graph(g6, spot_check=True):
         if not ok:
             failures.append(message())
 
-    # each set's partition is computed once, on first use, and shared by its
-    # certificates and witness checks
+    # each set's partition is computed once and shared by its certificates
+    # and witness checks; a seeded spot set equal to the minimum set reuses
+    # the minimum set's outcomes, which rebuilding would repeat exactly
     constructive = {}
     try:
-        min_set = SetMachinery(g, irr.witness)
-        for k in applicable_ks(delta):
-            cert = _run_constructive(min_set, k, "min", "construct", checks, failures, g6, iotas)
+        ks = applicable_ks(delta)
+        min_part = compute_partition(g, irr.witness)
+        min_certs = []
+        for k in ks:
+            cert = build_isolating_set(g, irr.witness, k, part=min_part)
+            _record_certificate(cert, "min", "construct", checks, failures, g6, iotas)
+            min_certs.append(cert)
             if iotas[k] > cert.bound:
                 failures.append(f"{g6} k={k}: exact iota exceeds the certified bound")
                 checks[f"construct_k{k}"] = False
@@ -237,14 +245,21 @@ def check_graph(g6, spot_check=True):
                 "satisfied": cert.satisfied,
                 "isolating": cert.isolating_verified,
             }
-        _run_machinery(min_set, "min", checks, failures, g6)
+        min_problems = _witness_problems(g, min_part)
+        _record_witnesses(min_problems, "min", checks, failures, g6)
         if spot_check and g.n:
             rng = random.Random(zlib.crc32(g6.strip().encode()))
             spot = random_maximal_irredundant(g, rng)
-            spot_set = min_set if spot == min_set.i else SetMachinery(g, spot)
-            _run_machinery(spot_set, "spot", checks, failures, g6)
-            for k in applicable_ks(delta):
-                _run_constructive(spot_set, k, "spot", "spot", checks, failures, g6, iotas)
+            if spot == irr.witness:
+                spot_problems, spot_certs = min_problems, min_certs
+            else:
+                spot_part = compute_partition(g, spot)
+                spot_problems = _witness_problems(g, spot_part)
+                # built one k at a time, so a raise keeps the lower orders' records
+                spot_certs = (build_isolating_set(g, spot, k, part=spot_part) for k in ks)
+            _record_witnesses(spot_problems, "spot", checks, failures, g6)
+            for cert in spot_certs:
+                _record_certificate(cert, "spot", "spot", checks, failures, g6, iotas)
     except Exception as exc:  # machinery violations are hard failures, not crashes
         failures.append(f"{g6} machinery: {type(exc).__name__}: {exc}")
         checks["machinery_clean"] = False

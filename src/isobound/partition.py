@@ -10,8 +10,7 @@ read from graph.clique_table. Any failure of a guaranteed structural
 property raises MachineryError rather than degrading silently.
 """
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from .errors import DichotomyError, MachineryError, PreconditionError, RegimeError
 from .graph import bits, clique_table, closed_mask, mask_of, vertex_mask
@@ -32,7 +31,8 @@ class IrredundancePartition:
        is a clique (see compute_partition); m: b minus nset.
     nhat: per member of nset in ascending order, its lowest-index private
        neighbor, as a tuple; nhat_mask: the same vertices as a mask.
-    pn: private neighborhood mask of every member of i.
+    pn: private neighborhood mask of every member of i. It is a function
+       of the graph and i, so it is left out of the hash.
     """
 
     i: int
@@ -47,7 +47,7 @@ class IrredundancePartition:
     m: int
     nhat: tuple
     nhat_mask: int
-    pn: dict
+    pn: dict = field(hash=False)
 
 
 @dataclass(frozen=True)
@@ -507,26 +507,3 @@ def refine_twins(g, part):
         qhat=_lows(pn[x] for x in bits(qprime)),
         x=mask_of(c[0] for c in clusters),
     )
-
-
-# ---------------------------------------------------------------------------
-# per-set sharing
-# ---------------------------------------------------------------------------
-
-
-class SetMachinery:
-    """The partition of one set i in g, computed on first use and kept.
-
-    partition is compute_partition(g, i), which certifies that i is maximal
-    irredundant; it is the one piece that the certificates at every k read.
-    A partition that raises is not kept, so asking again raises again.
-    """
-
-    def __init__(self, g, i):
-        self.g = g
-        self.i = tuple(sorted(set(i)))
-        self.delta = g.max_degree()
-
-    @cached_property
-    def partition(self):
-        return compute_partition(self.g, self.i)

@@ -11,16 +11,18 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from isobound import (
     Graph,
-    SetMachinery,
     build_isolating_set,
     check_graph,
+    compute_partition,
     conjecture_survey,
     verify_stream,
 )
-from isobound import MachineryError, ParameterError, cli, harness, partition
+from isobound import MachineryError, ParameterError, cli, constructive, harness, refine_pairs
 from isobound.cli import main
 from isobound.constructive import applicable_ks
 from isobound.harness import (
@@ -31,7 +33,7 @@ from isobound.harness import (
 )
 from isobound.predicates import is_irredundant_mask, is_maximal_irredundant
 from isobound.graph import bits, encode_graph6, parse_graph6
-from isobound.solvers import SolveResult, gamma
+from isobound.solvers import SolveResult, gamma, ir
 
 import random
 import zlib
@@ -95,20 +97,22 @@ class TestCheckGraph:
 
     def test_each_set_partitioned_once(self, corpus_by_order, monkeypatch):
         calls = []
-        real = partition.compute_partition
+        real = compute_partition
 
         def counting(g, i):
             calls.append(tuple(i))
             return real(g, i)
 
-        monkeypatch.setattr(partition, "compute_partition", counting)
+        # the harness partitions each set; a certificate that partitioned
+        # its own set would show up through constructive
+        monkeypatch.setattr(harness, "compute_partition", counting)
+        monkeypatch.setattr(constructive, "compute_partition", counting)
         for line, g in corpus_by_order[6][:40] + corpus_by_order[7][:40]:
             calls.clear()
             rec = check_graph(line)
             assert rec["failures"] == []
             assert 1 <= len(calls) <= 2
             assert len(set(calls)) == len(calls)
-
 
     def test_random_graphs_past_the_corpus(self):
         # seeded G(n, p), n = 9..12: the ir witness, the spot set and every
@@ -125,6 +129,34 @@ class TestCheckGraph:
             assert rec["checks"]["witnesses_min"] and rec["checks"]["witnesses_spot"]
             for k in applicable_ks(g.max_degree()):
                 assert rec["checks"][f"construct_k{k}"] is True
+
+
+@st.composite
+def random_graphs(draw):
+    """G(n, p) with n = 9..14, past the exhaustive corpus."""
+    n = draw(st.integers(9, 14))
+    p = draw(st.sampled_from((0.15, 0.25, 0.4, 0.6)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(random_graphs())
+def test_machinery_fuzz_past_the_corpus(g):
+    # check_graph runs the ir witness and a seeded random maximal
+    # irredundant set (the spot set) through every applicable k
+    g6 = encode_graph6(g)
+    rec = check_graph(g6)
+    assert rec["failures"] == [], rec["failures"]
+    assert rec["checks"]["machinery_clean"] is True
+    for k in applicable_ks(g.max_degree()):
+        assert rec["checks"][f"construct_k{k}"] is True
+    if g.max_degree() >= 2:
+        # how often the defect s of the k = Delta-1 refinement reaches 1,
+        # which no corpus set does (--hypothesis-show-statistics)
+        spot = random_maximal_irredundant(g, random.Random(zlib.crc32(g6.encode())))
+        s = max(refine_pairs(g, compute_partition(g, iset)).s_param for iset in (ir(g).witness, spot))
+        event("s >= 1" if s else "s = 0")
 
 
 def _breaking_invariants(real):
@@ -215,6 +247,28 @@ class TestTheoremChecks:
         assert rec["failures"] == [">>graph6<<DQc roundtrip: re-encoded to DQg"]
 
 
+# Corpus graphs whose seeded spot set is their ir witness: the first one,
+# and the first with Delta >= 3, where all four regimes build a certificate
+SPOT_REPEATS = {
+    "@": {
+        "roundtrip": True, "iota1_is_gamma": True, "iota_monotone": True,
+        "gamma_lt_2ir": True, "tree_strict_3_2": True, "cactus_8_5": True,
+        "clawfree_3_2": True, "construct_k1": True, "witnesses_min": True,
+        "witnesses_spot": True, "machinery_clean": True,
+    },
+    "Cs": {
+        "roundtrip": True, "iota1_is_gamma": True, "iota_monotone": True,
+        "gamma_lt_2ir": True, "iota_le_ir_at_delta": True, "iota_le_ir_above_delta": True,
+        "ratio_bound_below_delta": True, "three_halves_two_below": True,
+        "delta3_gamma_3_2": True, "tree_strict_3_2": True, "cactus_8_5": True,
+        "construct_k1": True, "twins_min": True, "construct_k2": True, "pairs_min": True,
+        "construct_k3": True, "delta_regime_min": True, "construct_k4": True,
+        "witnesses_min": True, "witnesses_spot": True, "twins_spot": True,
+        "pairs_spot": True, "delta_regime_spot": True, "machinery_clean": True,
+    },
+}
+
+
 class TestSharedMachinery:
     def test_shared_certificates_equal_fresh_ones(self, corpus_by_order):
         for n in range(1, 7):
@@ -222,19 +276,49 @@ class TestSharedMachinery:
                 ks = applicable_ks(g.max_degree())
                 for iset in oracles.maximal_irredundant_sets(g):
                     fresh = [build_isolating_set(g, iset, k) for k in ks]
-                    shared = SetMachinery(g, iset)
-                    got = [build_isolating_set(g, iset, k, shared) for k in ks]
+                    part = compute_partition(g, iset)
+                    got = [build_isolating_set(g, iset, k, part=part) for k in ks]
                     assert got == fresh, (line, iset)
-                    # a second pass reads every piece from the filled machinery
-                    again = [build_isolating_set(g, iset, k, shared) for k in reversed(ks)]
+                    # a second pass reads the same partition in the other order
+                    again = [build_isolating_set(g, iset, k, part=part) for k in reversed(ks)]
                     assert again == fresh[::-1], (line, iset)
 
     def test_machinery_of_another_set_rejected(self):
         g = path(4)
         with pytest.raises(ValueError):
-            build_isolating_set(g, (1, 2), 2, SetMachinery(g, (0, 2)))
-        with pytest.raises(ValueError):
-            build_isolating_set(path(4), (1, 2), 2, SetMachinery(g, (1, 2)))
+            build_isolating_set(g, (1, 2), 2, part=compute_partition(g, (0, 2)))
+
+    @pytest.mark.parametrize("g6", sorted(SPOT_REPEATS))
+    def test_spot_repeat_reuses_the_minimum_certificates(self, g6, monkeypatch):
+        g = parse_graph6(g6)
+        spot = random_maximal_irredundant(g, random.Random(zlib.crc32(g6.encode())))
+        assert spot == ir(g).witness
+        built = []
+        real = harness.build_isolating_set
+
+        def counting(g, i, k, *args, **kwargs):
+            built.append((tuple(i), k))
+            return real(g, i, k, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "build_isolating_set", counting)
+        rec = check_graph(g6)
+        ks = applicable_ks(g.max_degree())
+        assert built == [(spot, k) for k in ks]
+        assert rec["checks"] == SPOT_REPEATS[g6]
+        assert list(rec["checks"]) == list(SPOT_REPEATS[g6])
+        assert rec["failures"] == []
+
+    @pytest.mark.parametrize("g6", sorted(SPOT_REPEATS))
+    def test_spot_repeat_replays_failures(self, g6, monkeypatch):
+        monkeypatch.setattr(constructive, "is_k_isolating", lambda *args: False)
+        rec = check_graph(g6)
+        ks = applicable_ks(parse_graph6(g6).max_degree())
+        assert rec["failures"] == [
+            f"{g6} {key} k={k}: T is not {k}-isolating" for key in ("construct", "spot") for k in ks
+        ]
+        want = dict(SPOT_REPEATS[g6], **{f"construct_k{k}": False for k in ks})
+        assert rec["checks"] == want
+        assert list(rec["checks"]) == list(want)
 
 
 class TestGammaRecheck:

@@ -5,7 +5,6 @@ from isobound import (
     MachineryError,
     PreconditionError,
     RegimeError,
-    SetMachinery,
     check_delta_regime,
     compute_partition,
     is_maximal_irredundant,
@@ -82,6 +81,21 @@ class TestComputePartition:
     def test_rejects_redundant(self):
         with pytest.raises(PreconditionError):
             compute_partition(p4(), (0, 1, 2))
+
+    def test_failure_raises_again(self):
+        for _ in range(2):
+            with pytest.raises(PreconditionError):
+                compute_partition(c6(), (0,))
+
+    def test_equal_partitions_hash_equal(self, corpus_by_order):
+        # pn is left out of the hash, so a partition can key a dict
+        for line, g in corpus_by_order[6][:40]:
+            isets = oracles.maximal_irredundant_sets(g)[:4]
+            parts = [compute_partition(g, iset) for iset in isets]
+            for iset, part in zip(isets, parts):
+                again = compute_partition(g, reversed(iset))
+                assert again == part and hash(again) == hash(part), line
+            assert len(set(parts)) == len(parts), line
 
     def test_exhaustive_invariants(self, corpus_by_order):
         for n in (2, 3, 4, 5, 6):
@@ -262,29 +276,6 @@ class TestRefinementCliques:
                         inside = set(bits(zone))
                         want = [c for c in oracles.all_k_cliques(g, k) if set(c) <= inside]
                         assert cliques == tuple(want), line
-
-
-class TestSetMachinery:
-    def test_pieces_match_direct_calls(self, corpus_by_order):
-        for line, g in corpus_by_order[6][:40]:
-            for iset in oracles.maximal_irredundant_sets(g)[:4]:
-                mach = SetMachinery(g, reversed(iset))
-                part = compute_partition(g, iset)
-                assert mach.i == tuple(iset)
-                assert mach.delta == g.max_degree()
-                assert mach.partition == part
-                assert mach.partition is mach.partition
-
-    def test_failure_is_not_kept(self):
-        mach = SetMachinery(c6(), (0,))
-        for _ in range(2):
-            with pytest.raises(PreconditionError):
-                mach.partition
-
-    def test_low_degree_refinements_raise(self):
-        mach = SetMachinery(c6(), (0, 3))
-        with pytest.raises(RegimeError):
-            refine_twins(mach.g, mach.partition)
 
 
 class TestMachineryGuard:

@@ -7,6 +7,7 @@ from isobound import (
     CertificateError,
     Graph,
     SizeCapError,
+    check_graph,
     encode_graph6,
     gamma,
     iota,
@@ -348,35 +349,96 @@ class TestPrunedSearch:
         assert explored == {1: 242, 2: 103, 3: 28}
 
 
+# The theorem checks of a verify record, which depend only on the graph's
+# invariants and class, never on its labelling
+THEOREM_CHECKS = (
+    "roundtrip", "iota1_is_gamma", "iota_monotone", "gamma_lt_2ir",
+    "iota_le_ir_at_delta", "iota_le_ir_above_delta", "ratio_bound_below_delta",
+    "three_halves_two_below", "delta3_gamma_3_2", "tree_strict_3_2",
+    "cactus_8_5", "clawfree_3_2",
+)
+
+
+def theorem_checks(g):
+    checks = check_graph(encode_graph6(g))["checks"]
+    return {name: ok for name, ok in checks.items() if name in THEOREM_CHECKS}
+
+
 class TestRelabelling:
-    """gamma and iota_k are invariants: relabelling the vertices keeps every
-    value, and the relabelled graph's witness still dominates or isolates at
-    that size."""
+    """gamma, ir and iota_k are invariants: relabelling the vertices keeps
+    every value, and the relabelled graph's witness still dominates, is
+    maximal irredundant or isolates at that size."""
 
     @staticmethod
     def assert_relabelling_keeps_values(g, rng):
+        """Checks one seeded relabelling of g and returns the relabelled graph."""
         perm = list(range(g.n))
         rng.shuffle(perm)
         h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
         res = gamma(h)
         assert res.value == gamma(g).value, encode_graph6(g)
         assert is_dominating(h, res.witness) and len(res.witness) == res.value
+        res, before = ir(h), ir(g)
+        assert res.value == before.value, encode_graph6(g)
+        assert is_maximal_irredundant(h, res.witness) and len(res.witness) == res.value
+        assert is_maximal_irredundant(h, [perm[v] for v in before.witness])
         for k in range(2, g.max_degree() + 2):
             res = iota(h, k)
             assert res.value == iota(g, k).value, (encode_graph6(g), k)
             assert is_k_isolating(h, res.witness, k)
             assert len(res.witness) == res.value
+        return h
 
     def test_corpus(self, corpus_by_order):
         rng = random.Random(4004)
         for line, g in rng.sample(corpus_by_order[8], 40):
-            self.assert_relabelling_keeps_values(g, rng)
+            h = self.assert_relabelling_keeps_values(g, rng)
+            assert theorem_checks(h) == theorem_checks(g), line
 
     def test_unit_disk(self):
         rng = random.Random(4005)
         for n in range(15, 25):
             for degree in (4.5, 6.5):
                 self.assert_relabelling_keeps_values(unit_disk(n, degree, rng), rng)
+
+
+def disjoint_union(a, b):
+    """a on vertices 0..a.n-1 and b shifted onto the next b.n vertices."""
+    return Graph(a.n + b.n, list(a.edges()) + [(u + a.n, v + a.n) for u, v in b.edges()])
+
+
+class TestDisjointUnion:
+    """gamma, ir and iota_k add over a disjoint union, and each lex-least
+    witness of the union is the parts' witnesses side by side. Every vertex
+    of the first part sorts below the second, and its witness has the same
+    size in every optimum, so it decides the lex order first."""
+
+    def test_corpus_pairs(self, corpus_by_order):
+        rng = random.Random(4006)
+        for _ in range(60):
+            na = rng.randint(1, 8)
+            nb = rng.randint(1, min(8, 10 - na))
+            _, a = rng.choice(corpus_by_order[na])
+            _, b = rng.choice(corpus_by_order[nb])
+            union = disjoint_union(a, b)
+            label = (encode_graph6(a), encode_graph6(b))
+            solvers = [gamma, ir] + [
+                lambda g, k=k: iota(g, k) for k in range(2, union.max_degree() + 2)
+            ]
+            for solve in solvers:
+                ra, rb, got = solve(a), solve(b), solve(union)
+                assert got.value == ra.value + rb.value, label
+                assert got.witness == ra.witness + tuple(v + a.n for v in rb.witness), label
+
+
+class TestUniversalVertex:
+    def test_gamma_and_ir_are_one(self, corpus_by_order):
+        for n in range(1, 8):
+            for line, g in corpus_by_order[n][:30]:
+                h = Graph(n + 1, list(g.edges()) + [(v, n) for v in range(n)])
+                assert gamma(h).value == 1 and ir(h).value == 1, line
+                assert is_dominating(h, gamma(h).witness)
+                assert is_maximal_irredundant(h, ir(h).witness)
 
 
 class TestPackingBound:
