@@ -278,6 +278,20 @@ class TestRefinementCliques:
                         assert cliques == tuple(want), line
 
 
+class TestSetMachinery:
+    """The per-set pieces all read one partition of the set."""
+
+    def test_low_degree_refinements_raise(self):
+        # C6 has Delta = 2: the delta regime and the pair refinement take the
+        # partition, and the twin refinement, which needs Delta >= 3, rejects it
+        g = c6()
+        part = compute_partition(g, (0, 3))
+        assert check_delta_regime(g, part) is True
+        refine_pairs(g, part)
+        with pytest.raises(RegimeError):
+            refine_twins(g, part)
+
+
 class TestMachineryGuard:
     def test_machinery_error_is_runtime_error(self):
         assert issubclass(MachineryError, RuntimeError)
