@@ -267,74 +267,56 @@ def closed_mask(g, smask):
 # ---------------------------------------------------------------------------
 
 
-def _grow_cliques(adj, levels, k):
-    """Append levels until `levels` holds the k-cliques or a level is empty.
-
-    levels[j - 1] is (the j-cliques in lex order, per clique the common
-    neighbours above its last vertex). Extending each j-clique by those
-    vertices in ascending order yields the (j + 1)-cliques in lex order.
-    """
-    while len(levels) < k and levels[-1][0]:
-        grown, above = [], []
-        add_clique, add_above = grown.append, above.append
-        for clique, common in zip(*levels[-1]):
-            while common:
-                b = common & -common
-                common ^= b
-                w = b.bit_length() - 1
-                add_clique(clique + (w,))
-                add_above(common & adj[w])
-        levels.append((grown, above))
-
-
 @lru_cache(maxsize=1)
 def _kept_cliques(g):
-    # One graph's clique levels and clique tables, grown as larger k are
-    # asked for. The isolation search and the partition checks ask for
-    # several k of the same graph in a row, so each size is built once;
-    # holding one graph keeps memory to that graph's cliques.
-    adj = g.adj
-    vertices = range(g.n)
-    level_one = ([(v,) for v in vertices], [adj[v] >> (v + 1) << (v + 1) for v in vertices])
-    return [level_one], {}
+    """The clique levels of the most recently asked graph, grown as larger k
+    are asked for.
 
-
-def enumerate_k_cliques(g, k):
-    """All k-cliques, each a sorted tuple, in ascending lexicographic order.
-
-    Sizes are built up from 1: each j-clique is extended by its common
-    neighbours above its last vertex. The sizes built for the most recently
-    asked graph are kept and reused.
+    levels[j - 1] is (the j-cliques' (vertex mask, closed-neighbourhood mask)
+    rows in lex order, per row the common neighbours above its last vertex).
+    The isolation search and the partition checks ask for several k of the
+    same graph in a row, so each size is built once; holding one graph keeps
+    memory to that graph's cliques.
     """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    levels = _kept_cliques(g)[0]
-    _grow_cliques(g.adj, levels, k)
-    return list(levels[k - 1][0]) if k <= len(levels) else []
+    rows = tuple((1 << v, c) for v, c in enumerate(g.clo))
+    above = [a >> (v + 1) << (v + 1) for v, a in enumerate(g.adj)]
+    return [(rows, above)]
 
 
 def clique_table(g, k):
     """(vertex mask, closed-neighbourhood mask) per k-clique, in lex order.
 
-    Built once from enumerate_k_cliques and kept beside its sizes for the
-    most recently asked graph; the returned tuple is shared, not copied.
-    The cliques inside a vertex mask `zone` are the entries with
-    `not vmask & ~zone`, still in lex order.
+    Sizes are built up from 1: a j-clique row (vmask, cover) is extended by
+    each common neighbour w above its last vertex, in ascending order, to
+    the row (vmask | 1 << w, cover | N[w]), which yields the (j + 1)-clique
+    rows in lex order. The sizes built for the most recently asked graph are
+    kept and reused; the returned tuple is shared, not copied. The cliques
+    inside a vertex mask `zone` are the rows with `not vmask & ~zone`, still
+    in lex order.
     """
-    tables = _kept_cliques(g)[1]
-    table = tables.get(k)
-    if table is None:
-        clo = g.clo
-        rows = []
-        for c in enumerate_k_cliques(g, k):
-            vmask = 0
-            cover = 0
-            for v in c:
-                vmask |= 1 << v
-                cover |= clo[v]
-            rows.append((vmask, cover))
-        table = tables[k] = tuple(rows)
-    return table
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    levels = _kept_cliques(g)
+    adj = g.adj
+    clo = g.clo
+    while len(levels) < k and levels[-1][0]:
+        rows, above = [], []
+        add_row, add_above = rows.append, above.append
+        for (vmask, cover), common in zip(*levels[-1]):
+            while common:
+                b = common & -common
+                common ^= b
+                w = b.bit_length() - 1
+                add_row((vmask | b, cover | clo[w]))
+                add_above(common & adj[w])
+        levels.append((tuple(rows), above))
+    return levels[k - 1][0] if k <= len(levels) else ()
+
+
+def enumerate_k_cliques(g, k):
+    """All k-cliques, each a sorted tuple, in ascending lexicographic order:
+    the vertex masks of clique_table(g, k), as a new list."""
+    return [tuple(bits(vmask)) for vmask, _ in clique_table(g, k)]
 
 
 def _clique_within(adj, cand, need):

@@ -210,6 +210,7 @@ def _theorem_checks(g6, g, cls, gam, ir_value, iotas):
 
 def check_graph(g6, spot_check=True):
     """Full per-graph verification; returns the record dict."""
+    g6 = g6.strip()
     g = parse_graph6(g6)
     cls = classify(g)
     delta = cls.max_degree
@@ -248,7 +249,7 @@ def check_graph(g6, spot_check=True):
         min_problems = _witness_problems(g, min_part)
         _record_witnesses(min_problems, "min", checks, failures, g6)
         if spot_check and g.n:
-            rng = random.Random(zlib.crc32(g6.strip().encode()))
+            rng = random.Random(zlib.crc32(g6.encode()))
             spot = random_maximal_irredundant(g, rng)
             if spot == irr.witness:
                 spot_problems, spot_certs = min_problems, min_certs
@@ -267,7 +268,7 @@ def check_graph(g6, spot_check=True):
         checks["machinery_clean"] = True
 
     return {
-        "graph6": g6.strip(),
+        "graph6": g6,
         "n": g.n,
         "m": cls.m,
         "delta": delta,

@@ -9,7 +9,8 @@ complete branching over cleverness.
 gamma and iota share one search: every k-clique (every vertex, for gamma)
 is a target, and a chosen vertex kills each target whose closed
 neighbourhood holds it. A DFS node branches on the live target with the
-fewest candidate vertices and prunes by three rules, each exact:
+fewest candidate vertices and prunes by three rules, each exact, over
+targets reduced by a fourth:
 
 - Sibling exclusion. Once the branch on v fails, later siblings may not use
   v. A solution holding v that fits the node lies in v's branch, because
@@ -21,6 +22,14 @@ fewest candidate vertices and prunes by three rules, each exact:
 - Small regions first. Targets are scanned in order of closed-neighbourhood
   size, which packs tighter and meets a one-candidate target sooner. The
   order changes only which nodes are visited, not what is feasible.
+- Minimal targets only. A target whose closed neighbourhood holds another
+  target's is dropped, as in the subsumption rule of set-cover search (van
+  Rooij & Bodlaender, "Exact algorithms for dominating set", 2011); of
+  equal neighbourhoods the first is kept. While the dropped target is live
+  so is the kept one, which comes earlier in the scan with no more
+  candidates: it has already stopped the scan if empty, shares a vertex
+  with the packing and is at least as good a branch. So every node acts
+  as it would with all targets, and the DFS visits the same tree.
 
 The value is the smallest feasible size, and the DFS returns the set it
 found. The witness is fixed vertex by vertex in lex order from that set:
@@ -60,11 +69,33 @@ class PackingCertificate:
     regions: tuple
 
 
+def _minimal_targets(rows):
+    """The inclusion-minimal (vmask, cover) rows, smallest cover first.
+
+    Each distinct cover stands for its lex-first row. The covers are scanned
+    by ascending size, stable, so ties keep lex order, and a cover is kept
+    when no kept cover lies inside it.
+    """
+    first = {}
+    for vmask, cover in rows:
+        if cover not in first:
+            first[cover] = vmask
+    kept = []
+    for cover in sorted(first, key=int.bit_count):
+        outside = ~cover
+        for smaller in kept:
+            if not smaller & outside:
+                break
+        else:
+            kept.append(cover)
+    return [(first[cover], cover) for cover in kept]
+
+
 def _isolation_solve(g, k):
-    # Smallest closed neighbourhoods first (stable, so ties keep lex order):
-    # the packing below gets tighter and a forced target turns up sooner.
-    # The order decides only which nodes are visited, never what is feasible.
-    targets = sorted(clique_table(g, k), key=lambda t: t[1].bit_count())
+    # Smallest closed neighbourhoods first, and only the minimal ones: the
+    # packing gets tighter and a forced target turns up sooner. Neither the
+    # order nor the dropped targets change what is feasible.
+    targets = _minimal_targets(clique_table(g, k))
     explored = [0]
     if not targets:
         return SolveResult(0, (), 0)

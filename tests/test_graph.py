@@ -38,6 +38,17 @@ def random_graph(n, p, rng):
     return Graph(n, edges)
 
 
+def unit_disk(n, degree, rng):
+    """The round(n * degree / 2) closest pairs of n uniform points in the
+    unit square: cliques that overlap, so many share a closed neighbourhood."""
+    pts = [(rng.random(), rng.random()) for _ in range(n)]
+    pairs = sorted(
+        ((pts[u][0] - pts[v][0]) ** 2 + (pts[u][1] - pts[v][1]) ** 2, u, v)
+        for u, v in combinations(range(n), 2)
+    )
+    return Graph(n, [(u, v) for _, u, v in pairs[: round(n * degree / 2)]])
+
+
 def to_nx(g):
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
@@ -271,6 +282,27 @@ class TestCliques:
         twin = Graph.from_adj(graphs[0].adj)
         assert enumerate_k_cliques(twin, 3) == oracles.all_k_cliques(graphs[0], 3)
         assert clique_table(twin, 2) == clique_table(graphs[0], 2)
+
+    def test_rows_on_unit_disk_graphs(self):
+        # the rows carry both masks, grown level by level: each cover is the
+        # closed neighbourhood of its clique, the list is the rows' vertex
+        # masks, and the order is strictly lex at every size up to Delta + 1
+        rng = random.Random(4099)
+        for n in range(14, 37, 2):
+            g = unit_disk(n, rng.uniform(5.0, 8.0), rng)
+            shared = 0
+            for k in range(1, g.max_degree() + 2):
+                table = clique_table(g, k)
+                cliques = enumerate_k_cliques(g, k)
+                assert cliques == [tuple(bits(vmask)) for vmask, _ in table]
+                assert all(a < b for a, b in zip(cliques, cliques[1:]))
+                for vmask, cover in table:
+                    assert vmask.bit_count() == k
+                    assert cover == closed_mask(g, vmask)
+                shared += len(table) - len({cover for _, cover in table})
+                if n <= 16:
+                    assert cliques == oracles.all_k_cliques(g, k)
+            assert shared, n
 
     def test_within_restriction(self):
         # a zone's cliques are the table rows inside the zone mask

@@ -71,6 +71,15 @@ class TestCheckGraph:
         assert all(rec["checks"].values())
         assert rec["iota"]["1"] == rec["gamma"]
 
+    def test_failure_lines_use_the_stripped_record(self, monkeypatch):
+        monkeypatch.setattr(constructive, "is_k_isolating", lambda *args: False)
+        rec = check_graph("@\n")
+        assert rec["graph6"] == "@"
+        assert rec["failures"]
+        for line in rec["failures"]:
+            assert "\n" not in line
+            assert line.startswith("@ ")
+
     def test_applicable_ks(self):
         assert applicable_ks(0) == [1]
         assert applicable_ks(1) == [1, 2]

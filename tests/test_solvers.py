@@ -20,8 +20,8 @@ from isobound import (
 )
 from isobound.families import gen_five_thirds
 from isobound.graph import bits, clique_table, closed_mask
-from isobound.predicates import irredundant_extension
-from isobound.solvers import SolveResult, _isolation_solve
+from isobound.predicates import irredundant_extension, is_k_isolating_mask
+from isobound.solvers import SolveResult, _isolation_solve, _minimal_targets
 
 import oracles
 from graphgen import connected_trees
@@ -95,6 +95,96 @@ def reference_isolation_solve(g, k):
     return SolveResult(value, tuple(witness), explored[0])
 
 
+def full_target_isolation_solve(g, k):
+    """The isolation search over every k-clique target, before the targets
+    whose cover holds another's were dropped. Kept as the reference the
+    reduced search must agree with, node counts included."""
+    targets = sorted(clique_table(g, k), key=lambda t: t[1].bit_count())
+    explored = [0]
+    if not targets:
+        return SolveResult(0, (), 0)
+
+    def dfs(budget, covered, allowed):
+        # A set of exactly `budget` vertices of `allowed` that kills every
+        # target not yet killed by `covered`, as a mask, or None if there is
+        # none (a success at budget 0 is the mask 0).
+        explored[0] += 1
+        best_cando = None
+        best_size = None
+        packed = 0
+        used = 0
+        for vmask, cover in targets:
+            if vmask & covered:
+                continue
+            cando = cover & allowed
+            size = cando.bit_count()
+            if size == 0:
+                return None
+            # Live targets with pairwise disjoint candidate sets each need
+            # their own vertex, so packing more than `budget` of them proves
+            # the node infeasible (this also covers budget == 0).
+            if not cando & used:
+                used |= cando
+                packed += 1
+                if packed > budget:
+                    return None
+            if best_size is None or size < best_size:
+                best_cando, best_size = cando, size
+                if size == 1:
+                    break
+        if best_cando is None:
+            # nothing left to kill; pad with the lowest allowed vertices
+            if allowed.bit_count() < budget:
+                return None
+            pad = 0
+            for _ in range(budget):
+                low = allowed & -allowed
+                pad |= low
+                allowed ^= low
+            return pad
+        # Sibling exclusion: a solution holding v lies in v's branch, whose
+        # `allowed` only shrinks below it, so later siblings may drop v.
+        for v in bits(best_cando):
+            bit = 1 << v
+            allowed &= ~bit
+            found = dfs(budget - 1, covered | g.clo[v], allowed)
+            if found is not None:
+                return found | bit
+        return None
+
+    # no separate lower bound: the packing at each node cuts too-small sizes
+    for value in range(g.n + 1):
+        known = dfs(value, 0, g.full)
+        if known is not None:
+            break
+    assert known is not None, "the full vertex set is always isolating"
+    # The lex-least witness, one vertex per position. `known` is a solution
+    # holding the prefix, with the rest above the prefix's last vertex, so
+    # its lowest vertex past the prefix, nxt, is a feasible next vertex: only
+    # the vertices below nxt are searched, and the first that extends is the
+    # next witness vertex, with its solution as the new `known`.
+    witness = []
+    prefix = 0
+    covered = 0
+    start = 0
+    for _ in range(value):
+        rest = known & ~prefix
+        nxt = (rest & -rest).bit_length() - 1
+        budget = value - len(witness) - 1
+        for v in range(start, nxt):
+            found = dfs(budget, covered | g.clo[v], g.full >> (v + 1) << (v + 1))
+            if found is not None:
+                known = prefix | found | (1 << v)
+                nxt = v
+                break
+        prefix |= 1 << nxt
+        covered |= g.clo[nxt]
+        witness.append(nxt)
+        start = nxt + 1
+    assert is_k_isolating_mask(g, prefix, k)
+    return SolveResult(value, tuple(witness), explored[0])
+
+
 def reference_ir(g):
     """The irredundance search before the last member was chosen in place:
     one DFS node per final candidate, each testing maximality through
@@ -137,6 +227,10 @@ def reference_ir(g):
         if dfs(0, 0, members, [], 0, size):
             return SolveResult(size, tuple(members), explored[0])
     raise AssertionError("every nonempty graph has a maximal irredundant set")
+
+
+def random_gnp(n, p, rng):
+    return Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
 
 
 def random_gnm(n, m, rng):
@@ -217,8 +311,15 @@ class TestIr:
                 assert is_maximal_irredundant(g, res.witness)
 
     def test_ir_at_most_gamma(self, corpus_by_order):
-        for line, g in corpus_by_order[7][:200]:
-            assert ir(g).value <= gamma(g).value
+        # the lower end of the domination chain: a minimal dominating set is
+        # maximal irredundant
+        for n in range(1, 8):
+            for line, g in corpus_by_order[n]:
+                assert ir(g).value <= gamma(g).value, line
+        rng = random.Random(3008)
+        for i in range(40):
+            g = random_gnp(9 + i % 8, rng.uniform(0.1, 0.6), rng)
+            assert ir(g).value <= gamma(g).value, encode_graph6(g)
 
     def test_order_cap(self):
         big = complete(33)
@@ -347,6 +448,52 @@ class TestPrunedSearch:
         # DFS node counts of the pruned search; they move whenever its rules
         # change. Without sibling exclusion k = 2 explores 122 nodes.
         assert explored == {1: 242, 2: 103, 3: 28}
+
+
+class TestMinimalTargets:
+    """The search over the inclusion-minimal covers against the search over
+    every clique: a cover holding another's is never live alone, is never
+    packed and is never the fewest-candidates branch, so the DFS tree and
+    with it every result, node counts included, stay the same."""
+
+    @staticmethod
+    def assert_matches_full_targets(g):
+        for k in range(1, g.max_degree() + 2):
+            assert _isolation_solve(g, k) == full_target_isolation_solve(g, k), (
+                encode_graph6(g),
+                k,
+            )
+
+    def test_corpus_every_k(self, corpus_by_order):
+        for n in range(1, 8):
+            for _, g in corpus_by_order[n]:
+                self.assert_matches_full_targets(g)
+
+    def test_unit_disk_every_k(self):
+        rng = random.Random(3006)
+        for n in range(30, 37):
+            for degree in (5.0, 6.0, 7.0, 8.0) * 2:
+                self.assert_matches_full_targets(unit_disk(n, degree, rng))
+
+    def test_kept_rows_are_the_minimal_covers(self):
+        rng = random.Random(3007)
+        for n in range(12, 30, 3):
+            g = unit_disk(n, 6.0, rng)
+            for k in range(1, g.max_degree() + 2):
+                rows = clique_table(g, k)
+                kept = _minimal_targets(rows)
+                covers = [cover for _, cover in kept]
+                sizes = [cover.bit_count() for cover in covers]
+                assert sizes == sorted(sizes)
+                for i, (vmask, cover) in enumerate(kept):
+                    # the lex-first row of its cover, with no kept cover inside it
+                    assert vmask == next(v for v, c in rows if c == cover)
+                    assert not any(c & ~cover == 0 for c in covers[:i] + covers[i + 1 :])
+                    if i and sizes[i - 1] == sizes[i]:
+                        before = [c for _, c in rows].index(covers[i - 1])
+                        assert before < [c for _, c in rows].index(cover)
+                for _, cover in rows:
+                    assert any(c & ~cover == 0 for c in covers)
 
 
 # The theorem checks of a verify record, which depend only on the graph's
