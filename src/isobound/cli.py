@@ -188,6 +188,13 @@ def cmd_certify(args):
 
 
 def cmd_solve(args):
+    # --k is checked before any input is read: a bad k is one error, not
+    # one per line
+    if args.invariant == "iota":
+        if args.k is None:
+            raise ParameterError("--k is required for iota")
+        if args.k < 1:
+            raise ParameterError(f"isolation order must be positive, got {args.k}")
     status = 0
     for line in _read_lines(args.g6):
         if not line.strip():
@@ -199,8 +206,6 @@ def cmd_solve(args):
             elif args.invariant == "ir":
                 res = ir(g, force=args.force)
             else:
-                if args.k is None:
-                    raise ParameterError("--k is required for iota")
                 res = iota(g, args.k)
             witness = " ".join(map(str, res.witness))
             print(f"{line.strip()} {args.invariant}={res.value} witness=[{witness}]")

@@ -9,6 +9,7 @@ performed on floats.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import ParameterError, RegimeError
@@ -117,6 +118,9 @@ def fraction_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+# Every certificate and every check asks for one of a few (k, delta, ir, s);
+# a Fraction is immutable, so the callers can share one.
+@lru_cache(maxsize=256)
 def isolation_bound(k: int, delta: int, ir_value: int, s: Optional[int] = None) -> Fraction:
     """The certified upper bound on iota_k in terms of ir, for k in
     applicable_ks(delta); the one place the bounds are written down.

@@ -262,6 +262,21 @@ def closed_mask(g, smask):
     return m
 
 
+def components(g):
+    """The vertex masks of g's connected components, ordered by lowest vertex."""
+    parts = []
+    rest = g.full
+    while rest:
+        part = frontier = rest & -rest
+        while frontier:
+            reach = closed_mask(g, frontier)
+            frontier = reach & ~part
+            part |= reach
+        parts.append(part)
+        rest &= ~part
+    return parts
+
+
 # ---------------------------------------------------------------------------
 # cliques
 # ---------------------------------------------------------------------------

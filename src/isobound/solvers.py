@@ -42,7 +42,7 @@ witness depends on the order the DFS visits nodes in.
 from dataclasses import dataclass
 
 from .errors import CertificateError, SizeCapError
-from .graph import bits, clique_table, closed_mask
+from .graph import bits, clique_table, closed_mask, components
 from .predicates import is_k_isolating_mask
 
 IR_ORDER_CAP = 32
@@ -200,6 +200,38 @@ def iota(g, k):
 def ir(g, force=False):
     """Irredundance lower number: smallest maximal irredundant set.
 
+    Each connected component is solved on its own (see _ir_search) and the
+    results are added: a set is maximal irredundant exactly when its trace
+    on every component is, and the empty trace is never maximal in a
+    nonempty component. Two sets of one size compare, in lex order, by the
+    lowest vertex where they differ, so the union of the components'
+    lex-least witnesses is the lex-least witness. `explored` is the sum
+    over the components.
+
+    Refuses n > 32 unless force=True; the enumeration is exponential and the
+    cap keeps accidental huge inputs from hanging.
+    """
+    if g.n > IR_ORDER_CAP and not force:
+        raise SizeCapError(
+            f"ir solve on n={g.n} exceeds cap {IR_ORDER_CAP}", "pass force=True"
+        )
+    parts = components(g)
+    if len(parts) < 2:
+        return _ir_search(g)
+    value = explored = 0
+    witness = []
+    for part in parts:
+        sub, keep = g.induced(part)
+        res = _ir_search(sub)
+        value += res.value
+        explored += res.explored
+        witness.extend(keep[v] for v in res.witness)
+    return SolveResult(value, tuple(sorted(witness)), explored)
+
+
+def _ir_search(g):
+    """ir of the whole graph by one search, components and all.
+
     The search walks irredundant sets in ascending lexicographic order per
     size (irredundance is hereditary, so prefix pruning is exact) and tests
     maximality literally, by attempting every one-vertex extension. The first
@@ -210,14 +242,7 @@ def ir(g, force=False):
     which S + u is irredundant and maximal, reading the private
     neighbourhoods of S + u as pn & ~N[u] without building them. Such a scan
     counts as one node in `explored`, like every node below the target size.
-
-    Refuses n > 32 unless force=True; the enumeration is exponential and the
-    cap keeps accidental huge inputs from hanging.
     """
-    if g.n > IR_ORDER_CAP and not force:
-        raise SizeCapError(
-            f"ir solve on n={g.n} exceeds cap {IR_ORDER_CAP}", "pass force=True"
-        )
     if g.n == 0:
         return SolveResult(0, (), 0)
     n = g.n

@@ -25,6 +25,7 @@ from isobound.graph import (
     bits,
     clique_table,
     closed_mask,
+    components,
     graph6_order,
     mask_of,
     vertex_mask,
@@ -338,6 +339,21 @@ class TestNeighborhoods:
                 for _ in range(40):
                     smask = rng.getrandbits(n)
                     assert closed_mask(g, smask) == self.union_of_closed(g, smask)
+
+    def test_components_against_networkx(self):
+        rng = random.Random(1416)
+        assert components(Graph(0)) == []
+        for n in range(1, 23):
+            for _ in range(4):
+                g = random_graph(n, rng.uniform(0.02, 0.2), rng)
+                h = nx.Graph()
+                h.add_nodes_from(range(n))
+                h.add_edges_from(g.edges())
+                expect = sorted(mask_of(c) for c in nx.connected_components(h))
+                got = components(g)
+                assert sorted(got) == expect
+                lows = [(m & -m).bit_length() for m in got]
+                assert lows == sorted(lows)
 
     def test_vertex_sets_validated_in_one_place(self):
         # every entry point that takes a vertex set names the bad vertex,

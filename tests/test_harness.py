@@ -616,8 +616,21 @@ class TestCli:
 
     def test_solve_iota_requires_k(self, capsys, tmp_path):
         g6 = tmp_path / "in.g6"
-        g6.write_text("DQc\n")
-        assert self.run(["solve", "--invariant", "iota", "--g6", str(g6)]) == 1
+        g6.write_text("DQc\nCr\n")
+        assert self.run(["solve", "--invariant", "iota", "--g6", str(g6)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --k is required for iota\n"
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_solve_iota_k_out_of_range(self, capsys, tmp_path, k):
+        g6 = tmp_path / "in.g6"
+        g6.write_text("DQc\nCr\n")
+        argv = ["solve", "--invariant", "iota", "--k", str(k), "--g6", str(g6)]
+        assert self.run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: isolation order must be positive, got {k}\n"
 
     def test_solve_ir_above_cap_points_to_force(self, capsys, tmp_path):
         n = harness.IR_ORDER_CAP + 1

@@ -19,9 +19,9 @@ from isobound import (
     parse_graph6,
 )
 from isobound.families import gen_five_thirds
-from isobound.graph import bits, clique_table, closed_mask
+from isobound.graph import bits, clique_table, closed_mask, components
 from isobound.predicates import irredundant_extension, is_k_isolating_mask
-from isobound.solvers import SolveResult, _isolation_solve, _minimal_targets
+from isobound.solvers import SolveResult, _ir_search, _isolation_solve, _minimal_targets
 
 import oracles
 from graphgen import connected_trees
@@ -555,7 +555,9 @@ class TestDisjointUnion:
     """gamma, ir and iota_k add over a disjoint union, and each lex-least
     witness of the union is the parts' witnesses side by side. Every vertex
     of the first part sorts below the second, and its witness has the same
-    size in every optimum, so it decides the lex order first."""
+    size in every optimum, so it decides the lex order first. ir splits
+    its input into components, so the union is solved here by the kernel
+    in one search: the relation is what makes that split exact."""
 
     def test_corpus_pairs(self, corpus_by_order):
         rng = random.Random(4006)
@@ -566,13 +568,67 @@ class TestDisjointUnion:
             _, b = rng.choice(corpus_by_order[nb])
             union = disjoint_union(a, b)
             label = (encode_graph6(a), encode_graph6(b))
-            solvers = [gamma, ir] + [
+            solvers = [gamma, _ir_search] + [
                 lambda g, k=k: iota(g, k) for k in range(2, union.max_degree() + 2)
             ]
             for solve in solvers:
                 ra, rb, got = solve(a), solve(b), solve(union)
                 assert got.value == ra.value + rb.value, label
                 assert got.witness == ra.witness + tuple(v + a.n for v in rb.witness), label
+
+
+class TestComponents:
+    """ir solves each connected component on its own. The reference is the
+    kernel run once over the whole graph, which never splits it, and the
+    brute-force oracle up to n = 10."""
+
+    @staticmethod
+    def assert_matches_unsplit(g):
+        label = encode_graph6(g)
+        got = ir(g)
+        ref = _ir_search(g)
+        assert (got.value, got.witness) == (ref.value, ref.witness), label
+        parts = [g.induced(part)[0] for part in components(g)]
+        assert got.explored == sum(_ir_search(sub).explored for sub in parts), label
+        if g.n <= 10:
+            assert (got.value, got.witness) == oracles.brute_ir(g), label
+
+    def test_sparse_gnm_with_isolated_vertices(self):
+        rng = random.Random(1414)
+        graphs = 0
+        while graphs < 24:
+            n = rng.randint(16, 22)
+            g = random_gnm(n, round(n * rng.uniform(3, 5) / 2), rng)
+            if all(g.adj):
+                continue
+            graphs += 1
+            self.assert_matches_unsplit(g)
+
+    def test_corpus_unions_interleaved(self, corpus_by_order):
+        # relabelled so that the components' vertices interleave
+        rng = random.Random(1415)
+        small = 0
+        for _ in range(60):
+            g = Graph(0)
+            for _ in range(rng.randint(2, 3)):
+                g = disjoint_union(g, rng.choice(corpus_by_order[rng.randint(1, 6)])[1])
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            g = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+            self.assert_matches_unsplit(g)
+            small += g.n <= 10
+        assert small >= 20
+
+    def test_order_cap_on_the_whole_graph(self):
+        edges = [(t + a, t + b) for t in range(0, 33, 3) for a, b in ((0, 1), (1, 2), (0, 2))]
+        triangles = Graph(33, edges)
+        assert len(components(triangles)) == 11
+        with pytest.raises(SizeCapError) as exc:
+            ir(triangles)
+        assert exc.value.reason == "ir solve on n=33 exceeds cap 32"
+        assert str(exc.value) == "ir solve on n=33 exceeds cap 32; pass force=True"
+        res = ir(triangles, force=True)
+        assert (res.value, res.witness) == (11, tuple(range(0, 33, 3)))
 
 
 class TestUniversalVertex:
