@@ -358,7 +358,17 @@ class TestGammaRecheck:
         assert at_cap["failures"] == [] and above["failures"] == []
 
 
+CERTIFY_DEFAULT = os.path.join(os.path.dirname(__file__), "data", "certify_default.json")
+
+
 class TestCertifyFamily:
+    def test_default_report_pinned(self, tmp_path):
+        # the `certify --json` report over the default grid, byte for byte
+        out = tmp_path / "certify.json"
+        write_json(harness.certify_families(), out)
+        with open(CERTIFY_DEFAULT, "rb") as fh:
+            assert out.read_bytes() == fh.read()
+
     def test_ir_solve_not_gated_on_gamma_cap(self, monkeypatch):
         monkeypatch.setattr(harness, "GAMMA_CAP", 0)
         row, failures = certify_family("G1", {"t": 1, "k": 2})
