@@ -10,6 +10,7 @@ their parameters loudly and build deterministically; they never solve.
 import inspect
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .constructive import isolation_bound
 from .errors import ParameterError
@@ -22,18 +23,58 @@ class FamilyInstance:
     params: dict
     graph: Graph
     k: object  # isolation order the family targets, None when not applicable
-    claimed_ir: object
-    claimed_gamma: object
-    claimed_iota: object
-    witness_irredundant: tuple
-    witness_isolating: tuple
-    witness_dominating: tuple
-    designated_cliques: tuple
     labels: dict = field(repr=False)
+    claimed_ir: object = None
+    claimed_gamma: object = None
+    claimed_iota: object = None
+    witness_irredundant: tuple = None
+    witness_isolating: tuple = None
+    witness_dominating: tuple = None
+    designated_cliques: tuple = None
 
 
-def _clique_edges(verts):
-    return [(a, b) for idx, a in enumerate(verts) for b in verts[idx + 1 :]]
+class _Layout:
+    """A construction under way: vertex ids handed out in order, each under
+    its construction name in labels, and the edges added so far."""
+
+    def __init__(self):
+        self.n = 0
+        self.edges = []
+        self.labels = {}
+
+    def add(self, *names):
+        """One new vertex per name, in order."""
+        verts = list(range(self.n, self.n + len(names)))
+        self.n += len(names)
+        self.labels.update(zip(names, verts))
+        return verts
+
+    def numbered(self, prefix, count):
+        """count new vertices named prefix1 .. prefix<count>."""
+        return self.add(*(f"{prefix}{j}" for j in range(1, count + 1)))
+
+    def clique(self, prefix, size):
+        """size new pairwise adjacent vertices named prefix.0 .. prefix.<size-1>."""
+        verts = self.add(*(f"{prefix}.{j}" for j in range(size)))
+        self.complete(verts)
+        return verts
+
+    def complete(self, verts):
+        self.edges += combinations(verts, 2)
+
+    def path(self, verts):
+        self.edges += zip(verts, verts[1:])
+
+    def join(self, u, verts):
+        self.edges += [(u, v) for v in verts]
+
+    def graph(self, delta):
+        """The Graph built so far; ParameterError unless its maximum degree
+        is delta, the one the construction promises."""
+        g = Graph(self.n, self.edges)
+        if g.max_degree() != delta:
+            raise ParameterError(f"construction broke: max degree {g.max_degree()} != {delta}")
+        return g
 
 
 def gen_G1(t, k):
@@ -41,24 +82,18 @@ def gen_G1(t, k):
     maximum degree, and both ir and the k-isolation number equal t."""
     if t < 1 or k < 1:
         raise ParameterError(f"G1 needs t >= 1 and k >= 1, got t={t}, k={k}")
-    edges = []
-    labels = {}
-    reps = []
+    lay = _Layout()
     cliques = []
-    for c in range(t):
-        block = list(range(c * k, (c + 1) * k))
-        edges += _clique_edges(block)
-        for j, v in enumerate(block):
-            labels[f"K{c + 1}.{j}"] = v
-        labels[f"x{c + 1}"] = block[0]
-        reps.append(block[0])
-        cliques.append(tuple(block))
-    reps = tuple(reps)
+    for c in range(1, t + 1):
+        cliques.append(tuple(lay.clique(f"K{c}", k)))
+        lay.labels[f"x{c}"] = cliques[-1][0]
+    reps = tuple(block[0] for block in cliques)
     return FamilyInstance(
         name="G1",
         params={"t": t, "k": k},
-        graph=Graph(t * k, edges),
+        graph=lay.graph(k - 1),
         k=k,
+        labels=lay.labels,
         claimed_ir=t,
         claimed_gamma=t,
         claimed_iota=t,
@@ -66,7 +101,6 @@ def gen_G1(t, k):
         witness_isolating=reps,
         witness_dominating=reps,
         designated_cliques=tuple(cliques),
-        labels=labels,
     )
 
 
@@ -76,32 +110,21 @@ def gen_G2(t, k):
     number all equal 2t."""
     if t < 1 or k < 2:
         raise ParameterError(f"G2 needs t >= 1 and k >= 2, got t={t}, k={k}")
-    edges = []
-    labels = {}
-    reps = []
+    lay = _Layout()
     cliques = []
-    for c in range(2 * t):
-        block = list(range(c * k, (c + 1) * k))
-        edges += _clique_edges(block)
-        for j, v in enumerate(block):
-            labels[f"K{c + 1}.{j}"] = v
-        labels[f"x{c + 1}"] = block[0]
-        reps.append(block[0])
-        cliques.append(tuple(block))
-    base = 2 * t * k
+    for c in range(1, 2 * t + 1):
+        cliques.append(tuple(lay.clique(f"K{c}", k)))
+        lay.labels[f"x{c}"] = cliques[-1][0]
+    reps = tuple(block[0] for block in cliques)
     for c in range(t):
-        p1, p2 = base + 2 * c, base + 2 * c + 1
-        labels[f"x{c + 1}_1"] = p1
-        labels[f"x{c + 1}_2"] = p2
-        edges.append((p1, p2))
-        edges.append((p1, reps[2 * c]))
-        edges.append((p2, reps[2 * c + 1]))
-    reps = tuple(reps)
+        p1, p2 = lay.numbered(f"x{c + 1}_", 2)
+        lay.path([reps[2 * c], p1, p2, reps[2 * c + 1]])
     return FamilyInstance(
         name="G2",
         params={"t": t, "k": k},
-        graph=Graph(base + 2 * t, edges),
+        graph=lay.graph(k),
         k=k,
+        labels=lay.labels,
         claimed_ir=2 * t,
         claimed_gamma=2 * t,
         claimed_iota=2 * t,
@@ -109,7 +132,6 @@ def gen_G2(t, k):
         witness_isolating=reps,
         witness_dominating=reps,
         designated_cliques=tuple(cliques),
-        labels=labels,
     )
 
 
@@ -127,62 +149,44 @@ def gen_Gkl(k, l):
         raise ParameterError(
             f"l={l} incompatible with k={k}: the floored bound misses 4l"
         )
-    per = 6 + 4 * k
-    edges = []
-    labels = {}
+    lay = _Layout()
     iso = []
     irr = []
     cliques = []
-    for c in range(l):
-        base = c * per
-        x1, x2, x3 = base, base + 1, base + 2
-        y = [base + 3, base + 4, base + 5]
-        blocks = [
-            list(range(base + 6 + j * k, base + 6 + (j + 1) * k)) for j in range(4)
-        ]
-        labels[f"x{c + 1}_1"] = x1
-        labels[f"x{c + 1}_2"] = x2
-        labels[f"x{c + 1}_3"] = x3
-        for j in range(3):
-            labels[f"y{c + 1}_{j + 1}"] = y[j]
-        for j, block in enumerate(blocks):
-            for jj, v in enumerate(block):
-                labels[f"K{c + 1}_{j}.{jj}"] = v
-            edges += _clique_edges(block)
-            cliques.append(tuple(block))
-        labels[f"z{c + 1}"] = blocks[0][0]
-        edges += [(x1, x2), (x2, x3)]
-        for j in range(3):
-            edges.append((y[j], [x1, x2, x3][j]))
-            edges += [(y[j], v) for v in blocks[j + 1]]
-        # core block: k-4 vertices see x1 and x2, two see x1 and x3, two see x2 and x3
+    prev_x3 = None
+    for c in range(1, l + 1):
+        xs = lay.numbered(f"x{c}_", 3)
+        ys = lay.numbered(f"y{c}_", 3)
+        blocks = [lay.clique(f"K{c}_{j}", k) for j in range(4)]
+        cliques += map(tuple, blocks)
         core = blocks[0]
+        lay.labels[f"z{c}"] = core[0]
+        lay.path(xs)
+        for x, y, block in zip(xs, ys, blocks[1:]):
+            lay.join(y, [x] + block)
+        # core block: k-4 vertices see x1 and x2, two see x1 and x3, two see x2 and x3
         for v in core[: k - 4]:
-            edges += [(x1, v), (x2, v)]
+            lay.join(v, [xs[0], xs[1]])
         for v in core[k - 4 : k - 2]:
-            edges += [(x1, v), (x3, v)]
+            lay.join(v, [xs[0], xs[2]])
         for v in core[k - 2 :]:
-            edges += [(x2, v), (x3, v)]
-        if c:
-            edges.append((base - per + 2, x1))  # previous x3 to this x1
-        iso += [y[0], y[1], y[2], core[0]]
-        irr += [x1, x2, x3]
-    g = Graph(l * per, edges)
-    if g.max_degree() != delta:
-        raise ParameterError(f"construction broke: max degree {g.max_degree()} != {delta}")
+            lay.join(v, [xs[1], xs[2]])
+        if prev_x3 is not None:
+            lay.join(prev_x3, [xs[0]])
+        prev_x3 = xs[2]
+        iso += ys + [core[0]]
+        irr += xs
     return FamilyInstance(
         name="Gkl",
         params={"k": k, "l": l},
-        graph=g,
+        graph=lay.graph(delta),
         k=k,
+        labels=lay.labels,
         claimed_ir=3 * l,
-        claimed_gamma=None,
         claimed_iota=4 * l,
         witness_irredundant=tuple(sorted(irr)),
         witness_isolating=tuple(sorted(iso)),
-        witness_dominating=None,
         designated_cliques=tuple(cliques),
-        labels=labels,
     )
 
 
@@ -191,43 +195,32 @@ def gen_Dkt(k, t):
     k = Delta-2 bound: the k-isolation number is 3t against ir = 2t."""
     if k < 1 or t < 1:
         raise ParameterError(f"Dkt needs k >= 1 and t >= 1, got k={k}, t={t}")
-    per = 4 + 3 * k
-    edges = []
-    labels = {}
+    lay = _Layout()
     iso = []
     irr = []
     cliques = []
-    for c in range(t):
-        base = c * per
-        x = [base, base + 1, base + 2, base + 3]
-        blocks = [
-            list(range(base + 4 + j * k, base + 4 + (j + 1) * k)) for j in range(3)
-        ]
-        for j in range(4):
-            labels[f"x{c + 1}_{j + 1}"] = x[j]
-        for j, block in enumerate(blocks):
-            for jj, v in enumerate(block):
-                labels[f"K{c + 1}_{j}.{jj}"] = v
-            edges += _clique_edges(block)
-            cliques.append(tuple(block))
-        edges += [(x[0], x[1]), (x[1], x[2]), (x[2], x[3])]
-        edges += [(x[0], v) for v in blocks[1]]
-        edges += [(x[3], v) for v in blocks[2]]
-        edges += [(x[1], v) for v in blocks[0]]
-        edges += [(x[2], v) for v in blocks[0]]
-        if c:
-            edges.append((base - per + 3, x[0]))  # previous x4 to this x1
+    prev_x4 = None
+    for c in range(1, t + 1):
+        x = lay.numbered(f"x{c}_", 4)
+        blocks = [lay.clique(f"K{c}_{j}", k) for j in range(3)]
+        cliques += map(tuple, blocks)
+        lay.path(x)
+        lay.join(x[0], blocks[1])
+        lay.join(x[3], blocks[2])
+        lay.join(x[1], blocks[0])
+        lay.join(x[2], blocks[0])
+        if prev_x4 is not None:
+            lay.join(prev_x4, [x[0]])
+        prev_x4 = x[3]
         iso += [x[0], x[1], x[3]]
         irr += [x[1], x[2]]
-    g = Graph(t * per, edges)
-    if g.max_degree() != k + 2:
-        raise ParameterError(f"construction broke: max degree {g.max_degree()} != {k + 2}")
     iso = tuple(sorted(iso))
     return FamilyInstance(
         name="Dkt",
         params={"k": k, "t": t},
-        graph=g,
+        graph=lay.graph(k + 2),
         k=k,
+        labels=lay.labels,
         claimed_ir=2 * t,
         claimed_gamma=3 * t,
         claimed_iota=3 * t,
@@ -235,7 +228,6 @@ def gen_Dkt(k, t):
         witness_isolating=iso,
         witness_dominating=iso,
         designated_cliques=tuple(cliques),
-        labels=labels,
     )
 
 
@@ -244,32 +236,25 @@ def gen_subcubicH(c):
     with gamma = 3c against ir = 2c."""
     if c < 1:
         raise ParameterError(f"subcubicH needs c >= 1, got c={c}")
-    edges = []
-    labels = {}
+    lay = _Layout()
+    copies = [lay.numbered(f"x{i}_", 7) for i in range(1, c + 1)]
     dom = []
     irr = []
     cliques = []
-    for i in range(c):
-        base = 7 * i
-        xs = list(range(base, base + 7))
-        for j, v in enumerate(xs):
-            labels[f"x{i + 1}_{j + 1}"] = v
-        edges += [(xs[j], xs[j + 1]) for j in range(6)]
-        edges.append((xs[2], xs[4]))  # x3 to x5
-        nxt = 7 * ((i + 1) % c)
-        edges.append((xs[5], nxt + 1))  # x6 to next copy's x2
+    for i, xs in enumerate(copies):
+        lay.path(xs)
+        lay.join(xs[2], [xs[4]])  # x3 to x5
+        lay.join(xs[5], [copies[(i + 1) % c][1]])  # x6 to next copy's x2
         dom += [xs[1], xs[3], xs[5]]
         irr += [xs[2], xs[4]]
         cliques += [(xs[0],), (xs[3],), (xs[6],)]
-    g = Graph(7 * c, edges)
-    if g.max_degree() != 3:
-        raise ParameterError(f"construction broke: max degree {g.max_degree()} != 3")
     dom = tuple(sorted(dom))
     return FamilyInstance(
         name="subcubicH",
         params={"c": c},
-        graph=g,
+        graph=lay.graph(3),
         k=1,
+        labels=lay.labels,
         claimed_ir=2 * c,
         claimed_gamma=3 * c,
         claimed_iota=3 * c,
@@ -277,58 +262,37 @@ def gen_subcubicH(c):
         witness_isolating=dom,
         witness_dominating=dom,
         designated_cliques=tuple(cliques),
-        labels=labels,
     )
 
 
 def gen_five_thirds():
     """The 24-vertex maximum-degree-four graph with gamma = 10 against
     ir = 6, meeting the 5/3 ratio."""
-    labels = {}
-    edges = []
-    names = ["c1", "b1", "a1", "a2", "b2", "c2"]
-    for i in range(3):
-        base = 6 * i
-        for j, nm in enumerate(names):
-            labels[f"{nm}{i + 1}"] = base + j
-        edges += [(base + j, base + j + 1) for j in range(5)]
-    for j, nm in enumerate("uvwxyz"):
-        labels[nm] = 18 + j
-    a1 = {i: labels[f"a1{i}"] for i in (1, 2, 3)}
-    a2 = {i: labels[f"a2{i}"] for i in (1, 2, 3)}
-    hub = {nm: labels[nm] for nm in "uvwxyz"}
-    edges += [
-        (hub["u"], a1[1]), (hub["u"], a1[2]),
-        (hub["v"], a2[1]), (hub["v"], a2[2]),
-        (hub["w"], a1[1]), (hub["w"], a1[3]),
-        (hub["x"], a1[2]), (hub["x"], a1[3]),
-        (hub["y"], a2[1]), (hub["y"], a2[3]),
-        (hub["z"], a2[2]), (hub["z"], a2[3]),
+    lay = _Layout()
+    arms = [
+        lay.add(*(f"{nm}{i}" for nm in ("c1", "b1", "a1", "a2", "b2", "c2"))) for i in (1, 2, 3)
     ]
-    g = Graph(24, edges)
-    if g.max_degree() != 4:
-        raise ParameterError(f"construction broke: max degree {g.max_degree()} != 4")
-    irr = tuple(sorted(list(a1.values()) + list(a2.values())))
-    dom = tuple(
-        sorted(
-            [labels[f"b1{i}"] for i in (1, 2, 3)]
-            + [labels[f"b2{i}"] for i in (1, 2, 3)]
-            + [a2[1], a1[3], hub["u"], hub["z"]]
-        )
-    )
+    for arm in arms:
+        lay.path(arm)
+    u, v, w, x, y, z = lay.add(*"uvwxyz")
+    _c1, b1, a1, a2, b2, _c2 = zip(*arms)
+    for hub, (i, j) in zip((u, w, x), ((0, 1), (0, 2), (1, 2))):
+        lay.join(hub, [a1[i], a1[j]])
+    for hub, (i, j) in zip((v, y, z), ((0, 1), (0, 2), (1, 2))):
+        lay.join(hub, [a2[i], a2[j]])
+    dom = tuple(sorted(b1 + b2 + (a2[0], a1[2], u, z)))
     return FamilyInstance(
         name="fivethirds",
         params={},
-        graph=g,
+        graph=lay.graph(4),
         k=1,
+        labels=lay.labels,
         claimed_ir=6,
         claimed_gamma=10,
         claimed_iota=10,
-        witness_irredundant=irr,
+        witness_irredundant=tuple(sorted(a1 + a2)),
         witness_isolating=dom,
         witness_dominating=dom,
-        designated_cliques=None,
-        labels=labels,
     )
 
 
@@ -337,31 +301,21 @@ def gen_five_thirds():
 # ---------------------------------------------------------------------------
 
 
-def _sk_parts(k, base, tag):
-    """Edges, labels and anchors of one S(k) block starting at index base."""
-    xs = list(range(base, base + 8))
-    z = list(range(base + 8, base + 8 + k))
-    blocks = [
-        list(range(base + 8 + (j + 1) * k, base + 8 + (j + 2) * k)) for j in range(4)
-    ]
-    edges = [(xs[0], xs[1]), (xs[1], xs[2]), (xs[2], xs[3])]
-    edges += [(xs[4], xs[5]), (xs[5], xs[6]), (xs[6], xs[7])]
-    edges += _clique_edges(z)
+def _sk_parts(lay, k, tag):
+    """Lay out one S(k) block; returns its path vertices, its clique z and
+    its four anchored cliques."""
+    xs = lay.numbered(f"x{tag}_", 8)
+    z = lay.numbered(f"z{tag}_", k)
+    lay.complete(z)
+    blocks = [lay.clique(f"K{tag}_{j}", k) for j in range(1, 5)]
+    lay.path(xs[:4])
+    lay.path(xs[4:])
     for anchor, block in zip((xs[0], xs[3], xs[4], xs[7]), blocks):
-        edges += _clique_edges(block)
-        edges += [(anchor, v) for v in block]
-    edges += [(xs[1], v) for v in z[: k - 1]]
-    edges += [(xs[2], v) for v in z[1:]]
-    edges += [(xs[5], z[0]), (xs[5], z[k - 1])]
-    labels = {}
-    for j, v in enumerate(xs):
-        labels[f"x{tag}_{j + 1}"] = v
-    for j, v in enumerate(z):
-        labels[f"z{tag}_{j + 1}"] = v
-    for j, block in enumerate(blocks):
-        for jj, v in enumerate(block):
-            labels[f"K{tag}_{j + 1}.{jj}"] = v
-    return edges, labels, xs, z, blocks
+        lay.join(anchor, block)
+    lay.join(xs[1], z[: k - 1])
+    lay.join(xs[2], z[1:])
+    lay.join(xs[5], [z[0], z[k - 1]])
+    return xs, z, blocks
 
 
 def gen_Sk(k):
@@ -369,57 +323,28 @@ def gen_Sk(k):
     family; maximum degree k+1 with two saturated path centers."""
     if k < 3:
         raise ParameterError(f"Sk needs k >= 3, got k={k}")
-    edges, labels, xs, z, blocks = _sk_parts(k, 0, "")
-    g = Graph(8 + 5 * k, edges)
-    if g.max_degree() != k + 1:
-        raise ParameterError(f"construction broke: max degree {g.max_degree()} != {k + 1}")
+    lay = _Layout()
+    _sk_parts(lay, k, "")
     return FamilyInstance(
-        name="Sk",
-        params={"k": k},
-        graph=g,
-        k=k,
-        claimed_ir=None,
-        claimed_gamma=None,
-        claimed_iota=None,
-        witness_irredundant=None,
-        witness_isolating=None,
-        witness_dominating=None,
-        designated_cliques=None,
-        labels=labels,
+        name="Sk", params={"k": k}, graph=lay.graph(k + 1), k=k, labels=lay.labels
     )
 
 
-def _fks_parts(k, s, base):
-    """Edges, labels and anchors of the F(k, s) block starting at base."""
-    a = list(range(base, base + 4))
-    kp = list(range(base + 4, base + 4 + k))
-    kpp = list(range(base + 4 + k, base + 4 + 2 * k))
-    tails = [
-        list(range(base + 4 + (j + 2) * k, base + 4 + (j + 3) * k)) for j in range(s)
-    ]
-    edges = [(a[0], a[1]), (a[1], a[2]), (a[2], a[3])]
-    edges += _clique_edges(kp) + [(a[0], v) for v in kp]
-    edges += _clique_edges(kpp) + [(a[3], v) for v in kpp]
+def _fks_parts(lay, k, s):
+    """Lay out the F(k, s) block; returns its path vertices, its two end
+    cliques and its s tail cliques."""
+    a = lay.numbered("a", 4)
+    kp = lay.clique("Kp", k)
+    kpp = lay.clique("Kpp", k)
+    tails = [lay.clique(f"Kt{j}", k) for j in range(1, s + 1)]
     v1 = tails[0]
-    edges += _clique_edges(v1)
-    edges += [(a[1], v1[0]), (a[1], v1[1])]
-    edges += [(a[2], v) for v in v1[1:]]
-    for tail in tails[1:]:
-        edges += _clique_edges(tail)
-        edges.append((a[1], tail[0]))
-    labels = {}
-    for j, v in enumerate(a):
-        labels[f"a{j + 1}"] = v
-    for j, v in enumerate(kp):
-        labels[f"Kp.{j}"] = v
-    for j, v in enumerate(kpp):
-        labels[f"Kpp.{j}"] = v
-    for jj, tail in enumerate(tails):
-        for j, v in enumerate(tail):
-            labels[f"Kt{jj + 1}.{j}"] = v
-    for j, v in enumerate(v1):
-        labels[f"v{j}"] = v
-    return edges, labels, a, kp, kpp, tails
+    lay.labels.update((f"v{j}", v) for j, v in enumerate(v1))
+    lay.path(a)
+    lay.join(a[0], kp)
+    lay.join(a[3], kpp)
+    lay.join(a[1], [v1[0], v1[1]] + [tail[0] for tail in tails[1:]])
+    lay.join(a[2], v1[1:])
+    return a, kp, kpp, tails
 
 
 def gen_Fks(k, s):
@@ -427,23 +352,10 @@ def gen_Fks(k, s):
     second vertex fans out over s tail cliques."""
     if k < 3 or not 1 <= s <= k - 2:
         raise ParameterError(f"Fks needs k >= 3 and 1 <= s <= k-2, got k={k}, s={s}")
-    edges, labels, a, kp, kpp, tails = _fks_parts(k, s, 0)
-    g = Graph(4 + (s + 2) * k, edges)
-    if g.max_degree() != k + 1:
-        raise ParameterError(f"construction broke: max degree {g.max_degree()} != {k + 1}")
+    lay = _Layout()
+    _fks_parts(lay, k, s)
     return FamilyInstance(
-        name="Fks",
-        params={"k": k, "s": s},
-        graph=g,
-        k=k,
-        claimed_ir=None,
-        claimed_gamma=None,
-        claimed_iota=None,
-        witness_irredundant=None,
-        witness_isolating=None,
-        witness_dominating=None,
-        designated_cliques=None,
-        labels=labels,
+        name="Fks", params={"k": k, "s": s}, graph=lay.graph(k + 1), k=k, labels=lay.labels
     )
 
 
@@ -481,16 +393,9 @@ def gen_Hksl(k, s):
             f"wiring demand {supply} exceeds tail capacity {capacity} for k={k}, s={s}"
         )
 
-    edges, labels, a, kp, kpp, tails = _fks_parts(k, s, 0)
-    nf = 4 + (s + 2) * k
-    ns = 8 + 5 * k
-    copies = []
-    for i in range(l):
-        base = nf + i * ns
-        e2, lab2, xs, z, blocks = _sk_parts(k, base, str(i + 1))
-        edges += e2
-        labels.update(lab2)
-        copies.append((xs, z, blocks))
+    lay = _Layout()
+    a, kp, kpp, tails = _fks_parts(lay, k, s)
+    copies = [_sk_parts(lay, k, str(i)) for i in range(1, l + 1)]
 
     # spare-capacity wiring into the tail cliques
     l1 = [v for tail in tails[1:] for v in tail]
@@ -499,10 +404,9 @@ def gen_Hksl(k, s):
         load[tail[0]] = 1  # the head's second path vertex already holds it
     v1 = tails[0]
     last_xs = copies[-1][0]
-    edges += [(last_xs[6], v) for v in v1 if v != v1[1]]
+    lay.join(last_xs[6], [v for v in v1 if v != v1[1]])
     sources = []
-    for i in range(l - 1):
-        xs = copies[i][0]
+    for xs, _z, _blocks in copies[:-1]:
         sources.append((xs[5], delta - 4))
         sources.append((xs[6], delta - 2))
     sources.append((last_xs[5], rprime))
@@ -519,14 +423,10 @@ def gen_Hksl(k, s):
                 raise ParameterError("tail wiring stuck; capacity audit was wrong")
             if load[v] >= 2 or v in taken:
                 continue
-            edges.append((src, v))
+            lay.join(src, [v])
             load[v] += 1
             taken.add(v)
             placed += 1
-
-    g = Graph(nf + l * ns, edges)
-    if g.max_degree() != delta:
-        raise ParameterError(f"construction broke: max degree {g.max_degree()} != {delta}")
 
     iso = [a[0], a[1], a[3]]
     irr = [a[1], a[2]]
@@ -536,20 +436,17 @@ def gen_Hksl(k, s):
         irr += [xs[1], xs[2], xs[5], xs[6]]
         cliques.append(tuple(z))
         cliques += [tuple(b) for b in blocks]
-    claimed = 5 * l + 3
     return FamilyInstance(
         name="Hksl",
         params={"k": k, "s": s, "l": l, "r": r, "rprime": rprime},
-        graph=g,
+        graph=lay.graph(delta),
         k=k,
+        labels=lay.labels,
         claimed_ir=4 * l + 2,
-        claimed_gamma=None,
-        claimed_iota=claimed,
+        claimed_iota=5 * l + 3,
         witness_irredundant=tuple(sorted(irr)),
         witness_isolating=tuple(sorted(iso)),
-        witness_dominating=None,
         designated_cliques=tuple(cliques),
-        labels=labels,
     )
 
 

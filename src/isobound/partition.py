@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import DichotomyError, MachineryError, PreconditionError, RegimeError
 from .graph import bits, clique_table, closed_mask, mask_of, vertex_mask
-from .predicates import is_maximal_irredundant_mask, private_neighborhoods
+from .predicates import irredundant_extension, private_neighborhoods
 
 
 @dataclass(frozen=True, eq=True)
@@ -94,10 +94,11 @@ def compute_partition(g, i):
     not a property of the input).
     """
     imask = vertex_mask(g, i)
-    if not is_maximal_irredundant_mask(g, imask):
+    state = private_neighborhoods(g, imask)
+    if state is None or irredundant_extension(g, *state, g.full & ~imask) is not None:
         raise PreconditionError("input set is not maximal irredundant")
 
-    pns, closed_i = private_neighborhoods(g, imask)
+    pns, closed_i = state
     pn = dict(zip(bits(imask), pns))
     seen = 0
     for pnm in pns:

@@ -250,10 +250,10 @@ def _ir_search(g):
     full = g.full
     explored = [0]
 
-    def dfs(start, smask, members, pns, union_closed, need):
+    def dfs(start, smask, pns, union_closed, need):
         explored[0] += 1
         if need == 1:
-            return _last_member(clo, full, start, smask, members, pns, union_closed)
+            return _last_member(clo, full, start, smask, pns, union_closed)
         for u in range(start, n - need + 1):
             cu = clo[u]
             pn_u = cu & ~union_closed
@@ -267,34 +267,26 @@ def _ir_search(g):
                 new_pns.append(pn)
             else:
                 new_pns.append(pn_u)
-                members.append(u)
-                if dfs(
-                    u + 1,
-                    smask | (1 << u),
-                    members,
-                    new_pns,
-                    union_closed | cu,
-                    need - 1,
-                ):
-                    return True
-                members.pop()
-        return False
+                found = dfs(u + 1, smask | (1 << u), new_pns, union_closed | cu, need - 1)
+                if found:
+                    return found
+        return 0
 
     for size in range(1, n + 1):
-        members = []
-        if dfs(0, 0, members, [], 0, size):
+        found = dfs(0, 0, [], 0, size)
+        if found:
             dfs = None  # frees the search state now, as in _isolation_solve
-            return SolveResult(size, tuple(members), explored[0])
+            return SolveResult(size, tuple(bits(found)), explored[0])
     raise AssertionError("every nonempty graph has a maximal irredundant set")
 
 
-def _last_member(clo, full, start, smask, members, pns, union_closed):
-    """Append to members the lowest u >= start with S + u maximal
-    irredundant and return True, or return False when there is none.
+def _last_member(clo, full, start, smask, pns, union_closed):
+    """The mask of S + u for the lowest u >= start with S + u maximal
+    irredundant, or 0 when there is none.
 
-    (pns, union_closed) is the state of the irredundant set S. S + u keeps
-    the private neighbourhoods pn & ~N[u] of S and gives u the part of N[u]
-    outside N[S]; an outside vertex w extends S + u exactly when N[w]
+    smask is the irredundant set S and (pns, union_closed) its state. S + u
+    keeps the private neighbourhoods pn & ~N[u] of S and gives u the part of
+    N[u] outside N[S]; an outside vertex w extends S + u exactly when N[w]
     reaches outside N[S + u] and none of those neighbourhoods fits inside
     N[w].
     """
@@ -321,9 +313,8 @@ def _last_member(clo, full, start, smask, members, pns, union_closed):
                 else:
                     break  # w extends S + u
             else:
-                members.append(u)
-                return True
-    return False
+                return smask | 1 << u
+    return 0
 
 
 def iota_lower_bound(g, k, designated=None):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import errno
 import gc
 import itertools
@@ -22,7 +23,7 @@ from isobound import (
     conjecture_survey,
     verify_stream,
 )
-from isobound import MachineryError, ParameterError, cli, constructive, harness, refine_pairs
+from isobound import MachineryError, ParameterError, cli, constructive, harness, partition, refine_pairs
 from isobound.cli import main
 from isobound.constructive import applicable_ks
 from isobound.harness import (
@@ -139,6 +140,34 @@ class TestCheckGraph:
             for k in applicable_ks(g.max_degree()):
                 assert rec["checks"][f"construct_k{k}"] is True
 
+
+
+class TestWitnessRecheck:
+    # the minimum set {0, 1} leaves 5 undominated, with x = 0 and the one
+    # nonadjacent pair (2, 3) of PN(0) = {2, 3}, both covered by y = 1
+    G6 = "Fsoro"
+
+    @pytest.mark.parametrize(
+        "change,problem",
+        [
+            ({"x": 5}, "undominated 5: x=5 is not in b with PN(x) inside N(u)"),
+            ({"pairs": ((2, 2, 1, 1),)}, "undominated 5: (2, 2) is not a nonadjacent pair in PN(0)"),
+            ({"pairs": ((2, 3, 0, 1),)}, "undominated 5: y=0 does not cover pair vertex 2"),
+        ],
+    )
+    def test_a_wrong_witness_fails(self, monkeypatch, change, problem):
+        real = harness.undominated_witnesses
+        g = parse_graph6(self.G6)
+        assert real(g, compute_partition(g, (0, 1))) == (
+            partition.UndominatedWitness(u=5, x=0, pairs=((2, 3, 1, 1),)),
+        )
+        monkeypatch.setattr(
+            harness, "undominated_witnesses",
+            lambda g, part: tuple(dataclasses.replace(w, **change) for w in real(g, part)),
+        )
+        rec = check_graph(self.G6)
+        assert rec["checks"]["witnesses_min"] is False
+        assert f"{self.G6} min: {problem}" in rec["failures"]
 
 @st.composite
 def random_graphs(draw):
@@ -375,6 +404,41 @@ class TestCertifyFamily:
         assert failures == []
         assert row["ir_certification"] == "solver"
         assert row["gamma_certification"] == "witness-upper+asserted-lower"
+
+    @staticmethod
+    def _altered(monkeypatch, **changes):
+        """Have certify build each instance with the given fields replaced."""
+        real = harness.make_instance
+        monkeypatch.setattr(
+            harness, "make_instance",
+            lambda name, params: dataclasses.replace(real(name, params), **changes),
+        )
+
+    def test_gamma_claim_above_its_witness_is_asserted(self, monkeypatch):
+        # the dominating witness has 2 vertices, so it cannot pin gamma = 3
+        monkeypatch.setattr(harness, "GAMMA_CAP", 0)
+        self._altered(monkeypatch, claimed_gamma=3)
+        row, failures = certify_family("G1", {"t": 2, "k": 2})
+        assert row["status"] == "FAIL"
+        assert row["gamma_certification"] == "asserted" and "gamma" not in row
+        assert failures == ["G1{'t': 2, 'k': 2}: gamma claim not pinned by certificates"]
+
+    def test_ir_claim_without_a_witness_is_asserted(self, monkeypatch):
+        monkeypatch.setattr(harness, "IR_ORDER_CAP", 0)
+        self._altered(monkeypatch, witness_irredundant=None)
+        row, failures = certify_family("G1", {"t": 2, "k": 2})
+        assert row["status"] == "FAIL"
+        assert row["ir_certification"] == "asserted" and "ir" not in row
+        assert failures == ["G1{'t': 2, 'k': 2}: ir claim not pinned by certificates"]
+
+    def test_iota_claim_needs_the_packing_bound(self, monkeypatch):
+        monkeypatch.setattr(harness, "IOTA_CAP", 0)
+        row, failures = certify_family("G1", {"t": 2, "k": 2})
+        assert failures == [] and row["iota_certification"] == "witness+packing"
+        self._altered(monkeypatch, designated_cliques=None)
+        row, failures = certify_family("G1", {"t": 2, "k": 2})
+        assert row["iota_certification"] == "asserted"
+        assert failures == ["G1{'t': 2, 'k': 2}: iota claim not pinned by certificates"]
 
 
 class TestVerifyStream:
