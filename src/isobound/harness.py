@@ -558,7 +558,7 @@ def certify_family(name, params):
     ):
         if witness is None:
             continue
-        if key != "gamma":
+        if key != "gamma":  # the report has no gamma_upper key
             row[f"{key}_upper"] = len(witness)
         if holds(g, witness):
             sizes[key] = len(witness)
