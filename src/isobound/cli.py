@@ -8,6 +8,8 @@ invariants), partition / construct (machinery for one graph), family
 Exit status: 0 when every requested guarantee held, 1 when one was violated
 (or a tested predicate is false), 2 on bad input, 3 when the machinery
 itself failed (a MachineryError: an internal bug or a falsified guarantee).
+verify is the exception: it records a MachineryError as that graph's hard
+failure and exits 1.
 """
 
 import argparse

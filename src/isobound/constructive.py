@@ -7,10 +7,9 @@ All arithmetic is exact: bounds are fractions, comparisons are never
 performed on floats.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import ParameterError, RegimeError
 from .graph import Graph, bits, clique_table, vertex_mask
@@ -20,8 +19,7 @@ from .partition import (
 from .predicates import is_k_isolating
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(NamedTuple):
     """Outcome of one constructive run.
 
     t is the isolating set built from input_set; bound is the certified

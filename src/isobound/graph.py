@@ -6,8 +6,8 @@ neighborhoods, domination closures, clique residuals) branch-light. The
 supported order cap is n <= 512.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import Graph6ParseError, OrderCapError
 
@@ -16,8 +16,20 @@ ORDER_CAP = 512
 GRAPH6_HEADER = ">>graph6<<"
 
 
+# The set bit positions of every byte value, so that a mask below 256 (any
+# vertex set of a graph on up to 8 vertices) is walked by one lookup.
+_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+
+
 def bits(mask):
-    """Iterate set bit positions of mask in ascending order."""
+    """The set bit positions of mask (nonnegative) in ascending order: a
+    tuple from a table below 256, a lazy iterator above."""
+    if mask < 256:
+        return _BYTE_BITS[mask]
+    return _bits_wide(mask)
+
+
+def _bits_wide(mask):
     while mask:
         b = mask & -mask
         yield b.bit_length() - 1
@@ -361,8 +373,7 @@ def has_k_clique(g, k, within=None):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GraphClass:
+class GraphClass(NamedTuple):
     n: int
     m: int
     max_degree: int

@@ -11,6 +11,7 @@ property raises MachineryError rather than degrading silently.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DichotomyError, MachineryError, PreconditionError, RegimeError
 from .graph import bits, clique_table, closed_mask, mask_of, vertex_mask
@@ -263,8 +264,7 @@ def check_delta_regime(g, part):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PairRefinement:
+class PairRefinement(NamedTuple):
     """Refinement data for the k = Delta-1 regime; vertex sets are masks.
 
     mprime: members of m with exactly two private neighbors; mtilde: the rest.
@@ -374,8 +374,7 @@ def refine_pairs(g, part):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwinRefinement:
+class TwinRefinement(NamedTuple):
     """Refinement data for the k = Delta-2 regime; vertex sets are masks.
 
     mprime / mdouble: members of m with exactly two / three private

@@ -40,6 +40,7 @@ witness depends on the order the DFS visits nodes in.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CertificateError, SizeCapError
 from .graph import bits, clique_table, closed_mask, components
@@ -48,8 +49,7 @@ from .predicates import is_k_isolating_mask
 IR_ORDER_CAP = 32
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     value: int
     witness: tuple
     explored: int
@@ -153,7 +153,11 @@ def _isolation_solve(g, k):
         known = dfs(value, 0, g.full)
         if known is not None:
             break
-    assert known is not None, "the full vertex set is always isolating"
+    if known is None:
+        raise AssertionError(
+            f"isolation self-check: no size up to n isolates (n={g.n}, k={k}), "
+            "but the full vertex set always does"
+        )
     # The lex-least witness, one vertex per position. `known` is a solution
     # holding the prefix, with the rest above the prefix's last vertex, so
     # its lowest vertex past the prefix, nxt, is a feasible next vertex: only
@@ -177,7 +181,10 @@ def _isolation_solve(g, k):
         covered |= g.clo[nxt]
         witness.append(nxt)
         start = nxt + 1
-    assert is_k_isolating_mask(g, prefix, k)
+    if not is_k_isolating_mask(g, prefix, k):
+        raise AssertionError(
+            f"isolation self-check: witness {witness} is not {k}-isolating (n={g.n}, k={k})"
+        )
     # dfs holds itself through its closure: clearing it frees the search
     # state now instead of at the next cyclic garbage collection
     dfs = None

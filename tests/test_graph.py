@@ -57,6 +57,28 @@ def to_nx(g):
     return h
 
 
+def reference_bits(mask):
+    """bits as a lazy walk of the lowest set bit, the reference the table
+    lookup must agree with."""
+    while mask:
+        b = mask & -mask
+        yield b.bit_length() - 1
+        mask ^= b
+
+
+class TestBits:
+    def test_every_mask_below_4096(self):
+        for m in range(1 << 12):
+            assert tuple(bits(m)) == tuple(reference_bits(m)), m
+
+    def test_seeded_wide_masks(self):
+        rng = random.Random(16)
+        for width in (9, 16, 63, 64, 65, 200, 511, 512):
+            for _ in range(40):
+                m = rng.getrandbits(width)
+                assert tuple(bits(m)) == tuple(reference_bits(m)), m
+
+
 class TestConstruction:
     def test_basic(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import event, given, settings
@@ -260,6 +261,27 @@ THEOREM_FAILURES = {
 }
 
 
+def _invariants_at(real, gamma_value, ir_value):
+    """_exact_invariants with the gamma and ir values replaced; the witnesses
+    and iota_k stay real, so the machinery stages still run."""
+
+    def fake(g, top):
+        gam, irr, iotas = real(g, top)
+        return SolveResult(gamma_value, gam.witness, 0), SolveResult(ir_value, irr.witness, 0), iotas
+
+    return fake
+
+
+# The strict theorem checks at equality: (graph6, check, failure text, gamma
+# and ir on the bound, a gamma one below it). The spider is a tree, so a
+# cactus; FxCgO is a cactus and not a tree.
+STRICT_AT_EQUALITY = [
+    ("Jh_GK?@?G?_", "gamma_lt_2ir", "gamma=4 not < 2*ir=4", (4, 2), 3),
+    ("Jh_GK?@?G?_", "tree_strict_3_2", "tree gamma not < 3/2 ir", (3, 2), 2),
+    ("FxCgO", "cactus_8_5", "cactus gamma not < 8/5 ir", (8, 5), 7),
+]
+
+
 class TestTheoremChecks:
     @pytest.mark.parametrize("g6", sorted(THEOREM_FAILURES))
     def test_every_applicable_check_reports_its_failure(self, g6, monkeypatch):
@@ -283,6 +305,40 @@ class TestTheoremChecks:
         rec = check_graph(">>graph6<<DQc")
         assert rec["checks"]["roundtrip"] is False
         assert rec["failures"] == [">>graph6<<DQc roundtrip: re-encoded to DQg"]
+
+    @pytest.mark.parametrize("g6, name, text, on_bound, below", STRICT_AT_EQUALITY)
+    def test_strict_check_fails_on_its_bound(self, g6, name, text, on_bound, below, monkeypatch):
+        real = harness._exact_invariants
+        gamma_value, ir_value = on_bound
+        monkeypatch.setattr(harness, "_exact_invariants", _invariants_at(real, gamma_value, ir_value))
+        rec = check_graph(g6)
+        assert rec["checks"][name] is False
+        assert f"{g6}: {text}" in rec["failures"]
+        monkeypatch.setattr(harness, "_exact_invariants", _invariants_at(real, below, ir_value))
+        assert check_graph(g6)["checks"][name] is True
+
+    def test_certificate_over_its_bound_fails(self, monkeypatch):
+        g6 = "Jh_GK?@?G?_"
+        g = parse_graph6(g6)
+        witness = ir(g).witness
+        k = g.max_degree()
+        size = len(build_isolating_set(g, witness, k).t)
+        real = constructive.isolation_bound
+
+        def bound_at(ceiling):
+            def patched(k_, delta, ir_value, s=None):
+                return Fraction(ceiling) if k_ == k else real(k_, delta, ir_value, s)
+
+            return patched
+
+        monkeypatch.setattr(constructive, "isolation_bound", bound_at(size))
+        assert build_isolating_set(g, witness, k).satisfied is True
+        monkeypatch.setattr(constructive, "isolation_bound", bound_at(size - 1))
+        cert = build_isolating_set(g, witness, k)
+        assert len(cert.t) == size and cert.satisfied is False
+        rec = check_graph(g6)
+        assert rec["checks"][f"construct_k{k}"] is False
+        assert f"{g6} construct k={k}: |T|={size} exceeds bound {size - 1}/1" in rec["failures"]
 
 
 # Corpus graphs whose seeded spot set is their ir witness: the first one,

@@ -1,13 +1,24 @@
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from isobound import (
+    BoundCertificate,
     CertificateError,
     Graph,
+    GraphClass,
+    PairRefinement,
     SizeCapError,
+    TwinRefinement,
+    build_isolating_set,
     check_graph,
+    classify,
+    compute_partition,
     encode_graph6,
     gamma,
     iota,
@@ -17,6 +28,9 @@ from isobound import (
     is_k_isolating,
     is_maximal_irredundant,
     parse_graph6,
+    refine_pairs,
+    refine_twins,
+    solvers,
 )
 from isobound.families import gen_five_thirds
 from isobound.graph import bits, clique_table, closed_mask, components
@@ -678,3 +692,78 @@ class TestSolveResult:
     def test_witness_tuple_sorted(self):
         res = gamma(cycle(9))
         assert list(res.witness) == sorted(res.witness)
+
+
+def verify_records(g6):
+    """The five records a verify call builds, each computed from g6 afresh."""
+    g = parse_graph6(g6)
+    witness = ir(g).witness
+    part = compute_partition(g, witness)
+    return [
+        gamma(g),
+        classify(g),
+        build_isolating_set(g, witness, g.max_degree() - 1, part=part),
+        refine_pairs(g, part),
+        refine_twins(g, part),
+    ]
+
+
+class TestRecords:
+    G6 = "IheA@GUAo"  # the Petersen graph: delta 3, so all four regimes apply
+
+    def test_the_five_record_types(self):
+        assert [type(r) for r in verify_records(self.G6)] == [
+            SolveResult, GraphClass, BoundCertificate, PairRefinement, TwinRefinement
+        ]
+
+    def test_records_refuse_assignment(self):
+        for rec in verify_records(self.G6):
+            with pytest.raises(AttributeError):
+                setattr(rec, rec._fields[0], 0)
+            with pytest.raises(AttributeError):
+                rec.extra = 0
+
+    def test_equal_records_hash_equal(self):
+        for first, again in zip(verify_records(self.G6), verify_records(self.G6)):
+            assert first is not again
+            assert first == again and hash(first) == hash(again)
+
+    def test_repr_names_every_field(self):
+        for rec in verify_records(self.G6):
+            body = ", ".join(f"{name}={getattr(rec, name)!r}" for name in rec._fields)
+            assert repr(rec) == f"{type(rec).__name__}({body})"
+        assert repr(SolveResult(2, (0, 3), 5)) == "SolveResult(value=2, witness=(0, 3), explored=5)"
+
+    def test_equal_to_a_plain_tuple(self):
+        res = gamma(path(5))
+        assert res == (2, (0, 3), res.explored)
+
+    def test_certificate_s_param_defaults_to_none(self):
+        cert = BoundCertificate("delta", 3, (0,), (0,), Fraction(1), True, True)
+        assert cert.s_param is None
+
+
+class TestSelfChecks:
+    """The isolation solver re-checks its witness before returning it."""
+
+    def test_a_witness_that_does_not_isolate_raises(self, monkeypatch):
+        monkeypatch.setattr(solvers, "is_k_isolating_mask", lambda g, mask, k: False)
+        with pytest.raises(AssertionError, match=r"isolation self-check: .* \(n=5, k=1\)"):
+            gamma(path(5))
+
+    def test_the_check_runs_under_python_O(self):
+        # the child finds the package where this process imported it from
+        src = os.path.dirname(os.path.dirname(solvers.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "from isobound import Graph, solvers\n"
+            "solvers.is_k_isolating_mask = lambda g, mask, k: False\n"
+            "solvers.gamma(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 1
+        assert "AssertionError: isolation self-check:" in proc.stderr
+        assert "(n=5, k=1)" in proc.stderr
