@@ -90,10 +90,16 @@ def _vertices(vertices):
     return " ".join(map(str, vertices)) or "-"
 
 
-def _parse_vertex_set(text):
-    if not text.strip():
-        return ()
-    return tuple(int(tok) for tok in text.replace(",", " ").split())
+def _option_int(option, token):
+    """int(token), or a ParameterError naming the option and the token."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ParameterError(f"{option}: expected an integer, got {token!r}") from None
+
+
+def _parse_vertex_set(text, option):
+    return tuple(_option_int(option, tok) for tok in text.replace(",", " ").split())
 
 
 def _parse_params(text):
@@ -103,8 +109,8 @@ def _parse_params(text):
     for item in text.split(","):
         key, _, val = item.partition("=")
         if not _:
-            raise ParameterError(f"expected key=value, got {item!r}")
-        params[key.strip()] = int(val)
+            raise ParameterError(f"--params: expected key=value, got {item!r}")
+        params[key.strip()] = _option_int("--params", val)
     return params
 
 
@@ -222,7 +228,7 @@ def cmd_solve(args):
 
 def cmd_partition(args):
     g = _only_graph(args.g6)
-    iset = _parse_vertex_set(args.iset)
+    iset = _parse_vertex_set(args.iset, "--iset")
     part = compute_partition(g, iset)
     for name in ("i", "u", "p", "s", "z", "a", "q", "b", "nset", "m"):
         print(f"{name}: {_vertices(bits(getattr(part, name)))}")
@@ -247,7 +253,7 @@ def cmd_partition(args):
 
 def cmd_construct(args):
     g = _only_graph(args.g6)
-    iset = _parse_vertex_set(args.iset)
+    iset = _parse_vertex_set(args.iset, "--iset")
     cert = build_isolating_set(g, iset, args.k)
     print(f"regime: {cert.regime}")
     print(f"t: {_vertices(cert.t)}")
@@ -289,7 +295,7 @@ def cmd_family(args):
 
 def cmd_check(args):
     g = _only_graph(args.g6)
-    vset = _parse_vertex_set(args.set)
+    vset = _parse_vertex_set(args.set, "--set")
     if args.predicate == "dominating":
         ok = is_dominating(g, vset)
     elif args.predicate == "irredundant":

@@ -244,23 +244,41 @@ def _ir_search(g):
     maximality literally, by attempting every one-vertex extension. The first
     hit at the smallest feasible size is the lex-least witness.
 
-    The last member is chosen in place: a node with one member left to pick
-    scans the candidates in ascending order and stops at the first u for
-    which S + u is irredundant and maximal, reading the private
+    The last member is chosen in place: the loop that picks the member
+    before it scans the candidates u in ascending order and stops at the
+    first u for which S + u is irredundant and maximal, reading the private
     neighbourhoods of S + u as pn & ~N[u] without building them. Such a scan
     counts as one node in `explored`, like every node below the target size.
+    Size 1 has no member before the last: {u} is maximal irredundant unless
+    some w has N[w] and N[u] each reaching outside the other.
+
+    The scan first tries to refute u with the carried extender kw = N[w],
+    the last vertex w that extended some S + u in a full scan of this
+    search (the killer heuristic of game-tree search). When N[w] reaches
+    outside N[S + u], u keeps a private neighbour outside N[w] and every
+    member of S keeps one outside N[u] and N[w], then S + u + w is
+    irredundant: w is outside S + u and extends it, so S + u is not maximal
+    and the full scan would reject u too. Whether u and w are adjacent does
+    not enter. Only when the refutation fails does the full scan over every
+    outside w run, and the extender it finds becomes kw. A refuted
+    candidate is one the scan rejects anyway, so the tree and `explored`
+    are those of the scan alone.
     """
     if g.n == 0:
         return SolveResult(0, (), 0)
     n = g.n
     clo = g.clo
     full = g.full
-    explored = [0]
+    for u in range(n):
+        cu = clo[u]
+        if all(not cw & ~cu or not cu & ~cw for cw in clo):
+            return SolveResult(1, (u,), 1)
+    explored = 1
+    kw = 0
 
     def dfs(start, smask, pns, union_closed, need):
-        explored[0] += 1
-        if need == 1:
-            return _last_member(clo, full, start, smask, pns, union_closed)
+        nonlocal explored, kw
+        explored += 1
         for u in range(start, n - need + 1):
             cu = clo[u]
             pn_u = cu & ~union_closed
@@ -274,54 +292,55 @@ def _ir_search(g):
                 new_pns.append(pn)
             else:
                 new_pns.append(pn_u)
-                found = dfs(u + 1, smask | (1 << u), new_pns, union_closed | cu, need - 1)
-                if found:
-                    return found
+                smask_u = smask | 1 << u
+                union_u = union_closed | cu
+                if need > 2:
+                    found = dfs(u + 1, smask_u, new_pns, union_u, need - 1)
+                    if found:
+                        return found
+                    continue
+                # the last-member scan of S + u over its candidates v
+                explored += 1
+                for v in range(u + 1, n):
+                    cv = clo[v]
+                    pn_v = cv & ~union_u
+                    if not pn_v:
+                        continue
+                    covered = union_u | cv
+                    if kw & ~covered and pn_v & ~kw:
+                        cvw = cv | kw
+                        for pn in new_pns:
+                            if not pn & ~cvw:
+                                break
+                        else:
+                            continue  # kw extends S + u + v
+                    for pn in new_pns:
+                        if not pn & ~cv:
+                            break
+                    else:
+                        rest = full & ~(smask_u | 1 << v)
+                        while rest:
+                            b = rest & -rest
+                            rest ^= b
+                            cw = clo[b.bit_length() - 1]
+                            if not cw & ~covered or not pn_v & ~cw:
+                                continue
+                            for pn in new_pns:
+                                if not pn & ~(cv | cw):
+                                    break
+                            else:
+                                kw = cw  # w extends S + u + v
+                                break
+                        else:
+                            return smask_u | 1 << v
         return 0
 
-    for size in range(1, n + 1):
+    for size in range(2, n + 1):
         found = dfs(0, 0, [], 0, size)
         if found:
             dfs = None  # frees the search state now, as in _isolation_solve
-            return SolveResult(size, tuple(bits(found)), explored[0])
+            return SolveResult(size, tuple(bits(found)), explored)
     raise AssertionError("every nonempty graph has a maximal irredundant set")
-
-
-def _last_member(clo, full, start, smask, pns, union_closed):
-    """The mask of S + u for the lowest u >= start with S + u maximal
-    irredundant, or 0 when there is none.
-
-    smask is the irredundant set S and (pns, union_closed) its state. S + u
-    keeps the private neighbourhoods pn & ~N[u] of S and gives u the part of
-    N[u] outside N[S]; an outside vertex w extends S + u exactly when N[w]
-    reaches outside N[S + u] and none of those neighbourhoods fits inside
-    N[w].
-    """
-    for u in range(start, len(clo)):
-        cu = clo[u]
-        pn_u = cu & ~union_closed
-        if not pn_u:
-            continue
-        for pn in pns:
-            if not pn & ~cu:
-                break
-        else:
-            free = full & ~(union_closed | cu)
-            rest = full & ~(smask | 1 << u)
-            while rest:
-                b = rest & -rest
-                rest ^= b
-                cw = clo[b.bit_length() - 1]
-                if not cw & free or not pn_u & ~cw:
-                    continue
-                for pn in pns:
-                    if not pn & ~(cu | cw):
-                        break
-                else:
-                    break  # w extends S + u
-            else:
-                return smask | 1 << u
-    return 0
 
 
 def iota_lower_bound(g, k, designated=None):

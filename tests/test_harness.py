@@ -879,6 +879,31 @@ class TestCli:
             assert err == f"error: vertex {bad} out of range for n=4\n"
 
     @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["check", "--g6", "{g6}", "--set", "1 x", "--predicate", "dominating"], "--set"),
+            (["partition", "--g6", "{g6}", "--iset", "1,x"], "--iset"),
+            (["construct", "--g6", "{g6}", "--iset", "x", "--k", "2"], "--iset"),
+            (["family", "--name", "G1", "--params", "t=2,k=x"], "--params"),
+        ],
+    )
+    def test_token_not_an_integer_exit_two(self, capsys, tmp_path, argv, option):
+        g6 = tmp_path / "in.g6"
+        g6.write_text("Cr\n")
+        assert self.run([a.format(g6=g6) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {option}: expected an integer, got 'x'\n"
+
+    def test_family_params_value_not_an_integer(self, capsys):
+        assert self.run(["family", "--name", "G1", "--params", "k=a"]) == 2
+        assert capsys.readouterr().err == "error: --params: expected an integer, got 'a'\n"
+
+    def test_family_params_item_without_value(self, capsys):
+        assert self.run(["family", "--name", "G1", "--params", "t=2,k"]) == 2
+        assert capsys.readouterr().err == "error: --params: expected key=value, got 'k'\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["family", "--name", "G1", "--params", "foo=1"],

@@ -6,6 +6,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isobound import (
     BoundCertificate,
@@ -243,6 +245,85 @@ def reference_ir(g):
     raise AssertionError("every nonempty graph has a maximal irredundant set")
 
 
+def reference_ir_search(g):
+    """The ir kernel before the carried-extender refutation: every candidate
+    last member that passes the irredundance test gets the full maximality
+    scan. Kept verbatim as the reference that _ir_search must match in
+    value, witness and `explored`."""
+    if g.n == 0:
+        return SolveResult(0, (), 0)
+    n = g.n
+    clo = g.clo
+    full = g.full
+    explored = [0]
+
+    def dfs(start, smask, pns, union_closed, need):
+        explored[0] += 1
+        if need == 1:
+            return reference_last_member(clo, full, start, smask, pns, union_closed)
+        for u in range(start, n - need + 1):
+            cu = clo[u]
+            pn_u = cu & ~union_closed
+            if not pn_u:
+                continue
+            new_pns = []
+            for pn in pns:
+                pn &= ~cu
+                if not pn:
+                    break
+                new_pns.append(pn)
+            else:
+                new_pns.append(pn_u)
+                found = dfs(u + 1, smask | (1 << u), new_pns, union_closed | cu, need - 1)
+                if found:
+                    return found
+        return 0
+
+    for size in range(1, n + 1):
+        found = dfs(0, 0, [], 0, size)
+        if found:
+            dfs = None  # frees the search state now, as in _isolation_solve
+            return SolveResult(size, tuple(bits(found)), explored[0])
+    raise AssertionError("every nonempty graph has a maximal irredundant set")
+
+
+def reference_last_member(clo, full, start, smask, pns, union_closed):
+    """The mask of S + u for the lowest u >= start with S + u maximal
+    irredundant, or 0 when there is none.
+
+    smask is the irredundant set S and (pns, union_closed) its state. S + u
+    keeps the private neighbourhoods pn & ~N[u] of S and gives u the part of
+    N[u] outside N[S]; an outside vertex w extends S + u exactly when N[w]
+    reaches outside N[S + u] and none of those neighbourhoods fits inside
+    N[w].
+    """
+    for u in range(start, len(clo)):
+        cu = clo[u]
+        pn_u = cu & ~union_closed
+        if not pn_u:
+            continue
+        for pn in pns:
+            if not pn & ~cu:
+                break
+        else:
+            free = full & ~(union_closed | cu)
+            rest = full & ~(smask | 1 << u)
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                cw = clo[b.bit_length() - 1]
+                if not cw & free or not pn_u & ~cw:
+                    continue
+                for pn in pns:
+                    if not pn & ~(cu | cw):
+                        break
+                else:
+                    break  # w extends S + u
+            else:
+                return smask | 1 << u
+    return 0
+
+
 def random_gnp(n, p, rng):
     return Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
 
@@ -382,7 +463,54 @@ class TestIrInPlace:
         n = 28
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.15]
         res = ir(Graph(n, edges))
-        assert (res.value, res.witness) == (6, (0, 4, 6, 7, 20, 22))
+        assert res == (6, (0, 4, 6, 7, 20, 22), 24936)
+
+
+def assert_matches_reference_search(g):
+    """_ir_search against reference_ir_search on each component of g (the
+    kernel is meant for one component at a time; an edgeless part of a
+    dozen vertices would take it exponentially long)."""
+    for part in components(g):
+        sub = g.induced(part)[0]
+        assert _ir_search(sub) == reference_ir_search(sub), encode_graph6(sub)
+
+
+@st.composite
+def sparse_graphs(draw):
+    """G(n, p) with n = 9..16, the density of the ir benchmark and above."""
+    n = draw(st.integers(9, 16))
+    p = draw(st.sampled_from((0.2, 0.3, 0.45)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return random_gnp(n, p, rng)
+
+
+class TestCarriedExtender:
+    """The last-member scan refutes a candidate with the last extender it
+    found before it runs the full scan. A refuted candidate is one the full
+    scan rejects, so the search, its witness and `explored` are those of
+    the kernel without the refutation."""
+
+    def test_corpus(self, corpus_lines):
+        for line in corpus_lines:
+            g = parse_graph6(line)
+            assert _ir_search(g) == reference_ir_search(g), line
+
+    def test_seeded_gnm(self):
+        rng = random.Random(6008)
+        for n in range(9, 25):
+            for _ in range(3):
+                assert_matches_reference_search(random_gnm(n, rng.randint(n, 3 * n), rng))
+
+    def test_seeded_unit_disk(self):
+        rng = random.Random(6009)
+        for n in range(12, 25):
+            for degree in (3.5, 5.0, 6.5):
+                assert_matches_reference_search(unit_disk(n, degree, rng))
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(sparse_graphs())
+    def test_fuzz(self, g):
+        assert_matches_reference_search(g)
 
 
 class TestIota:
