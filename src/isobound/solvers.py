@@ -244,35 +244,38 @@ def _ir_search(g):
     maximality literally, by attempting every one-vertex extension. The first
     hit at the smallest feasible size is the lex-least witness.
 
-    The last member is chosen in place: the loop that picks the member
-    before it scans the candidates u in ascending order and stops at the
-    first u for which S + u is irredundant and maximal, reading the private
-    neighbourhoods of S + u as pn & ~N[u] without building them. Such a scan
-    counts as one node in `explored`, like every node below the target size.
-    Size 1 has no member before the last: {u} is maximal irredundant unless
-    some w has N[w] and N[u] each reaching outside the other.
+    The last member is chosen in place, by the loop that picks the member
+    before it. With S the irredundant set picked so far, it scans the
+    candidates v in ascending order and stops at the first v for which
+    S + v is irredundant and maximal, reading the private neighbourhoods of
+    S + v as pn & ~N[v] without building them. Such a scan counts as one
+    node in `explored`, like every node below the target size. Size 1 is
+    that scan with S empty, one node: {v} is maximal irredundant unless some
+    w has N[w] and N[v] each reaching outside the other.
 
-    The scan first tries to refute u with the carried extender kw = N[w],
-    the last vertex w that extended some S + u in a full scan of this
-    search (the killer heuristic of game-tree search). When N[w] reaches
-    outside N[S + u], u keeps a private neighbour outside N[w] and every
-    member of S keeps one outside N[u] and N[w], then S + u + w is
-    irredundant: w is outside S + u and extends it, so S + u is not maximal
-    and the full scan would reject u too. Whether u and w are adjacent does
-    not enter. Only when the refutation fails does the full scan over every
-    outside w run, and the extender it finds becomes kw. A refuted
-    candidate is one the scan rejects anyway, so the tree and `explored`
-    are those of the scan alone.
+    The scan first tries to refute v with the carried extender kw = N[w],
+    the last vertex w that extended some S + v in a full scan of this search
+    (the killer heuristic of game-tree search). When N[w] reaches outside
+    N[S + v], v keeps a private neighbour outside N[w] and every member of S
+    keeps one outside N[v] and N[w], then S + v + w is irredundant: w lies
+    outside S + v and extends it, so S + v is not maximal and the full scan
+    would reject v too. Whether v and w are adjacent does not enter. Only
+    when the refutation fails does the full scan over every outside w run,
+    and the extender it finds becomes kw. A refuted candidate is one the
+    scan rejects anyway, so the tree and `explored` are those of the scan
+    alone.
     """
     if g.n == 0:
         return SolveResult(0, (), 0)
     n = g.n
     clo = g.clo
     full = g.full
-    for u in range(n):
-        cu = clo[u]
-        if all(not cw & ~cu or not cu & ~cw for cw in clo):
-            return SolveResult(1, (u,), 1)
+    for v, cv in enumerate(clo):
+        for cw in clo:
+            if cw & ~cv and cv & ~cw:
+                break  # w extends {v}
+        else:
+            return SolveResult(1, (v,), 1)
     explored = 1
     kw = 0
 
@@ -299,7 +302,7 @@ def _ir_search(g):
                     if found:
                         return found
                     continue
-                # the last-member scan of S + u over its candidates v
+                # the last-member scan of the set S + u
                 explored += 1
                 for v in range(u + 1, n):
                     cv = clo[v]

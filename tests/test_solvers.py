@@ -476,7 +476,7 @@ def assert_matches_reference_search(g):
 
 
 @st.composite
-def sparse_graphs(draw):
+def gnp_graphs(draw):
     """G(n, p) with n = 9..16, the density of the ir benchmark and above."""
     n = draw(st.integers(9, 16))
     p = draw(st.sampled_from((0.2, 0.3, 0.45)))
@@ -508,7 +508,7 @@ class TestCarriedExtender:
                 assert_matches_reference_search(unit_disk(n, degree, rng))
 
     @settings(derandomize=True, max_examples=60, deadline=None, database=None)
-    @given(sparse_graphs())
+    @given(gnp_graphs())
     def test_fuzz(self, g):
         assert_matches_reference_search(g)
 
