@@ -250,8 +250,10 @@ def _ir_search(g):
     S + v is irredundant and maximal, reading the private neighbourhoods of
     S + v as pn & ~N[v] without building them. Such a scan counts as one
     node in `explored`, like every node below the target size. Size 1 is
-    that scan with S empty, one node: {v} is maximal irredundant unless some
-    w has N[w] and N[v] each reaching outside the other.
+    that scan with S empty, one node, and it needs no extension test: {v}
+    is maximal irredundant exactly when v dominates. A w outside N[v] would
+    extend {v}, each of the two being its own private neighbour, and when
+    N[v] holds every vertex no N[w] reaches outside it.
 
     The scan first tries to refute v with the carried extender kw = N[w],
     the last vertex w that extended some S + v in a full scan of this search
@@ -271,10 +273,7 @@ def _ir_search(g):
     clo = g.clo
     full = g.full
     for v, cv in enumerate(clo):
-        for cw in clo:
-            if cw & ~cv and cv & ~cw:
-                break  # w extends {v}
-        else:
+        if cv == full:
             return SolveResult(1, (v,), 1)
     explored = 1
     kw = 0
