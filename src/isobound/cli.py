@@ -15,6 +15,7 @@ failure and exits 1.
 import argparse
 import contextlib
 import json
+import re
 import sys
 
 from .constructive import build_isolating_set, fraction_str, isolation_bound
@@ -91,11 +92,12 @@ def _vertices(vertices):
 
 
 def _option_int(option, token):
-    """int(token), or a ParameterError naming the option and the token."""
-    try:
-        return int(token)
-    except ValueError:
-        raise ParameterError(f"{option}: expected an integer, got {token!r}") from None
+    """The integer an optional sign and ASCII digits spell, or a
+    ParameterError naming the option and the token. int() alone would also
+    take 1_0 and non-ASCII digits."""
+    if re.fullmatch(r"[+-]?[0-9]+", token.strip()) is None:
+        raise ParameterError(f"{option}: expected an integer, got {token!r}")
+    return int(token)
 
 
 def _parse_vertex_set(text, option):
@@ -110,7 +112,10 @@ def _parse_params(text):
         key, _, val = item.partition("=")
         if not _:
             raise ParameterError(f"--params: expected key=value, got {item!r}")
-        params[key.strip()] = _option_int("--params", val)
+        key = key.strip()
+        if key in params:
+            raise ParameterError(f"--params: key {key!r} given twice")
+        params[key] = _option_int("--params", val)
     return params
 
 

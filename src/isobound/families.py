@@ -9,21 +9,20 @@ their parameters loudly and build deterministically; they never solve.
 
 import inspect
 import math
-from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 from .constructive import isolation_bound
 from .errors import ParameterError
 from .graph import Graph
 
 
-@dataclass(frozen=True)
-class FamilyInstance:
+class FamilyInstance(NamedTuple):
     name: str
     params: dict
     graph: Graph
     k: object  # isolation order the family targets, None when not applicable
-    labels: dict = field(repr=False)
+    labels: dict
     claimed_ir: object = None
     claimed_gamma: object = None
     claimed_iota: object = None

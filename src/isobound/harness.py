@@ -24,8 +24,8 @@ import multiprocessing
 import os
 import random
 import zlib
-from dataclasses import dataclass
 from itertools import combinations, islice
+from typing import NamedTuple
 
 from .constructive import (
     applicable_ks, build_isolating_set, fraction_str, isolation_bound, survey_ratios
@@ -59,8 +59,7 @@ CHUNK_LINES = 64
 CHUNKS_PER_JOB = 4
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     """What a verify run keeps: the aggregate, the hard failures and the
     lines it could not check. over_cap holds the line numbers, among
     parse_errors, of lines above an order or size cap: well-formed lines

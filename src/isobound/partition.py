@@ -10,7 +10,6 @@ read from graph.clique_table. Any failure of a guaranteed structural
 property raises MachineryError rather than degrading silently.
 """
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import DichotomyError, MachineryError, PreconditionError, RegimeError
@@ -18,8 +17,7 @@ from .graph import bits, clique_table, closed_mask, mask_of, vertex_mask
 from .predicates import irredundant_extension, private_neighborhoods
 
 
-@dataclass(frozen=True, eq=True)
-class IrredundancePartition:
+class IrredundancePartition(NamedTuple):
     """Zones carved out by a maximal irredundant set i, each a vertex mask.
 
     u: vertices outside N[i] (undominated).
@@ -32,8 +30,9 @@ class IrredundancePartition:
        is a clique (see compute_partition); m: b minus nset.
     nhat: per member of nset in ascending order, its lowest-index private
        neighbor, as a tuple; nhat_mask: the same vertices as a mask.
-    pn: private neighborhood mask of every member of i. It is a function
-       of the graph and i, so it is left out of the hash.
+    pn: per vertex, laid out like Graph.adj: pn[x] is the private
+       neighborhood mask of x for a member x of i, and 0 for every other
+       vertex.
     """
 
     i: int
@@ -48,11 +47,10 @@ class IrredundancePartition:
     m: int
     nhat: tuple
     nhat_mask: int
-    pn: dict = field(hash=False)
+    pn: tuple
 
 
-@dataclass(frozen=True)
-class UndominatedWitness:
+class UndominatedWitness(NamedTuple):
     """For an undominated vertex u: a member x whose private neighborhood u
     dominates, and per nonadjacent pair (x1, x2) inside that neighborhood,
     non-isolated members y1, y2 whose private neighborhoods x1 and x2
@@ -100,19 +98,18 @@ def compute_partition(g, i):
         raise PreconditionError("input set is not maximal irredundant")
 
     pns, closed_i = state
-    pn = dict(zip(bits(imask), pns))
+    pn = [0] * g.n
     seen = 0
-    for pnm in pns:
+    for x, pnm in zip(bits(imask), pns):
         if pnm & seen:
             raise MachineryError("private neighborhoods of distinct members overlap")
         seen |= pnm
+        pn[x] = pnm
 
     umask = g.full & ~closed_i
-    open_i = 0
-    for x in pn:
-        open_i |= g.adj[x]
     pmask = seen & ~imask
-    smask = open_i & ~pmask & ~imask
+    # N(i) and N[i] agree outside i
+    smask = closed_i & ~imask & ~seen
     for v in bits(smask):
         if (g.adj[v] & imask).bit_count() < 2:
             raise MachineryError(f"shared vertex {v} has fewer than two i-neighbors")
@@ -158,7 +155,7 @@ def compute_partition(g, i):
         m=mmask,
         nhat=nhat,
         nhat_mask=nhat_mask,
-        pn=pn,
+        pn=tuple(pn),
     )
 
 
@@ -439,15 +436,6 @@ def refine_twins(g, part):
     cmasks = [c for c, _ in clique_table(g, k) if not c & ~sdouble]
     cliques = tuple(tuple(bits(c)) for c in cmasks)
 
-    # cluster intersecting cliques
-    parent = list(range(len(cliques)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     for ia in range(len(cliques)):
         for ib in range(ia + 1, len(cliques)):
             shared = cmasks[ia] & cmasks[ib]
@@ -460,21 +448,23 @@ def refine_twins(g, part):
             for v in bits(shared):
                 if g.degree(v) != delta:
                     raise MachineryError(f"shared clique vertex {v} is unsaturated")
-            ra, rb = find(ia), find(ib)
-            if ra != rb:
-                parent[rb] = ra
 
-    groups = {}
-    for idx in range(len(cliques)):
-        groups.setdefault(find(idx), []).append(idx)
-    clusters = []
+    # cluster intersecting cliques: each clique absorbs every cluster it
+    # meets, so the clusters stay pairwise disjoint
+    merged = []
+    for c in cmasks:
+        apart = []
+        for u in merged:
+            if u & c:
+                c |= u
+            else:
+                apart.append(u)
+        merged = apart + [c]
+    clusters = sorted(tuple(bits(c)) for c in merged)
     isolated_count = 0
     twin_count = 0
-    for idxs in groups.values():
-        union = 0
-        for idx in idxs:
-            union |= cmasks[idx]
-        size = union.bit_count()
+    for cluster in clusters:
+        size = len(cluster)
         if size == k:
             isolated_count += 1
         elif size == k + 1:
@@ -483,8 +473,6 @@ def refine_twins(g, part):
             raise DichotomyError(
                 f"clique cluster on {size} vertices is neither a single clique nor a twin"
             )
-        clusters.append(tuple(bits(union)))
-    clusters.sort()
 
     anchors = core_mask.bit_count()
     if 2 * (isolated_count + twin_count) > anchors:

@@ -39,7 +39,6 @@ still extends, and a success replaces the set. Neither the value nor the
 witness depends on the order the DFS visits nodes in.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import CertificateError, SizeCapError
@@ -55,8 +54,7 @@ class SolveResult(NamedTuple):
     explored: int
 
 
-@dataclass(frozen=True)
-class PackingCertificate:
+class PackingCertificate(NamedTuple):
     """Pairwise disjoint closed neighborhoods of k-cliques.
 
     Every k-isolating set must take a vertex inside each region, so the

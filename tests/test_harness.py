@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import errno
 import gc
 import itertools
@@ -164,7 +163,7 @@ class TestWitnessRecheck:
         )
         monkeypatch.setattr(
             harness, "undominated_witnesses",
-            lambda g, part: tuple(dataclasses.replace(w, **change) for w in real(g, part)),
+            lambda g, part: tuple(w._replace(**change) for w in real(g, part)),
         )
         rec = check_graph(self.G6)
         assert rec["checks"]["witnesses_min"] is False
@@ -467,7 +466,7 @@ class TestCertifyFamily:
         real = harness.make_instance
         monkeypatch.setattr(
             harness, "make_instance",
-            lambda name, params: dataclasses.replace(real(name, params), **changes),
+            lambda name, params: real(name, params)._replace(**changes),
         )
 
     def test_gamma_claim_above_its_witness_is_asserted(self, monkeypatch):
@@ -878,26 +877,42 @@ class TestCli:
             err = capsys.readouterr().err
             assert err == f"error: vertex {bad} out of range for n=4\n"
 
+    TOKEN_ARGVS = [
+        (["check", "--g6", "{g6}", "--set", "1 {token}", "--predicate", "dominating"], "--set"),
+        (["partition", "--g6", "{g6}", "--iset", "1,{token}"], "--iset"),
+        (["construct", "--g6", "{g6}", "--iset", "{token}", "--k", "2"], "--iset"),
+        (["family", "--name", "G1", "--params", "k={token}"], "--params"),
+    ]
+
+    # int() reads 0_1 as 1 and the Arabic-Indic digit three as 3; the "x"
+    # rows keep the ids they had before the token became a parameter
     @pytest.mark.parametrize(
-        "argv, option",
+        "argv, option, token",
         [
-            (["check", "--g6", "{g6}", "--set", "1 x", "--predicate", "dominating"], "--set"),
-            (["partition", "--g6", "{g6}", "--iset", "1,x"], "--iset"),
-            (["construct", "--g6", "{g6}", "--iset", "x", "--k", "2"], "--iset"),
-            (["family", "--name", "G1", "--params", "k=x"], "--params"),
+            pytest.param(
+                argv, option, token, id=f"argv{i}-{option}" + ("" if token == "x" else f"-{token}")
+            )
+            for i, (argv, option) in enumerate(TOKEN_ARGVS)
+            for token in ("x", "0_1", "\u0663")
         ],
     )
-    def test_token_not_an_integer_exit_two(self, capsys, tmp_path, argv, option):
+    def test_token_not_an_integer_exit_two(self, capsys, tmp_path, argv, option, token):
         g6 = tmp_path / "in.g6"
         g6.write_text("Cr\n")
-        assert self.run([a.format(g6=g6) for a in argv]) == 2
+        assert self.run([a.format(g6=g6, token=token) for a in argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {option}: expected an integer, got 'x'\n"
+        assert captured.err == f"error: {option}: expected an integer, got {token!r}\n"
 
     def test_family_params_item_without_value(self, capsys):
         assert self.run(["family", "--name", "G1", "--params", "t=2,k"]) == 2
         assert capsys.readouterr().err == "error: --params: expected key=value, got 'k'\n"
+
+    def test_family_params_repeated_key(self, capsys):
+        assert self.run(["family", "--name", "G1", "--params", "t=1,k=2,t=3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --params: key 't' given twice\n"
 
     @pytest.mark.parametrize(
         "argv",

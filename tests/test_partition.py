@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from isobound import (
+    DichotomyError,
     Graph,
     MachineryError,
     PreconditionError,
@@ -14,9 +17,12 @@ from isobound import (
     undominated_witnesses,
 )
 from isobound import partition
+from isobound.families import make_instance
 from isobound.graph import bits, mask_of
+from isobound.harness import random_maximal_irredundant
 
 import oracles
+from test_solvers import unit_disk
 
 
 def p4():
@@ -57,7 +63,7 @@ class TestComputePartition:
         assert members(part.b) == ()
         assert members(part.nset) == () and members(part.m) == ()
         assert part.nhat == () and part.nhat_mask == 0
-        assert part.pn == {1: 0b0001, 2: 0b1000}
+        assert part.pn == (0, 0b0001, 0b1000, 0)
 
     def test_cycle_isolated_members(self):
         part = compute_partition(c6(), (0, 3))
@@ -88,7 +94,8 @@ class TestComputePartition:
                 compute_partition(c6(), (0,))
 
     def test_equal_partitions_hash_equal(self, corpus_by_order):
-        # pn is left out of the hash, so a partition can key a dict
+        # a partition compares and hashes by every field, pn included, so
+        # it can key a dict
         for line, g in corpus_by_order[6][:40]:
             isets = oracles.maximal_irredundant_sets(g)[:4]
             parts = [compute_partition(g, iset) for iset in isets]
@@ -109,9 +116,13 @@ class TestComputePartition:
                     assert_split(part.b, part.nset, part.m)
                     assert len(part.nhat) == part.nset.bit_count()
                     assert part.nhat_mask == mask_of(part.nhat)
-                    assert list(part.pn) == list(iset)
-                    for x in iset:
-                        assert set(bits(part.pn[x])) == oracles.privates(g, iset, x), line
+                    assert len(part.pn) == g.n
+                    for x in range(g.n):
+                        if x in iset:
+                            assert part.pn[x], line
+                            assert set(bits(part.pn[x])) == oracles.privates(g, iset, x), line
+                        else:
+                            assert part.pn[x] == 0, line
                     for v in bits(part.s):
                         hits = sum(1 for y in iset if g.has_edge(v, y))
                         assert hits >= 2
@@ -254,6 +265,101 @@ class TestRefineTwins:
                     pair_members = ref.mprime | ref.mdouble
                     assert ref.mhat.bit_count() == pair_members.bit_count()
                     assert ref.qhat.bit_count() == ref.qprime.bit_count()
+
+
+def reference_twin_clusters(cliques, k):
+    """The clustering of refine_twins before clusters were merged as masks:
+    a union-find over the indices of intersecting cliques, then one cluster
+    per group. Kept as the reference that refine_twins' clusters,
+    isolated_count, twin_count and x must match."""
+    cmasks = [mask_of(c) for c in cliques]
+    parent = list(range(len(cliques)))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for ia in range(len(cliques)):
+        for ib in range(ia + 1, len(cliques)):
+            if cmasks[ia] & cmasks[ib]:
+                ra, rb = find(ia), find(ib)
+                if ra != rb:
+                    parent[rb] = ra
+
+    groups = {}
+    for idx in range(len(cliques)):
+        groups.setdefault(find(idx), []).append(idx)
+    clusters = []
+    isolated_count = 0
+    twin_count = 0
+    for idxs in groups.values():
+        union = 0
+        for idx in idxs:
+            union |= cmasks[idx]
+        size = union.bit_count()
+        if size == k:
+            isolated_count += 1
+        elif size == k + 1:
+            twin_count += 1
+        else:
+            raise DichotomyError(
+                f"clique cluster on {size} vertices is neither a single clique nor a twin"
+            )
+        clusters.append(tuple(bits(union)))
+    clusters.sort()
+    return tuple(clusters), isolated_count, twin_count, mask_of(c[0] for c in clusters)
+
+
+class TestTwinClusters:
+    """refine_twins' clusters against reference_twin_clusters."""
+
+    @staticmethod
+    def assert_matches_reference(g, iset):
+        ref = refine_twins(g, compute_partition(g, iset))
+        got = (ref.clusters, ref.isolated_count, ref.twin_count, ref.x)
+        assert got == reference_twin_clusters(ref.cliques, g.max_degree() - 2), iset
+        return ref
+
+    def test_corpus_sets(self, corpus_by_order):
+        # every maximal irredundant set of n <= 7: isolated clusters only
+        calls = isolated = twins = 0
+        for n in range(4, 8):
+            for line, g in corpus_by_order[n]:
+                if g.max_degree() < 3:
+                    continue
+                for iset in oracles.maximal_irredundant_sets(g):
+                    ref = self.assert_matches_reference(g, iset)
+                    calls += 1
+                    isolated += ref.isolated_count
+                    twins += ref.twin_count
+        assert (calls, isolated, twins) == (10820, 227, 0)
+
+    @pytest.mark.parametrize(
+        "name, params, twins",
+        [("Gkl", {"k": 6, "l": 3}, 3), ("Hksl", {"k": 8, "s": 6}, 13)],
+    )
+    def test_family_witnesses_have_twins(self, name, params, twins):
+        inst = make_instance(name, params)
+        ref = self.assert_matches_reference(inst.graph, inst.witness_irredundant)
+        assert ref.twin_count == twins
+
+    def test_seeded_unit_disk(self):
+        # sparse enough that Delta - 2 stays small and some cliques fit
+        # inside the shared zone
+        rng = random.Random(5)
+        calls = isolated = twins = 0
+        for _ in range(600):
+            g = unit_disk(rng.randint(8, 20), rng.uniform(2.0, 4.5), rng)
+            if g.max_degree() < 3:
+                continue
+            for _ in range(3):
+                ref = self.assert_matches_reference(g, random_maximal_irredundant(g, rng))
+                calls += 1
+                isolated += ref.isolated_count
+                twins += ref.twin_count
+        assert (calls, isolated, twins) == (1800, 26, 0)
 
 
 class TestRefinementCliques:
