@@ -25,7 +25,6 @@ from .graph import (
     GraphClass,
     classify,
     encode_graph6,
-    enumerate_k_cliques,
     parse_graph6,
 )
 from .harness import (
@@ -98,7 +97,6 @@ __all__ = [
     "check_delta_regime",
     "conjecture_survey",
     "encode_graph6",
-    "enumerate_k_cliques",
     "gamma",
     "iota",
     "iota_lower_bound",

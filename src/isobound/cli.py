@@ -3,7 +3,8 @@
 Subcommands: verify (theorem suite over a graph6 stream), survey (ratio
 tables, never asserted), certify (extremal family audits), solve (exact
 invariants), partition / construct (machinery for one graph), family
-(generator access), check (set predicates).
+(generator access), check (set predicates), bound (the certified iota_k
+bound).
 
 Exit status: 0 when every requested guarantee held, 1 when one was violated
 (or a tested predicate is false), 2 on bad input, 3 when the machinery
@@ -60,15 +61,34 @@ USER_ERRORS = (
 )
 
 
+@contextlib.contextmanager
+def _named_path(option, path):
+    """Report an OSError on a path the user named as bad input, naming the
+    option and the path."""
+    try:
+        yield
+    except OSError as exc:
+        raise ParameterError(f"{option}: {path}: {exc.strerror or exc}") from exc
+
+
 def _read_lines(path):
-    """The lines of a file, or of stdin for "-", read one at a time."""
+    """The lines of --g6, or of stdin for "-", read one at a time."""
     if path == "-":
         for ln in sys.stdin:
             yield ln.rstrip("\n")
         return
-    with open(path) as fh:
+    with _named_path("--g6", path):
+        fh = open(path)
+    with fh:
         for ln in fh:
             yield ln.rstrip("\n")
+
+
+def _write_report(payload, path):
+    """write_json to the --json path, when one was given."""
+    if path:
+        with _named_path("--json", path):
+            write_json(payload, path)
 
 
 def _only_graph(path):
@@ -121,8 +141,13 @@ def _parse_params(text):
 
 def cmd_verify(args):
     # each record becomes one CSV row as it arrives; the CSV is published
-    # only when the whole run completes
-    with write_csv(args.csv) if args.csv else contextlib.nullcontext() as sink:
+    # only when the whole run completes. Only opening the CSV is reported
+    # as a bad --csv: an OSError inside the run is not the path's fault.
+    with contextlib.ExitStack() as stack:
+        sink = None
+        if args.csv:
+            with _named_path("--csv", args.csv):
+                sink = stack.enter_context(write_csv(args.csv))
         report = verify_stream(
             _read_lines(args.g6),
             jobs=args.jobs,
@@ -130,8 +155,7 @@ def cmd_verify(args):
             spot_check=not args.no_spot_check,
             sink=sink,
         )
-    if args.json:
-        write_json(report, args.json)
+    _write_report(report, args.json)
     agg = report.aggregate
     print(f"graphs checked: {agg['graphs']}")
     print(f"skipped (order above cap): {agg['skipped_over_max_n']}")
@@ -157,8 +181,7 @@ def cmd_survey(args):
     out = conjecture_survey(
         _read_lines(args.g6), jobs=args.jobs, max_n=args.max_n, k_max=args.k_max
     )
-    if args.json:
-        write_json(out, args.json)
+    _write_report(out, args.json)
     print(f"graphs surveyed: {out['graphs']}")
     print("delta  k  max iota_k/ir  witness")
     for row in out["rows"]:
@@ -179,8 +202,7 @@ def cmd_certify(args):
         raise ParameterError("--params needs --family")
     else:
         report = certify_families()
-    if args.json:
-        write_json(report, args.json)
+    _write_report(report, args.json)
     for row in report["rows"]:
         fields = [f"{row['family']} {row['params']}: n={row['n']} delta={row['delta']}"]
         for key in ("gamma", "ir", "iota", "iota_lower", "iota_upper"):
@@ -259,7 +281,7 @@ def cmd_partition(args):
 def cmd_construct(args):
     g = _only_graph(args.g6)
     iset = _parse_vertex_set(args.iset, "--iset")
-    cert = build_isolating_set(g, iset, args.k)
+    cert = build_isolating_set(g, compute_partition(g, iset), args.k)
     print(f"regime: {cert.regime}")
     print(f"t: {_vertices(cert.t)}")
     print(f"size: {len(cert.t)}  bound: {fraction_str(cert.bound)}  s: {cert.s_param}")

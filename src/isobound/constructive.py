@@ -1,21 +1,19 @@
 """Constructive isolating sets derived from a maximal irredundant set.
 
-Given a maximal irredundant set I and an order k close to the maximum
-degree, build_isolating_set assembles a k-isolating set T out of the
-partition machinery and certifies |T| against the matching size bound.
+Given the partition of a maximal irredundant set I and an order k close to
+the maximum degree, build_isolating_set assembles a k-isolating set T out of
+the partition machinery and certifies |T| against the matching size bound.
 All arithmetic is exact: bounds are fractions, comparisons are never
 performed on floats.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .errors import ParameterError, RegimeError
-from .graph import Graph, bits, clique_table, vertex_mask
-from .partition import (
-    IrredundancePartition, check_delta_regime, compute_partition, refine_pairs, refine_twins
-)
+from .graph import Graph, bits, clique_table
+from .partition import IrredundancePartition, check_delta_regime, refine_pairs, refine_twins
 from .predicates import is_k_isolating
 
 
@@ -52,26 +50,19 @@ def _regime_error(kind, k, delta):
     )
 
 
-def build_isolating_set(
-    g: Graph, i: Sequence[int], k: int, part: Optional[IrredundancePartition] = None
-) -> BoundCertificate:
-    """Build a k-isolating set from the maximal irredundant set i.
+def build_isolating_set(g: Graph, part: IrredundancePartition, k: int) -> BoundCertificate:
+    """Build a k-isolating set from the partition of a maximal irredundant set.
 
-    Supported orders are applicable_ks(delta), where delta is the maximum
-    degree; anything else raises RegimeError. The input set must be maximal
-    irredundant (PreconditionError otherwise): computing its partition
-    certifies that. part, when given, is compute_partition(g, i), and is
-    read instead of computed, so the certificates of one set at every k
-    share one partition. At k = Delta, Delta-1 and Delta-2 the check or
+    part is compute_partition(g, i), which certifies that i is maximal
+    irredundant (PreconditionError otherwise); the certificates of one set
+    at every k read the same partition. Supported orders are
+    applicable_ks(delta), where delta is the maximum degree; anything else
+    raises RegimeError. At k = Delta, Delta-1 and Delta-2 the check or
     refinement of that k runs on the partition and raises unless its
     guarantees hold. The bound is isolation_bound at ir = |i|.
     """
     if k < 1:
         raise ParameterError(f"isolation order must be positive, got {k}")
-    if part is None:
-        part = compute_partition(g, i)
-    elif part.i != vertex_mask(g, i):
-        raise ValueError("the partition belongs to another set")
     delta = g.max_degree()
     s_param = None
 

@@ -340,12 +340,6 @@ def clique_table(g, k):
     return levels[k - 1][0] if k <= len(levels) else ()
 
 
-def enumerate_k_cliques(g, k):
-    """All k-cliques, each a sorted tuple, in ascending lexicographic order:
-    the vertex masks of clique_table(g, k), as a new list."""
-    return [tuple(bits(vmask)) for vmask, _ in clique_table(g, k)]
-
-
 def _clique_within(adj, cand, need):
     """Whether cand holds a clique on need vertices."""
     if need == 0:

@@ -250,7 +250,7 @@ def check_graph(g6, spot_check=True):
         min_part = compute_partition(g, irr.witness)
         min_certs = []
         for k in ks:
-            cert = build_isolating_set(g, irr.witness, k, part=min_part)
+            cert = build_isolating_set(g, min_part, k)
             _record_certificate(cert, "min", "construct", checks, failures, g6, iotas)
             min_certs.append(cert)
             if iotas[k] > cert.bound:
@@ -276,7 +276,7 @@ def check_graph(g6, spot_check=True):
                 spot_part = compute_partition(g, spot)
                 spot_problems = _witness_problems(g, spot_part)
                 # built one k at a time, so a raise keeps the lower orders' records
-                spot_certs = (build_isolating_set(g, spot, k, part=spot_part) for k in ks)
+                spot_certs = (build_isolating_set(g, spot_part, k) for k in ks)
             _record_witnesses(spot_problems, "spot", checks, failures, g6)
             for cert in spot_certs:
                 _record_certificate(cert, "spot", "spot", checks, failures, g6, iotas)
@@ -307,9 +307,10 @@ def check_graph(g6, spot_check=True):
     }
 
 
-def _require_positive(name, value):
-    if value < 1:
-        raise ParameterError(f"{name} must be at least 1, got {value}")
+def _require_at_least(name, value, least):
+    # None stands for an unset option, which has no floor
+    if value is not None and value < least:
+        raise ParameterError(f"{name} must be at least {least}, got {value}")
 
 
 def _verify_line(line, spot_check):
@@ -420,7 +421,8 @@ def verify_stream(lines, jobs=1, max_n=None, spot_check=True, sink=None):
     count. A caller that wants the records collects them, for example with
     sink=records.append; write_csv gives a sink that writes them as rows.
     """
-    _require_positive("jobs", jobs)
+    _require_at_least("jobs", jobs, 1)
+    _require_at_least("max_n", max_n, 0)
     hard_failures = []
     check_counts = {}
 
@@ -467,9 +469,9 @@ def conjecture_survey(lines, jobs=1, max_n=None, k_max=None):
     line. Ratios are reported, never asserted; the monotone flags say whether
     the observed maxima are non-increasing in k for each delta.
     """
-    _require_positive("jobs", jobs)
-    if k_max is not None:
-        _require_positive("k_max", k_max)
+    _require_at_least("jobs", jobs, 1)
+    _require_at_least("max_n", max_n, 0)
+    _require_at_least("k_max", k_max, 1)
     with _Pipeline(lines, jobs, max_n, _survey_line, k_max) as stream:
         agg = survey_ratios(stream)
     return {

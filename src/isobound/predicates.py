@@ -1,21 +1,17 @@
 """Vertex-set predicates: domination, irredundance, clique isolation.
 
 Public functions take iterables of vertex indices and validate their input.
-The _mask variants work on raw bit masks without validation; solvers and the
-partition machinery call those in hot loops.
+Domination and isolation also have _mask variants on raw bit masks without
+validation, which the solvers and verify call in hot loops; the irredundance
+state that the ir search and the partition machinery share is built by
+private_neighborhoods and irredundant_extension.
 """
 
 from .graph import bits, closed_mask, has_k_clique, vertex_mask
 
 
-def private_neighbors_mask(g, smask, x):
-    """PN(x, S) = N[x] \\ N[S \\ {x}] as a mask. x is in its own PN iff it is
-    isolated in G[S]."""
-    return g.clo[x] & ~closed_mask(g, smask & ~(1 << x))
-
-
 def private_neighbors(g, s, x):
-    """The private neighborhood of x with respect to s.
+    """The private neighborhood PN(x, s) = N[x] \\ N[s \\ {x}].
 
     x must be a member of s; vertices of s \\ {x} never qualify, and x itself
     qualifies exactly when it has no neighbor inside s.
@@ -23,7 +19,7 @@ def private_neighbors(g, s, x):
     smask = vertex_mask(g, s)
     if x < 0 or not smask >> x & 1:
         raise ValueError(f"vertex {x} is not in the set")
-    return tuple(bits(private_neighbors_mask(g, smask, x)))
+    return tuple(bits(g.clo[x] & ~closed_mask(g, smask & ~(1 << x))))
 
 
 def is_dominating_mask(g, smask):
@@ -85,29 +81,19 @@ def irredundant_extension(g, pns, union_closed, candidates):
     return None
 
 
-def is_irredundant_mask(g, smask):
-    return private_neighborhoods(g, smask) is not None
-
-
 def is_irredundant(g, s):
     """Whether every member of s keeps a nonempty private neighborhood.
 
     The empty set is irredundant.
     """
-    return is_irredundant_mask(g, vertex_mask(g, s))
-
-
-def is_maximal_irredundant_mask(g, smask):
-    state = private_neighborhoods(g, smask)
-    if state is None:
-        return False
-    pns, union_closed = state
-    return irredundant_extension(g, pns, union_closed, g.full & ~smask) is None
+    return private_neighborhoods(g, vertex_mask(g, s)) is not None
 
 
 def is_maximal_irredundant(g, s):
     """Irredundant and not extendable by any single outside vertex."""
-    return is_maximal_irredundant_mask(g, vertex_mask(g, s))
+    smask = vertex_mask(g, s)
+    state = private_neighborhoods(g, smask)
+    return state is not None and irredundant_extension(g, *state, g.full & ~smask) is None
 
 
 def is_k_isolating_mask(g, smask, k):

@@ -10,6 +10,7 @@ from isobound import (
     applicable_ks,
     build_isolating_set,
     classify,
+    compute_partition,
     gamma,
     harness,
     iota,
@@ -35,29 +36,31 @@ def cycle(n):
 class TestBuildIsolatingSet:
     def test_complete_graph_regimes(self):
         g = complete(4)
+        part = compute_partition(g, (0,))
         for k, regime in ((4, "delta_plus_1"), (3, "delta"), (2, "delta_minus_1"), (1, "delta_minus_2")):
-            cert = build_isolating_set(g, (0,), k)
+            cert = build_isolating_set(g, part, k)
             assert cert.regime == regime
             assert cert.satisfied and cert.isolating_verified
             assert cert.input_set == (0,)
 
     def test_out_of_range_k(self):
         g = complete(4)
+        part = compute_partition(g, (0,))
         with pytest.raises(RegimeError):
-            build_isolating_set(g, (0,), 5)
+            build_isolating_set(g, part, 5)
         with pytest.raises(ParameterError):
-            build_isolating_set(g, (0,), 0)
+            build_isolating_set(g, part, 0)
 
     def test_rejects_non_maximal_input(self):
+        # a set that is not maximal irredundant has no partition to build from
         g = cycle(6)
         with pytest.raises(PreconditionError):
-            build_isolating_set(g, (0,), 2)
+            build_isolating_set(g, compute_partition(g, (0,)), 2)
 
     def test_disjoint_cliques(self):
         # two K3 components, k = 3 = delta + 1
         g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-        iset = ir(g).witness
-        cert = build_isolating_set(g, iset, 3)
+        cert = build_isolating_set(g, compute_partition(g, ir(g).witness), 3)
         assert cert.regime == "delta_plus_1"
         assert cert.t == (0, 3)
         assert cert.satisfied and cert.isolating_verified
@@ -65,9 +68,9 @@ class TestBuildIsolatingSet:
     def test_t_is_verified_against_optimum(self, corpus_by_order):
         for line, g in corpus_by_order[6][:80]:
             delta = g.max_degree()
-            iset = ir(g).witness
+            part = compute_partition(g, ir(g).witness)
             for k in range(max(1, delta - 2), delta + 2):
-                cert = build_isolating_set(g, iset, k)
+                cert = build_isolating_set(g, part, k)
                 assert cert.satisfied, (line, k)
                 assert cert.isolating_verified, (line, k)
                 assert iota(g, k).value <= len(cert.t)
@@ -76,19 +79,21 @@ class TestBuildIsolatingSet:
         for line, g in corpus_by_order[5]:
             delta = g.max_degree()
             for iset in oracles.maximal_irredundant_sets(g):
+                part = compute_partition(g, iset)
                 for k in range(max(1, delta - 2), delta + 2):
-                    cert = build_isolating_set(g, iset, k)
+                    cert = build_isolating_set(g, part, k)
                     assert cert.satisfied and cert.isolating_verified, (line, iset, k)
 
     def test_bound_is_exact_fraction(self):
         g = complete(5)
-        cert = build_isolating_set(g, (0,), 3)  # delta - 1 regime
+        cert = build_isolating_set(g, compute_partition(g, (0,)), 3)  # delta - 1 regime
         assert isinstance(cert.bound, Fraction)
 
     def test_s_param_only_in_pair_regime(self):
         g = complete(4)
-        assert build_isolating_set(g, (0,), 2).s_param is not None
-        assert build_isolating_set(g, (0,), 3).s_param is None
+        part = compute_partition(g, (0,))
+        assert build_isolating_set(g, part, 2).s_param is not None
+        assert build_isolating_set(g, part, 3).s_param is None
 
 
 class TestIsolationBound:
@@ -165,8 +170,9 @@ class TestReferenceBounds:
             for line, g in corpus_by_order[n]:
                 delta = g.max_degree()
                 for iset in oracles.maximal_irredundant_sets(g):
+                    part = compute_partition(g, iset)
                     for k in applicable_ks(delta):
-                        cert = build_isolating_set(g, iset, k)
+                        cert = build_isolating_set(g, part, k)
                         want = reference_bound(k, delta, len(iset), cert.s_param)
                         assert cert.bound == want, (line, iset, k)
                         regimes.add(cert.regime)
@@ -180,8 +186,9 @@ class TestReferenceBounds:
             inst = make_instance(name, params)
             g, iset = inst.graph, inst.witness_irredundant
             delta = g.max_degree()
+            part = compute_partition(g, iset)
             for k in applicable_ks(delta):
-                cert = build_isolating_set(g, iset, k)
+                cert = build_isolating_set(g, part, k)
                 assert cert.bound == reference_bound(k, delta, len(iset), cert.s_param), (name, k)
                 seen.add(cert.s_param)
         assert seen == {None, 1, 6}

@@ -13,7 +13,6 @@ from isobound import (
     classify,
     compute_partition,
     encode_graph6,
-    enumerate_k_cliques,
     is_dominating,
     is_irredundant,
     is_k_isolating,
@@ -254,6 +253,11 @@ def test_parse_fuzz_roundtrips_or_raises_typed(data):
         assert parse_graph6(encode_graph6(g)) == g
 
 
+def cliques_of(g, k):
+    """The k-cliques as sorted tuples, read off the clique_table rows."""
+    return [tuple(bits(vmask)) for vmask, _ in clique_table(g, k)]
+
+
 class TestCliques:
     def test_against_brute_force(self):
         rng = random.Random(4096)
@@ -261,14 +265,14 @@ class TestCliques:
             n = rng.randint(1, 10)
             g = random_graph(n, rng.random(), rng)
             for k in range(1, 5):
-                mine = sorted(enumerate_k_cliques(g, k))
+                mine = sorted(cliques_of(g, k))
                 brute = sorted(oracles.all_k_cliques(g, k))
                 assert mine == brute
 
     def test_exact_list_against_brute_force(self):
-        # the emitted list itself, order included, and the table rows: the
-        # clique and closed-neighbourhood masks in the same order, whose
-        # filter by a zone mask is the list restricted to that zone
+        # the rows' cliques, order included, and the table rows: the clique
+        # and closed-neighbourhood masks in the same order, whose filter by
+        # a zone mask is the list restricted to that zone
         rng = random.Random(4097)
         for _ in range(80):
             n = rng.randint(1, 12)
@@ -276,7 +280,7 @@ class TestCliques:
             zone = rng.getrandbits(n)
             for k in range(1, 7):
                 brute = oracles.all_k_cliques(g, k)
-                assert enumerate_k_cliques(g, k) == brute
+                assert cliques_of(g, k) == brute
                 table = clique_table(g, k)
                 assert table == tuple((mask_of(c), closed_mask(g, mask_of(c))) for c in brute)
                 assert [vmask for vmask, _ in table if not vmask & ~zone] == [
@@ -284,40 +288,32 @@ class TestCliques:
                 ]
 
     def test_kept_sizes_survive_any_call_order(self):
-        # the sizes and tables kept for the last graph: k asked in any order,
-        # graphs and both kinds of call interleaved, and a caller editing a
-        # returned list
+        # the sizes and tables kept for the last graph: k asked in any order
+        # and graphs interleaved
         rng = random.Random(4098)
         graphs = [random_graph(rng.randint(1, 11), rng.uniform(0.4, 0.9), rng) for _ in range(12)]
         for _ in range(300):
             g = rng.choice(graphs)
             k = rng.randint(1, 8)
             brute = oracles.all_k_cliques(g, k)
-            if rng.random() < 0.5:
-                assert clique_table(g, k) == tuple(
-                    (mask_of(c), closed_mask(g, mask_of(c))) for c in brute
-                )
-                continue
-            got = enumerate_k_cliques(g, k)
-            assert got == brute
-            got.append((-1,))
-            got.reverse()
+            assert clique_table(g, k) == tuple(
+                (mask_of(c), closed_mask(g, mask_of(c))) for c in brute
+            )
         twin = Graph.from_adj(graphs[0].adj)
-        assert enumerate_k_cliques(twin, 3) == oracles.all_k_cliques(graphs[0], 3)
+        assert cliques_of(twin, 3) == oracles.all_k_cliques(graphs[0], 3)
         assert clique_table(twin, 2) == clique_table(graphs[0], 2)
 
     def test_rows_on_unit_disk_graphs(self):
         # the rows carry both masks, grown level by level: each cover is the
-        # closed neighbourhood of its clique, the list is the rows' vertex
-        # masks, and the order is strictly lex at every size up to Delta + 1
+        # closed neighbourhood of its clique, and the order is strictly lex
+        # at every size up to Delta + 1
         rng = random.Random(4099)
         for n in range(14, 37, 2):
             g = unit_disk(n, rng.uniform(5.0, 8.0), rng)
             shared = 0
             for k in range(1, g.max_degree() + 2):
                 table = clique_table(g, k)
-                cliques = enumerate_k_cliques(g, k)
-                assert cliques == [tuple(bits(vmask)) for vmask, _ in table]
+                cliques = cliques_of(g, k)
                 assert all(a < b for a, b in zip(cliques, cliques[1:]))
                 for vmask, cover in table:
                     assert vmask.bit_count() == k
@@ -335,7 +331,7 @@ class TestCliques:
 
     def test_lex_order(self):
         g = Graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
-        assert list(enumerate_k_cliques(g, 2))[:3] == [(0, 1), (0, 2), (0, 3)]
+        assert cliques_of(g, 2)[:3] == [(0, 1), (0, 2), (0, 3)]
 
 
 class TestNeighborhoods:

@@ -32,7 +32,7 @@ from isobound.harness import (
     write_csv,
     write_json,
 )
-from isobound.predicates import is_irredundant_mask, is_maximal_irredundant
+from isobound.predicates import is_irredundant, is_maximal_irredundant
 from isobound.graph import bits, encode_graph6, parse_graph6
 from isobound.solvers import SolveResult, gamma, ir
 
@@ -54,7 +54,7 @@ def greedy_maximal_irredundant(g, rng):
         for v in order:
             if smask >> v & 1:
                 continue
-            if is_irredundant_mask(g, smask | (1 << v)):
+            if is_irredundant(g, bits(smask | (1 << v))):
                 smask |= 1 << v
                 grown = True
     return tuple(bits(smask))
@@ -113,10 +113,8 @@ class TestCheckGraph:
             calls.append(tuple(i))
             return real(g, i)
 
-        # the harness partitions each set; a certificate that partitioned
-        # its own set would show up through constructive
+        # the certificates take the partition, so the harness's calls are all
         monkeypatch.setattr(harness, "compute_partition", counting)
-        monkeypatch.setattr(constructive, "compute_partition", counting)
         for line, g in corpus_by_order[6][:40] + corpus_by_order[7][:40]:
             calls.clear()
             rec = check_graph(line)
@@ -319,9 +317,9 @@ class TestTheoremChecks:
     def test_certificate_over_its_bound_fails(self, monkeypatch):
         g6 = "Jh_GK?@?G?_"
         g = parse_graph6(g6)
-        witness = ir(g).witness
+        part = compute_partition(g, ir(g).witness)
         k = g.max_degree()
-        size = len(build_isolating_set(g, witness, k).t)
+        size = len(build_isolating_set(g, part, k).t)
         real = constructive.isolation_bound
 
         def bound_at(ceiling):
@@ -331,13 +329,28 @@ class TestTheoremChecks:
             return patched
 
         monkeypatch.setattr(constructive, "isolation_bound", bound_at(size))
-        assert build_isolating_set(g, witness, k).satisfied is True
+        assert build_isolating_set(g, part, k).satisfied is True
         monkeypatch.setattr(constructive, "isolation_bound", bound_at(size - 1))
-        cert = build_isolating_set(g, witness, k)
+        cert = build_isolating_set(g, part, k)
         assert len(cert.t) == size and cert.satisfied is False
         rec = check_graph(g6)
         assert rec["checks"][f"construct_k{k}"] is False
         assert f"{g6} construct k={k}: |T|={size} exceeds bound {size - 1}/1" in rec["failures"]
+
+    def test_iota_over_its_certified_bound_fails(self, monkeypatch):
+        # the certificates still hold, so only this check fails construct_k:
+        # "|T| beats the exact optimum" adds a failure line and nothing else
+        real = harness.iota
+
+        def inflated(g, k):
+            res = real(g, k)
+            return res._replace(value=res.value + 3)
+
+        monkeypatch.setattr(harness, "iota", inflated)
+        rec = check_graph("DQc")
+        assert [rec["checks"][f"construct_k{k}"] for k in (1, 2, 3)] == [True, False, False]
+        for k in (2, 3):
+            assert f"DQc k={k}: exact iota exceeds the certified bound" in rec["failures"]
 
 
 # Corpus graphs whose seeded spot set is their ir witness: the first one,
@@ -368,18 +381,13 @@ class TestSharedMachinery:
             for line, g in corpus_by_order[n]:
                 ks = applicable_ks(g.max_degree())
                 for iset in oracles.maximal_irredundant_sets(g):
-                    fresh = [build_isolating_set(g, iset, k) for k in ks]
+                    fresh = [build_isolating_set(g, compute_partition(g, iset), k) for k in ks]
                     part = compute_partition(g, iset)
-                    got = [build_isolating_set(g, iset, k, part=part) for k in ks]
+                    got = [build_isolating_set(g, part, k) for k in ks]
                     assert got == fresh, (line, iset)
                     # a second pass reads the same partition in the other order
-                    again = [build_isolating_set(g, iset, k, part=part) for k in reversed(ks)]
+                    again = [build_isolating_set(g, part, k) for k in reversed(ks)]
                     assert again == fresh[::-1], (line, iset)
-
-    def test_machinery_of_another_set_rejected(self):
-        g = path(4)
-        with pytest.raises(ValueError):
-            build_isolating_set(g, (1, 2), 2, part=compute_partition(g, (0, 2)))
 
     @pytest.mark.parametrize("g6", sorted(SPOT_REPEATS))
     def test_spot_repeat_reuses_the_minimum_certificates(self, g6, monkeypatch):
@@ -389,9 +397,9 @@ class TestSharedMachinery:
         built = []
         real = harness.build_isolating_set
 
-        def counting(g, i, k, *args, **kwargs):
-            built.append((tuple(i), k))
-            return real(g, i, k, *args, **kwargs)
+        def counting(g, part, k):
+            built.append((tuple(bits(part.i)), k))
+            return real(g, part, k)
 
         monkeypatch.setattr(harness, "build_isolating_set", counting)
         rec = check_graph(g6)
@@ -713,7 +721,7 @@ class TestConjectureSurvey:
         }
         assert projected == verify_stream(lines, spot_check=False).aggregate["max_ratios"]
 
-    @pytest.mark.parametrize("kwargs", [{"jobs": 0}, {"jobs": -1}, {"k_max": 0}])
+    @pytest.mark.parametrize("kwargs", [{"jobs": 0}, {"jobs": -1}, {"k_max": 0}, {"max_n": -1}])
     def test_parameters_below_one_rejected(self, kwargs):
         with pytest.raises(ParameterError):
             conjecture_survey(["DQc"], **kwargs)
@@ -1000,6 +1008,45 @@ class TestCli:
         captured = capsys.readouterr()
         assert "must be at least 1" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["verify", "survey"])
+    def test_negative_max_n_exit_two(self, capsys, tmp_path, command):
+        g6 = tmp_path / "in.g6"
+        g6.write_text("DQc\n")
+        assert self.run([command, "--g6", str(g6), "--max-n", "0"]) == 0
+        capsys.readouterr()
+        assert self.run([command, "--g6", str(g6), "--max-n", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: max_n must be at least 0, got -1\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["verify", "--g6", "{missing}"], "--g6"),
+            (["solve", "--invariant", "gamma", "--g6", "{missing}"], "--g6"),
+            (["check", "--set", "0", "--predicate", "dominating", "--g6", "{missing}"], "--g6"),
+            (["verify", "--g6", "{g6}", "--csv", "{missing}"], "--csv"),
+            (["verify", "--g6", "{g6}", "--json", "{missing}"], "--json"),
+            (["survey", "--g6", "{g6}", "--json", "{missing}"], "--json"),
+            (["certify", "--family", "G1", "--params", "t=1,k=2", "--json", "{missing}"], "--json"),
+        ],
+    )
+    def test_unopenable_path_exit_two(self, capsys, tmp_path, argv, option):
+        g6 = tmp_path / "in.g6"
+        g6.write_text("DQc\n")
+        missing = tmp_path / "nodir" / "x"
+        assert self.run([a.format(g6=g6, missing=missing) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {option}: {missing}: No such file or directory\n"
+        assert os.listdir(tmp_path) == ["in.g6"]
+
+    def test_unopenable_input_leaves_no_csv(self, capsys, tmp_path):
+        # the CSV's temporary file is open when reading --g6 fails
+        argv = ["verify", "--g6", str(tmp_path / "missing.g6"), "--csv", str(tmp_path / "out.csv")]
+        assert self.run(argv) == 2
+        assert "error: --g6: " in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_certify_single_family(self, capsys):
         assert self.run(["certify", "--family", "G1", "--params", "t=1,k=2"]) == 0

@@ -2,10 +2,10 @@
 
 tests/mutants.json lists small mutants of the package, each with an id, what
 it breaks, a file, a text that occurs in it, the text that replaces it and
-the test expected to fail once it does. Each mutant is applied by hand to
-a copy of the tree; no test here runs one. This test only keeps the
-catalogue from rotting: each old text must still name exactly one place in
-its file.
+the test expected to fail once it does. tests/run_mutants.py applies each
+one to a copy of the tree and writes which test killed it; no test here runs
+one. This test only keeps the catalogue from rotting: each old text must
+still name exactly one place in its file.
 """
 
 import json

@@ -11,12 +11,7 @@ from isobound import (
     private_neighbors,
 )
 from isobound.graph import bits, mask_of
-from isobound.predicates import (
-    irredundant_extension,
-    is_maximal_irredundant_mask,
-    private_neighborhoods,
-    private_neighbors_mask,
-)
+from isobound.predicates import irredundant_extension, private_neighborhoods
 
 import oracles
 
@@ -153,7 +148,8 @@ class TestIrredundanceState:
         for line, g in corpus_by_order[5]:
             for smask in range(1 << g.n):
                 state = private_neighborhoods(g, smask)
-                pns = [private_neighbors_mask(g, smask, x) for x in bits(smask)]
+                members = tuple(bits(smask))
+                pns = [mask_of(private_neighbors(g, members, x)) for x in members]
                 if not all(pns):
                     assert state is None, (line, smask)
                     continue
@@ -164,7 +160,7 @@ class TestIrredundanceState:
             for line, g in corpus_by_order[n]:
                 for smask in range(1 << n):
                     expected = oracles.maximal_irredundant(g, set(bits(smask)))
-                    assert is_maximal_irredundant_mask(g, smask) == expected, (line, smask)
+                    assert is_maximal_irredundant(g, bits(smask)) == expected, (line, smask)
 
     def test_maximal_mask_matches_oracle_random(self):
         # random subsets are rarely maximal, so also try greedy maximal
@@ -185,8 +181,8 @@ class TestIrredundanceState:
                 trials.extend(greedy | {v} for v in range(n) if v not in greedy)
                 for s in trials:
                     expected = oracles.maximal_irredundant(g, s)
-                    assert is_maximal_irredundant_mask(g, mask_of(s)) == expected, (n, s)
-                assert is_maximal_irredundant_mask(g, mask_of(greedy))
+                    assert is_maximal_irredundant(g, s) == expected, (n, s)
+                assert is_maximal_irredundant(g, greedy)
 
 
 class TestIrredundantExtension:

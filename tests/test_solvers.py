@@ -830,7 +830,7 @@ def verify_records(g6):
     return [
         gamma(g),
         classify(g),
-        build_isolating_set(g, witness, g.max_degree() - 1, part=part),
+        build_isolating_set(g, part, g.max_degree() - 1),
         refine_pairs(g, part),
         refine_twins(g, part),
     ]
