@@ -36,6 +36,7 @@ from .harness import (
     certify_families,
     certify_family,
     conjecture_survey,
+    replacing,
     verify_stream,
     write_csv,
     write_json,
@@ -84,11 +85,17 @@ def _read_lines(path):
             yield ln.rstrip("\n")
 
 
-def _write_report(payload, path):
-    """write_json to the --json path, when one was given."""
-    if path:
-        with _named_path("--json", path):
-            write_json(payload, path)
+def _report_file(stack, path):
+    """The open --json file, or None without --json.
+
+    It is opened before any input is read, so a bad path ends the command
+    before it starts, and it replaces path when the stack closes without an
+    error.
+    """
+    if not path:
+        return None
+    with _named_path("--json", path):
+        return stack.enter_context(replacing(path))
 
 
 def _only_graph(path):
@@ -140,14 +147,16 @@ def _parse_params(text):
 
 
 def cmd_verify(args):
-    # each record becomes one CSV row as it arrives; the CSV is published
-    # only when the whole run completes. Only opening the CSV is reported
-    # as a bad --csv: an OSError inside the run is not the path's fault.
+    # each record becomes one CSV row as it arrives; the CSV and the report
+    # are opened before the first graph is read and published only when the
+    # whole run completes. Only opening them is reported as a bad path: an
+    # OSError inside the run is not the path's fault.
     with contextlib.ExitStack() as stack:
         sink = None
         if args.csv:
             with _named_path("--csv", args.csv):
                 sink = stack.enter_context(write_csv(args.csv))
+        report_file = _report_file(stack, args.json)
         report = verify_stream(
             _read_lines(args.g6),
             jobs=args.jobs,
@@ -155,7 +164,8 @@ def cmd_verify(args):
             spot_check=not args.no_spot_check,
             sink=sink,
         )
-    _write_report(report, args.json)
+        if report_file is not None:
+            write_json(report, report_file)
     agg = report.aggregate
     print(f"graphs checked: {agg['graphs']}")
     print(f"skipped (order above cap): {agg['skipped_over_max_n']}")
@@ -178,10 +188,13 @@ def cmd_verify(args):
 
 
 def cmd_survey(args):
-    out = conjecture_survey(
-        _read_lines(args.g6), jobs=args.jobs, max_n=args.max_n, k_max=args.k_max
-    )
-    _write_report(out, args.json)
+    with contextlib.ExitStack() as stack:
+        report_file = _report_file(stack, args.json)
+        out = conjecture_survey(
+            _read_lines(args.g6), jobs=args.jobs, max_n=args.max_n, k_max=args.k_max
+        )
+        if report_file is not None:
+            write_json(out, report_file)
     print(f"graphs surveyed: {out['graphs']}")
     print("delta  k  max iota_k/ir  witness")
     for row in out["rows"]:
@@ -195,14 +208,16 @@ def cmd_survey(args):
 
 
 def cmd_certify(args):
+    grid = None
     if args.family:
         grid = [(args.family, _parse_params(args.params))]
-        report = certify_families(grid)
     elif args.params:
         raise ParameterError("--params needs --family")
-    else:
-        report = certify_families()
-    _write_report(report, args.json)
+    with contextlib.ExitStack() as stack:
+        report_file = _report_file(stack, args.json)
+        report = certify_families(grid)
+        if report_file is not None:
+            write_json(report, report_file)
     for row in report["rows"]:
         fields = [f"{row['family']} {row['params']}: n={row['n']} delta={row['delta']}"]
         for key in ("gamma", "ir", "iota", "iota_lower", "iota_upper"):

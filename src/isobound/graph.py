@@ -4,6 +4,11 @@ Vertices are integers 0..n-1. Adjacency lives in Python ints used as bit
 masks, which keeps the set algebra the rest of the package runs on (private
 neighborhoods, domination closures, clique residuals) branch-light. The
 supported order cap is n <= 512.
+
+The k-cliques are enumerated once per graph and size, as closed
+neighbourhood masks ("covers"): clique_covers serves them to the isolation
+search, and clique_table adds the vertex masks for the callers that read
+them.
 """
 
 from functools import lru_cache
@@ -299,27 +304,25 @@ def _kept_cliques(g):
     """The clique levels of the most recently asked graph, grown as larger k
     are asked for.
 
-    levels[j - 1] is (the j-cliques' (vertex mask, closed-neighbourhood mask)
-    rows in lex order, per row the common neighbours above its last vertex).
-    The isolation search and the partition checks ask for several k of the
-    same graph in a row, so each size is built once; holding one graph keeps
-    memory to that graph's cliques.
+    levels[j - 1] is [covers, above, rows] for the j-cliques in lex order:
+    their closed-neighbourhood masks, per clique the common neighbours above
+    its last vertex, and the (vertex mask, cover) rows, or None until
+    clique_table asks for them. The isolation search and the partition
+    checks ask for several k of the same graph in a row, so each size is
+    built once; holding one graph keeps memory to that graph's cliques.
     """
     rows = tuple((1 << v, c) for v, c in enumerate(g.clo))
     above = [a >> (v + 1) << (v + 1) for v, a in enumerate(g.adj)]
-    return [(rows, above)]
+    return [[g.clo, above, rows]]
 
 
-def clique_table(g, k):
-    """(vertex mask, closed-neighbourhood mask) per k-clique, in lex order.
+def _clique_levels(g, k):
+    """The kept levels of g, grown to size k or to the first empty size.
 
-    Sizes are built up from 1: a j-clique row (vmask, cover) is extended by
-    each common neighbour w above its last vertex, in ascending order, to
-    the row (vmask | 1 << w, cover | N[w]), which yields the (j + 1)-clique
-    rows in lex order. The sizes built for the most recently asked graph are
-    kept and reused; the returned tuple is shared, not copied. The cliques
-    inside a vertex mask `zone` are the rows with `not vmask & ~zone`, still
-    in lex order.
+    A j-clique is extended by each common neighbour w above its last vertex,
+    in ascending order, to the (j + 1)-clique with cover cover | N[w] and
+    common neighbours common & N(w), which yields the (j + 1)-cliques in
+    lex order.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
@@ -327,17 +330,55 @@ def clique_table(g, k):
     adj = g.adj
     clo = g.clo
     while len(levels) < k and levels[-1][0]:
-        rows, above = [], []
-        add_row, add_above = rows.append, above.append
-        for (vmask, cover), common in zip(*levels[-1]):
+        covers, above = [], []
+        add_cover, add_above = covers.append, above.append
+        for cover, common in zip(levels[-1][0], levels[-1][1]):
             while common:
                 b = common & -common
                 common ^= b
                 w = b.bit_length() - 1
-                add_row((vmask | b, cover | clo[w]))
+                add_cover(cover | clo[w])
                 add_above(common & adj[w])
-        levels.append((tuple(rows), above))
+        levels.append([tuple(covers), above, None])
+    return levels
+
+
+def clique_covers(g, k):
+    """The closed-neighbourhood mask of each k-clique, in lex order.
+
+    The tuple is the kept level's own, shared and not copied.
+    """
+    levels = _clique_levels(g, k)
     return levels[k - 1][0] if k <= len(levels) else ()
+
+
+def clique_table(g, k):
+    """(vertex mask, closed-neighbourhood mask) per k-clique, in lex order.
+
+    The levels hold covers only; the vertex masks of a size are derived on
+    the first call that asks for them, from the rows of the size below: the
+    children of a j-clique are the bits of its common-neighbour mask in
+    ascending order, each added to its vertex mask. The rows are kept with
+    the levels; the returned tuple is shared, not copied. The cliques inside
+    a vertex mask `zone` are the rows with `not vmask & ~zone`, still in lex
+    order.
+    """
+    levels = _clique_levels(g, k)
+    if k > len(levels):
+        return ()
+    j = k
+    while levels[j - 1][2] is None:
+        j -= 1
+    for below, level in zip(levels[j - 1 : k - 1], levels[j:k]):
+        vmasks = []
+        add = vmasks.append
+        for (vmask, _), common in zip(below[2], below[1]):
+            while common:
+                b = common & -common
+                common ^= b
+                add(vmask | b)
+        level[2] = tuple(zip(vmasks, level[0]))
+    return levels[k - 1][2]
 
 
 def _clique_within(adj, cand, need):

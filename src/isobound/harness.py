@@ -18,6 +18,7 @@ drops it, so memory does not grow with the input.
 import collections
 import contextlib
 import csv
+import errno
 import functools
 import json
 import multiprocessing
@@ -641,27 +642,40 @@ def _csv_row(rec):
 
 
 @contextlib.contextmanager
-def write_csv(path):
-    """A sink, for the with block, that writes each record it is given as
-    one CSV row.
+def replacing(path, newline=None):
+    """An open text file, for the with block, that replaces path when the
+    block completes.
 
-    The rows go to a temporary file beside path, which replaces path when
-    the block completes. A block that raises removes the temporary file and
-    leaves path as it was, so no partial CSV is ever published.
+    The file is a temporary one beside path. A block that raises removes it
+    and leaves path as it was, so nothing partial is ever published. A path
+    that is a directory raises IsADirectoryError before anything is opened,
+    since it could never be replaced.
     """
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, extrasaction="ignore")
-            writer.writeheader()
-            yield lambda rec: writer.writerow(_csv_row(rec))
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
         os.replace(tmp, path)
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
 
 
+@contextlib.contextmanager
+def write_csv(path):
+    """A sink, for the with block, that writes each record it is given as
+    one CSV row, published at path as `replacing` does."""
+    with replacing(path, newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, extrasaction="ignore")
+        writer.writeheader()
+        yield lambda rec: writer.writerow(_csv_row(rec))
+
+
 def write_json(report_or_dict, path):
+    """Write a report as indented JSON to the open text file path, or,
+    given a file name, publish it there as `replacing` does."""
     payload = report_or_dict
     if isinstance(report_or_dict, CheckReport):
         payload = {
@@ -669,6 +683,6 @@ def write_json(report_or_dict, path):
             "hard_failures": report_or_dict.hard_failures,
             "parse_errors": report_or_dict.parse_errors,
         }
-    with open(path, "w") as fh:
+    with contextlib.nullcontext(path) if hasattr(path, "write") else replacing(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

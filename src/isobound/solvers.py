@@ -42,7 +42,7 @@ witness depends on the order the DFS visits nodes in.
 from typing import NamedTuple
 
 from .errors import CertificateError, SizeCapError
-from .graph import bits, clique_table, closed_mask, components
+from .graph import bits, clique_covers, clique_table, closed_mask, components
 from .predicates import is_k_isolating_mask
 
 IR_ORDER_CAP = 32
@@ -67,48 +67,46 @@ class PackingCertificate(NamedTuple):
     regions: tuple
 
 
-def _minimal_targets(rows):
-    """The inclusion-minimal (vmask, cover) rows, smallest cover first.
+def _minimal_targets(covers):
+    """The inclusion-minimal covers, smallest first.
 
-    Each distinct cover stands for its lex-first row. The covers are scanned
-    by ascending size, stable, so ties keep lex order, and a cover is kept
-    when no kept cover lies inside it.
+    Equal covers count once, at their first place. The distinct covers are
+    scanned by ascending size, stable, so ties keep lex order, and a cover
+    is kept when no kept cover lies inside it.
     """
-    first = {}
-    for vmask, cover in rows:
-        if cover not in first:
-            first[cover] = vmask
     kept = []
-    for cover in sorted(first, key=int.bit_count):
+    for cover in sorted(dict.fromkeys(covers), key=int.bit_count):
         outside = ~cover
         for smaller in kept:
             if not smaller & outside:
                 break
         else:
             kept.append(cover)
-    return [(first[cover], cover) for cover in kept]
+    return kept
 
 
 def _isolation_solve(g, k):
+    covers = clique_covers(g, k)
+    if not covers:
+        return SolveResult(0, (), 0)
     # Smallest closed neighbourhoods first, and only the minimal ones: the
     # packing gets tighter and a forced target turns up sooner. Neither the
     # order nor the dropped targets change what is feasible.
-    targets = _minimal_targets(clique_table(g, k))
+    targets = _minimal_targets(covers)
     explored = [0]
-    if not targets:
-        return SolveResult(0, (), 0)
 
-    def dfs(budget, covered, allowed):
+    def dfs(budget, chosen, allowed):
         # A set of exactly `budget` vertices of `allowed` that kills every
-        # target not yet killed by `covered`, as a mask, or None if there is
-        # none (a success at budget 0 is the mask 0).
+        # target `chosen` has not killed, as a mask, or None if there is
+        # none (a success at budget 0 is the mask 0). A chosen vertex kills
+        # the targets whose cover holds it.
         explored[0] += 1
         best_cando = None
         best_size = None
         packed = 0
         used = 0
-        for vmask, cover in targets:
-            if vmask & covered:
+        for cover in targets:
+            if cover & chosen:
                 continue
             cando = cover & allowed
             size = cando.bit_count()
@@ -138,10 +136,11 @@ def _isolation_solve(g, k):
             return pad
         # Sibling exclusion: a solution holding v lies in v's branch, whose
         # `allowed` only shrinks below it, so later siblings may drop v.
-        for v in bits(best_cando):
-            bit = 1 << v
-            allowed &= ~bit
-            found = dfs(budget - 1, covered | g.clo[v], allowed)
+        while best_cando:
+            bit = best_cando & -best_cando
+            best_cando ^= bit
+            allowed ^= bit
+            found = dfs(budget - 1, chosen | bit, allowed)
             if found is not None:
                 return found | bit
         return None
@@ -163,20 +162,18 @@ def _isolation_solve(g, k):
     # next witness vertex, with its solution as the new `known`.
     witness = []
     prefix = 0
-    covered = 0
     start = 0
     for _ in range(value):
         rest = known & ~prefix
         nxt = (rest & -rest).bit_length() - 1
         budget = value - len(witness) - 1
         for v in range(start, nxt):
-            found = dfs(budget, covered | g.clo[v], g.full >> (v + 1) << (v + 1))
+            found = dfs(budget, prefix | 1 << v, g.full >> (v + 1) << (v + 1))
             if found is not None:
                 known = prefix | found | (1 << v)
                 nxt = v
                 break
         prefix |= 1 << nxt
-        covered |= g.clo[nxt]
         witness.append(nxt)
         start = nxt + 1
     if not is_k_isolating_mask(g, prefix, k):

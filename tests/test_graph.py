@@ -21,7 +21,9 @@ from isobound import (
     private_neighbors,
 )
 from isobound.graph import (
+    _kept_cliques,
     bits,
+    clique_covers,
     clique_table,
     closed_mask,
     components,
@@ -332,6 +334,73 @@ class TestCliques:
     def test_lex_order(self):
         g = Graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
         assert cliques_of(g, 2)[:3] == [(0, 1), (0, 2), (0, 3)]
+
+
+def lex_clique_rows(g, k):
+    """The (vertex mask, cover) rows of the k-cliques in lex order, by plain
+    recursion over the common neighbours above the last vertex."""
+    rows = []
+
+    def grow(vmask, cand, need):
+        if not need:
+            rows.append((vmask, closed_mask(g, vmask)))
+            return
+        for v in bits(cand):
+            grow(vmask | 1 << v, cand & g.adj[v] >> (v + 1) << (v + 1), need - 1)
+
+    grow(0, g.full, k)
+    return tuple(rows)
+
+
+class TestCliqueCovers:
+    """clique_covers(g, k) is the covers of clique_table(g, k), whichever
+    of the two is asked first, for k in any order and for graphs that
+    alternate, so the kept levels never hold stale vertex masks."""
+
+    @staticmethod
+    def call_orders(graphs):
+        """Lists of (graph, k, ask covers first) calls, each list starting
+        from an empty cache; k runs one past Delta + 1, an empty size. The
+        last order per graph is a seeded shuffle of both kinds of call."""
+        ks = {id(g): range(1, g.max_degree() + 3) for g in graphs}
+        for g in graphs:
+            for covers_first in (True, False):
+                yield [(g, k, covers_first) for k in ks[id(g)]]
+                yield [(g, k, covers_first) for k in reversed(ks[id(g)])]
+            mixed = [(g, k, covers_first) for k in ks[id(g)] for covers_first in (True, False)]
+            random.Random(g.n).shuffle(mixed)
+            yield mixed
+        for covers_first in (True, False):
+            yield [
+                (g, k, covers_first)
+                for k in range(1, max(map(len, ks.values())) + 1)
+                for g in graphs
+                if k in ks[id(g)]
+            ]
+
+    def assert_orders_agree(self, graphs):
+        want = {id(g): {k: lex_clique_rows(g, k) for k in range(1, g.max_degree() + 3)} for g in graphs}
+        for calls in self.call_orders(graphs):
+            _kept_cliques.cache_clear()
+            for g, k, covers_first in calls:
+                if covers_first:
+                    covers, rows = clique_covers(g, k), clique_table(g, k)
+                else:
+                    rows, covers = clique_table(g, k), clique_covers(g, k)
+                assert rows == want[id(g)][k], (encode_graph6(g), k)
+                assert covers == tuple(cover for _, cover in rows), (encode_graph6(g), k)
+                assert clique_covers(g, k) is covers
+
+    def test_corpus_up_to_seven(self, corpus_by_order):
+        graphs = [g for n in range(1, 8) for _, g in corpus_by_order[n]]
+        for pair in zip(graphs[::2], graphs[1::2] + graphs[:1]):
+            self.assert_orders_agree(pair)
+
+    def test_unit_disk_graphs(self):
+        rng = random.Random(4100)
+        graphs = [unit_disk(n, rng.uniform(5.0, 8.0), rng) for n in range(12, 37)]
+        for pair in zip(graphs[::2], graphs[1::2] + graphs[:1]):
+            self.assert_orders_agree(pair)
 
 
 class TestNeighborhoods:

@@ -1041,6 +1041,41 @@ class TestCli:
         assert err == f"error: {option}: {missing}: No such file or directory\n"
         assert os.listdir(tmp_path) == ["in.g6"]
 
+    @pytest.mark.parametrize("option", ["--csv", "--json"])
+    def test_directory_path_exit_two_before_any_graph(self, capsys, monkeypatch, tmp_path, option):
+        # a directory can never be replaced by the report, so it is refused
+        # before the first graph is checked, leaving no temporary file
+        checked = []
+        real = harness.check_graph
+        monkeypatch.setattr(harness, "check_graph", lambda *a, **kw: checked.append(a) or real(*a, **kw))
+        g6 = tmp_path / "in.g6"
+        g6.write_text("DQc\nCr\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert self.run(["verify", "--g6", str(g6), option, str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {option}: {out}: Is a directory\n"
+        assert checked == []
+        assert sorted(os.listdir(tmp_path)) == ["in.g6", "out"]
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("command, per_graph", [("verify", "check_graph"), ("survey", "_survey_line")])
+    def test_bad_json_exit_two_before_any_graph(self, capsys, monkeypatch, tmp_path, command, per_graph):
+        # the report file is opened before the input is read, so a bad
+        # --json ends the run before any graph and publishes no CSV
+        seen = []
+        real = getattr(harness, per_graph)
+        monkeypatch.setattr(harness, per_graph, lambda *a, **kw: seen.append(a) or real(*a, **kw))
+        g6 = tmp_path / "two.g6"
+        g6.write_text("DQc\nCr\n")
+        missing = tmp_path / "nodir" / "x.json"
+        argv = [command, "--g6", str(g6), "--json", str(missing)]
+        if command == "verify":
+            argv += ["--csv", str(tmp_path / "out.csv")]
+        assert self.run(argv) == 2
+        assert capsys.readouterr().err == f"error: --json: {missing}: No such file or directory\n"
+        assert seen == []
+        assert os.listdir(tmp_path) == ["two.g6"]
+
     def test_unopenable_input_leaves_no_csv(self, capsys, tmp_path):
         # the CSV's temporary file is open when reading --g6 fails
         argv = ["verify", "--g6", str(tmp_path / "missing.g6"), "--csv", str(tmp_path / "out.csv")]

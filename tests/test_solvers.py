@@ -618,21 +618,21 @@ class TestMinimalTargets:
                 self.assert_matches_full_targets(unit_disk(n, degree, rng))
 
     def test_kept_rows_are_the_minimal_covers(self):
-        # the rule as stated: all rows by ascending cover size, stable, each
-        # kept unless a kept cover lies inside its own
-        def reference(rows):
+        # the rule as stated: all covers by ascending size, stable, each
+        # kept unless a kept cover lies inside it
+        def reference(covers):
             kept = []
-            for row in sorted(rows, key=lambda r: r[1].bit_count()):
-                if all(cover & ~row[1] for _, cover in kept):
-                    kept.append(row)
+            for cover in sorted(covers, key=int.bit_count):
+                if all(smaller & ~cover for smaller in kept):
+                    kept.append(cover)
             return kept
 
         rng = random.Random(3007)
         for n in range(12, 30, 3):
             g = unit_disk(n, 6.0, rng)
             for k in range(1, g.max_degree() + 2):
-                rows = clique_table(g, k)
-                assert _minimal_targets(rows) == reference(rows), (encode_graph6(g), k)
+                covers = [cover for _, cover in clique_table(g, k)]
+                assert _minimal_targets(covers) == reference(covers), (encode_graph6(g), k)
 
 
 # The theorem checks of a verify record, which depend only on the graph's
