@@ -16,6 +16,7 @@ failure and exits 1.
 import argparse
 import contextlib
 import json
+import os
 import re
 import sys
 
@@ -150,7 +151,10 @@ def cmd_verify(args):
     # each record becomes one CSV row as it arrives; the CSV and the report
     # are opened before the first graph is read and published only when the
     # whole run completes. Only opening them is reported as a bad path: an
-    # OSError inside the run is not the path's fault.
+    # OSError inside the run is not the path's fault. Both go through a
+    # temporary file named after the path, so one path cannot take both.
+    if args.csv and args.json and os.path.realpath(args.csv) == os.path.realpath(args.json):
+        raise ParameterError(f"--csv and --json name the same file: {args.json}")
     with contextlib.ExitStack() as stack:
         sink = None
         if args.csv:

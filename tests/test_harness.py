@@ -1076,6 +1076,14 @@ class TestCli:
         assert seen == []
         assert os.listdir(tmp_path) == ["two.g6"]
 
+    def test_csv_and_json_on_one_file_exit_two(self, capsys, tmp_path):
+        g6 = tmp_path / "in.g6"
+        g6.write_text("DQc\n")
+        out = tmp_path / "out"
+        assert self.run(["verify", "--g6", str(g6), "--csv", str(out), "--json", f"{tmp_path}/./out"]) == 2
+        assert capsys.readouterr().err == f"error: --csv and --json name the same file: {tmp_path}/./out\n"
+        assert os.listdir(tmp_path) == ["in.g6"]
+
     def test_unopenable_input_leaves_no_csv(self, capsys, tmp_path):
         # the CSV's temporary file is open when reading --g6 fails
         argv = ["verify", "--g6", str(tmp_path / "missing.g6"), "--csv", str(tmp_path / "out.csv")]
