@@ -6,9 +6,9 @@ neighborhoods, domination closures, clique residuals) branch-light. The
 supported order cap is n <= 512.
 
 The k-cliques are enumerated once per graph and size, as closed
-neighbourhood masks ("covers"): clique_covers serves them to the isolation
-search, and clique_table adds the vertex masks for the callers that read
-them.
+neighbourhood masks ("covers"): isolation_covers serves them to the
+isolation search with the graph's candidate mask, and clique_table adds the
+vertex masks for the callers that read them.
 """
 
 from functools import lru_cache
@@ -67,7 +67,7 @@ class Graph:
     operations regardless of n.
     """
 
-    __slots__ = ("n", "adj", "clo", "full", "_delta")
+    __slots__ = ("n", "adj", "clo", "full", "_delta", "_hash")
 
     def __init__(self, n, edges=()):
         if n < 0 or n > ORDER_CAP:
@@ -98,6 +98,7 @@ class Graph:
         self.clo = tuple(a | (1 << v) for v, a in enumerate(adj_masks))
         self.full = (1 << self.n) - 1
         self._delta = max(map(int.bit_count, adj_masks), default=0)
+        self._hash = None
 
     def degree(self, v):
         return self.adj[v].bit_count()
@@ -133,7 +134,12 @@ class Graph:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
     def __hash__(self):
-        return hash((self.n, self.adj))
+        # computed on first use and kept: the clique cache hashes its graph
+        # on every lookup, and many graphs are never hashed at all
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.n, self.adj))
+        return h
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.edge_count()})"
@@ -301,8 +307,14 @@ def components(g):
 
 @lru_cache(maxsize=1)
 def _kept_cliques(g):
-    """The clique levels of the most recently asked graph, grown as larger k
-    are asked for.
+    """The candidate mask and the clique levels of the most recently asked
+    graph, the levels grown as larger k are asked for.
+
+    The candidate mask holds each vertex a that has no neighbour b < a with
+    N[a] inside N[b]. Such a b lies in every clique cover that a lies in,
+    since a clique that meets N[a] meets N[b], so the lex-least minimum
+    isolating set never holds a (see solvers), and the lowest vertex of
+    every cover is a candidate.
 
     levels[j - 1] is [covers, above, rows] for the j-cliques in lex order:
     their closed-neighbourhood masks, per clique the common neighbours above
@@ -311,13 +323,27 @@ def _kept_cliques(g):
     checks ask for several k of the same graph in a row, so each size is
     built once; holding one graph keeps memory to that graph's cliques.
     """
-    rows = tuple((1 << v, c) for v, c in enumerate(g.clo))
-    above = [a >> (v + 1) << (v + 1) for v, a in enumerate(g.adj)]
-    return [[g.clo, above, rows]]
+    clo = g.clo
+    candidates = 0
+    above = []
+    for v, a in enumerate(g.adj):
+        above.append(a >> (v + 1) << (v + 1))
+        cv = clo[v]
+        lower = a & ((1 << v) - 1)
+        while lower:
+            b = lower & -lower
+            if not cv & ~clo[b.bit_length() - 1]:
+                break
+            lower ^= b
+        else:
+            candidates |= 1 << v
+    rows = tuple((1 << v, c) for v, c in enumerate(clo))
+    return candidates, [[clo, above, rows]]
 
 
 def _clique_levels(g, k):
-    """The kept levels of g, grown to size k or to the first empty size.
+    """The candidate mask of g and its kept levels, grown to size k or to
+    the first empty size.
 
     A j-clique is extended by each common neighbour w above its last vertex,
     in ascending order, to the (j + 1)-clique with cover cover | N[w] and
@@ -326,7 +352,8 @@ def _clique_levels(g, k):
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    levels = _kept_cliques(g)
+    kept = _kept_cliques(g)
+    levels = kept[1]
     adj = g.adj
     clo = g.clo
     while len(levels) < k and levels[-1][0]:
@@ -340,16 +367,17 @@ def _clique_levels(g, k):
                 add_cover(cover | clo[w])
                 add_above(common & adj[w])
         levels.append([tuple(covers), above, None])
-    return levels
+    return kept
 
 
-def clique_covers(g, k):
-    """The closed-neighbourhood mask of each k-clique, in lex order.
+def isolation_covers(g, k):
+    """The candidate mask of g and the closed-neighbourhood mask of each
+    k-clique, in lex order: all the isolation search reads.
 
     The tuple is the kept level's own, shared and not copied.
     """
-    levels = _clique_levels(g, k)
-    return levels[k - 1][0] if k <= len(levels) else ()
+    candidates, levels = _clique_levels(g, k)
+    return candidates, levels[k - 1][0] if k <= len(levels) else ()
 
 
 def clique_table(g, k):
@@ -363,7 +391,7 @@ def clique_table(g, k):
     a vertex mask `zone` are the rows with `not vmask & ~zone`, still in lex
     order.
     """
-    levels = _clique_levels(g, k)
+    levels = _clique_levels(g, k)[1]
     if k > len(levels):
         return ()
     j = k

@@ -31,6 +31,18 @@ targets reduced by a fourth:
   with the packing and is at least as good a branch. So every node acts
   as it would with all targets, and the DFS visits the same tree.
 
+The search runs over candidate vertices only. A vertex a is dropped when a
+neighbour b < a has N[a] inside N[b], the subset rule of the same paper
+(its true-twin case is N[a] = N[b]). A clique C whose cover holds a meets
+N[a], so it meets N[b] and its cover holds b: b kills every target a
+kills, at every k. If the lex-least minimum solution held a, then either
+it holds b too, and dropping a leaves a smaller solution, or swapping a
+for b leaves a lex-smaller one of the same size. Neither can be, so that
+solution uses candidates only, and a search whose vertices and covers are
+cut down to the candidates finds the same value and witness. No cut cover
+is empty: the lowest vertex of a cover is a candidate, since a lower b
+would lie in the cover too. Targets are then the minimal cut covers.
+
 The value is the smallest feasible size, and the DFS returns the set it
 found. The witness is fixed vertex by vertex in lex order from that set:
 the set's next vertex is known to extend the prefix, so only the vertices
@@ -42,7 +54,7 @@ witness depends on the order the DFS visits nodes in.
 from typing import NamedTuple
 
 from .errors import CertificateError, SizeCapError
-from .graph import bits, clique_covers, clique_table, closed_mask, components
+from .graph import bits, clique_table, closed_mask, components, isolation_covers
 from .predicates import is_k_isolating_mask
 
 IR_ORDER_CAP = 32
@@ -67,15 +79,17 @@ class PackingCertificate(NamedTuple):
     regions: tuple
 
 
-def _minimal_targets(covers):
-    """The inclusion-minimal covers, smallest first.
+def _minimal_targets(covers, candidates):
+    """The inclusion-minimal covers cut down to the candidate vertices,
+    smallest first.
 
-    Equal covers count once, at their first place. The distinct covers are
-    scanned by ascending size, stable, so ties keep lex order, and a cover
-    is kept when no kept cover lies inside it.
+    Equal cut covers count once, at their first place. The distinct ones
+    are scanned by ascending size, stable, so ties keep lex order, and a
+    cover is kept when no kept cover lies inside it.
     """
     kept = []
-    for cover in sorted(dict.fromkeys(covers), key=int.bit_count):
+    cut = {cover & candidates: None for cover in covers}
+    for cover in sorted(cut, key=int.bit_count):
         outside = ~cover
         for smaller in kept:
             if not smaller & outside:
@@ -86,13 +100,13 @@ def _minimal_targets(covers):
 
 
 def _isolation_solve(g, k):
-    covers = clique_covers(g, k)
+    candidates, covers = isolation_covers(g, k)
     if not covers:
         return SolveResult(0, (), 0)
     # Smallest closed neighbourhoods first, and only the minimal ones: the
     # packing gets tighter and a forced target turns up sooner. Neither the
     # order nor the dropped targets change what is feasible.
-    targets = _minimal_targets(covers)
+    targets = _minimal_targets(covers, candidates)
     explored = [0]
 
     def dfs(budget, chosen, allowed):
@@ -147,7 +161,7 @@ def _isolation_solve(g, k):
 
     # no separate lower bound: the packing at each node cuts too-small sizes
     for value in range(g.n + 1):
-        known = dfs(value, 0, g.full)
+        known = dfs(value, 0, candidates)
         if known is not None:
             break
     if known is None:
@@ -158,8 +172,8 @@ def _isolation_solve(g, k):
     # The lex-least witness, one vertex per position. `known` is a solution
     # holding the prefix, with the rest above the prefix's last vertex, so
     # its lowest vertex past the prefix, nxt, is a feasible next vertex: only
-    # the vertices below nxt are searched, and the first that extends is the
-    # next witness vertex, with its solution as the new `known`.
+    # the candidates below nxt are searched, and the first that extends is
+    # the next witness vertex, with its solution as the new `known`.
     witness = []
     prefix = 0
     start = 0
@@ -167,8 +181,8 @@ def _isolation_solve(g, k):
         rest = known & ~prefix
         nxt = (rest & -rest).bit_length() - 1
         budget = value - len(witness) - 1
-        for v in range(start, nxt):
-            found = dfs(budget, prefix | 1 << v, g.full >> (v + 1) << (v + 1))
+        for v in bits(candidates & ((1 << nxt) - (1 << start))):
+            found = dfs(budget, prefix | 1 << v, candidates >> (v + 1) << (v + 1))
             if found is not None:
                 known = prefix | found | (1 << v)
                 nxt = v

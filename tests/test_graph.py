@@ -23,11 +23,11 @@ from isobound import (
 from isobound.graph import (
     _kept_cliques,
     bits,
-    clique_covers,
     clique_table,
     closed_mask,
     components,
     graph6_order,
+    isolation_covers,
     mask_of,
     vertex_mask,
 )
@@ -353,7 +353,7 @@ def lex_clique_rows(g, k):
 
 
 class TestCliqueCovers:
-    """clique_covers(g, k) is the covers of clique_table(g, k), whichever
+    """isolation_covers(g, k) holds the covers of clique_table(g, k), whichever
     of the two is asked first, for k in any order and for graphs that
     alternate, so the kept levels never hold stale vertex masks."""
 
@@ -384,12 +384,12 @@ class TestCliqueCovers:
             _kept_cliques.cache_clear()
             for g, k, covers_first in calls:
                 if covers_first:
-                    covers, rows = clique_covers(g, k), clique_table(g, k)
+                    covers, rows = isolation_covers(g, k)[1], clique_table(g, k)
                 else:
-                    rows, covers = clique_table(g, k), clique_covers(g, k)
+                    rows, covers = clique_table(g, k), isolation_covers(g, k)[1]
                 assert rows == want[id(g)][k], (encode_graph6(g), k)
                 assert covers == tuple(cover for _, cover in rows), (encode_graph6(g), k)
-                assert clique_covers(g, k) is covers
+                assert isolation_covers(g, k)[1] is covers
 
     def test_corpus_up_to_seven(self, corpus_by_order):
         graphs = [g for n in range(1, 8) for _, g in corpus_by_order[n]]

@@ -35,7 +35,7 @@ from isobound import (
     solvers,
 )
 from isobound.families import gen_five_thirds
-from isobound.graph import bits, clique_table, closed_mask, components
+from isobound.graph import bits, clique_table, closed_mask, components, mask_of
 from isobound.predicates import irredundant_extension, is_k_isolating_mask
 from isobound.solvers import SolveResult, _ir_search, _isolation_solve, _minimal_targets
 
@@ -111,11 +111,27 @@ def reference_isolation_solve(g, k):
     return SolveResult(value, tuple(witness), explored[0])
 
 
+def candidate_mask(g):
+    """The vertices a with no neighbour b < a whose closed neighbourhood
+    holds N[a], by the definition."""
+    return mask_of(
+        a
+        for a in range(g.n)
+        if not any(g.has_edge(a, b) and not g.clo[a] & ~g.clo[b] for b in range(a))
+    )
+
+
 def full_target_isolation_solve(g, k):
     """The isolation search over every k-clique target, before the targets
-    whose cover holds another's were dropped. Kept as the reference the
-    reduced search must agree with, node counts included."""
-    targets = sorted(clique_table(g, k), key=lambda t: t[1].bit_count())
+    whose cover holds another's were dropped. It searches the candidate
+    vertices only, as the reduced search does, with each cover cut down to
+    them. Kept as the reference the reduced search must agree with, node
+    counts included."""
+    cand = candidate_mask(g)
+    targets = sorted(
+        ((vmask, cover & cand) for vmask, cover in clique_table(g, k)),
+        key=lambda t: t[1].bit_count(),
+    )
     explored = [0]
     if not targets:
         return SolveResult(0, (), 0)
@@ -170,7 +186,7 @@ def full_target_isolation_solve(g, k):
 
     # no separate lower bound: the packing at each node cuts too-small sizes
     for value in range(g.n + 1):
-        known = dfs(value, 0, g.full)
+        known = dfs(value, 0, cand)
         if known is not None:
             break
     assert known is not None, "the full vertex set is always isolating"
@@ -188,7 +204,9 @@ def full_target_isolation_solve(g, k):
         nxt = (rest & -rest).bit_length() - 1
         budget = value - len(witness) - 1
         for v in range(start, nxt):
-            found = dfs(budget, covered | g.clo[v], g.full >> (v + 1) << (v + 1))
+            if not cand >> v & 1:
+                continue
+            found = dfs(budget, covered | g.clo[v], cand >> (v + 1) << (v + 1))
             if found is not None:
                 known = prefix | found | (1 << v)
                 nxt = v
@@ -588,8 +606,10 @@ class TestPrunedSearch:
             assert got.explored < reference_isolation_solve(g, k).explored
             explored[k] = got.explored
         # DFS node counts of the pruned search; they move whenever its rules
-        # change. Without sibling exclusion k = 2 explores 122 nodes.
-        assert explored == {1: 242, 2: 103, 3: 28}
+        # change. Without sibling exclusion k = 3 explores 29 nodes, and
+        # before the search kept to the candidate vertices it explored
+        # {1: 242, 2: 103, 3: 28}.
+        assert explored == {1: 81, 2: 97, 3: 23}
 
 
 class TestMinimalTargets:
@@ -618,11 +638,11 @@ class TestMinimalTargets:
                 self.assert_matches_full_targets(unit_disk(n, degree, rng))
 
     def test_kept_rows_are_the_minimal_covers(self):
-        # the rule as stated: all covers by ascending size, stable, each
-        # kept unless a kept cover lies inside it
-        def reference(covers):
+        # the rule as stated: all covers cut down to the candidates, by
+        # ascending size, stable, each kept unless a kept cover lies inside it
+        def reference(covers, candidates):
             kept = []
-            for cover in sorted(covers, key=int.bit_count):
+            for cover in sorted((c & candidates for c in covers), key=int.bit_count):
                 if all(smaller & ~cover for smaller in kept):
                     kept.append(cover)
             return kept
@@ -632,7 +652,10 @@ class TestMinimalTargets:
             g = unit_disk(n, 6.0, rng)
             for k in range(1, g.max_degree() + 2):
                 covers = [cover for _, cover in clique_table(g, k)]
-                assert _minimal_targets(covers) == reference(covers), (encode_graph6(g), k)
+                for candidates in (g.full, candidate_mask(g)):
+                    assert _minimal_targets(covers, candidates) == reference(
+                        covers, candidates
+                    ), (encode_graph6(g), k)
 
 
 # The theorem checks of a verify record, which depend only on the graph's
