@@ -314,7 +314,9 @@ def _kept_cliques(g):
     N[a] inside N[b]. Such a b lies in every clique cover that a lies in,
     since a clique that meets N[a] meets N[b], so the lex-least minimum
     isolating set never holds a (see solvers), and the lowest vertex of
-    every cover is a candidate.
+    every cover is a candidate. The test is one per edge, so it rides on
+    the loop that builds the edges, the 2-cliques: the first two levels are
+    built here, and _clique_levels grows the rest.
 
     levels[j - 1] is [covers, above, rows] for the j-cliques in lex order:
     their closed-neighbourhood masks, per clique the common neighbours above
@@ -323,22 +325,25 @@ def _kept_cliques(g):
     checks ask for several k of the same graph in a row, so each size is
     built once; holding one graph keeps memory to that graph's cliques.
     """
+    adj = g.adj
     clo = g.clo
-    candidates = 0
-    above = []
-    for v, a in enumerate(g.adj):
-        above.append(a >> (v + 1) << (v + 1))
-        cv = clo[v]
-        lower = a & ((1 << v) - 1)
-        while lower:
-            b = lower & -lower
-            if not cv & ~clo[b.bit_length() - 1]:
-                break
-            lower ^= b
-        else:
-            candidates |= 1 << v
     rows = tuple((1 << v, c) for v, c in enumerate(clo))
-    return candidates, [[clo, above, rows]]
+    above = [a >> (v + 1) << (v + 1) for v, a in enumerate(adj)]
+    covers, common_above = [], []
+    add_cover, add_above = covers.append, common_above.append
+    dominated = 0
+    for v, common in enumerate(above):
+        cv = clo[v]
+        while common:
+            b = common & -common
+            common ^= b
+            w = b.bit_length() - 1
+            if not clo[w] & ~cv:
+                dominated |= b
+            add_cover(cv | clo[w])
+            add_above(common & adj[w])
+    levels = [[clo, above, rows], [tuple(covers), common_above, None]]
+    return g.full ^ dominated, levels
 
 
 def _clique_levels(g, k):

@@ -107,6 +107,10 @@ class TestConstruction:
         b = Graph(3, [(1, 0)])
         assert a == b and hash(a) == hash(b)
         assert a != Graph(3, [(0, 2)])
+        # the kept hash is the one computed afresh, whichever way the
+        # graph was built
+        c = Graph.from_adj(a.adj)
+        assert hash(a) == hash(a) == hash(c) == hash((a.n, a.adj))
 
     def test_induced(self):
         g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])

@@ -1101,19 +1101,30 @@ class TestCli:
         assert captured.err == "error: --params needs --family\n"
         assert captured.out == ""
 
-    def test_console_script_entry(self):
+    @staticmethod
+    def run_module(module, *args):
         # the child finds the package where this process imported it from
         src = os.path.dirname(os.path.dirname(harness.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "isobound.cli", "bound", "--k", "3", "--delta", "3", "--ir", "4"],
-            capture_output=True,
-            text=True,
-            env=env,
+        return subprocess.run(
+            [sys.executable, "-m", module, *args], capture_output=True, text=True, env=env
         )
+
+    def test_console_script_entry(self):
+        proc = self.run_module("isobound.cli", "bound", "--k", "3", "--delta", "3", "--ir", "4")
         assert proc.returncode == 0
         assert proc.stdout.strip() == "4/1"
+
+    def test_package_entry(self):
+        argv = ("bound", "--k", "3", "--delta", "3", "--ir", "4")
+        package, cli = self.run_module("isobound", *argv), self.run_module("isobound.cli", *argv)
+        assert (package.returncode, package.stdout, package.stderr) == (
+            cli.returncode,
+            cli.stdout,
+            cli.stderr,
+        )
+        assert package.stdout.strip() == "4/1"
 
 
 class TestSerialization:

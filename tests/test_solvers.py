@@ -34,8 +34,8 @@ from isobound import (
     refine_twins,
     solvers,
 )
-from isobound.families import gen_five_thirds
-from isobound.graph import bits, clique_table, closed_mask, components, mask_of
+from isobound.families import gen_five_thirds, gen_Gkl, gen_Hksl
+from isobound.graph import bits, clique_table, closed_mask, components, isolation_covers, mask_of
 from isobound.predicates import irredundant_extension, is_k_isolating_mask
 from isobound.solvers import SolveResult, _ir_search, _isolation_solve, _minimal_targets
 
@@ -121,13 +121,15 @@ def candidate_mask(g):
     )
 
 
-def full_target_isolation_solve(g, k):
+def full_target_isolation_solve(g, k, cand=None):
     """The isolation search over every k-clique target, before the targets
-    whose cover holds another's were dropped. It searches the candidate
-    vertices only, as the reduced search does, with each cover cut down to
-    them. Kept as the reference the reduced search must agree with, node
-    counts included."""
-    cand = candidate_mask(g)
+    whose cover holds another's were dropped. It searches the vertices of
+    `cand` only, with each cover cut down to them: by default the candidate
+    vertices, as the reduced search does, and every vertex with g.full.
+    Kept as the reference the reduced search must agree with, node counts
+    included."""
+    if cand is None:
+        cand = candidate_mask(g)
     targets = sorted(
         ((vmask, cover & cand) for vmask, cover in clique_table(g, k)),
         key=lambda t: t[1].bit_count(),
@@ -340,6 +342,39 @@ def reference_last_member(clo, full, start, smask, pns, union_closed):
             else:
                 return smask | 1 << u
     return 0
+
+
+def planted_dominance(n, rng):
+    """A seeded graph on n vertices in which many vertices have a neighbour
+    whose closed neighbourhood holds theirs.
+
+    A random core on a few vertices comes first. Each further vertex a joins
+    one earlier vertex b as a pendant (N[a] = {a, b}), as a true twin
+    (N[a] = N[b]) or nested (b and a random part of N(b)). Later vertices
+    may break an earlier containment. The labels are then shuffled, so the
+    vertex b that holds N[a] lands below a in some graphs and above it in
+    others.
+    """
+    core = rng.randint(2, max(2, n // 2))
+    nbrs = [set() for _ in range(n)]
+    for u, v in combinations(range(core), 2):
+        if rng.random() < 0.5:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    for a in range(core, n):
+        b = rng.randrange(a)
+        kind = rng.choice(("pendant", "twin", "nested"))
+        join = {b}
+        if kind == "twin":
+            join |= nbrs[b]
+        elif kind == "nested":
+            join |= {x for x in nbrs[b] if rng.random() < 0.5}
+        for x in join:
+            nbrs[a].add(x)
+            nbrs[x].add(a)
+    label = list(range(n))
+    rng.shuffle(label)
+    return Graph(n, [(label[u], label[v]) for u in range(n) for v in nbrs[u] if u < v])
 
 
 def random_gnp(n, p, rng):
@@ -656,6 +691,83 @@ class TestMinimalTargets:
                     assert _minimal_targets(covers, candidates) == reference(
                         covers, candidates
                     ), (encode_graph6(g), k)
+
+
+class TestCandidateMask:
+    """The search keeps to the vertices a with no neighbour b < a whose
+    closed neighbourhood holds N[a]. Checked apart from the tree: against
+    the same search over every vertex, against the brute-force oracles, and
+    by what the rule promises of witnesses and covers."""
+
+    @staticmethod
+    def planted(seed, orders, per_order):
+        rng = random.Random(seed)
+        return [planted_dominance(n, rng) for n in orders for _ in range(per_order)]
+
+    def test_planted_graphs_have_both_orders(self):
+        # the dominating vertex lies below the dominated one in some pairs
+        # (the rule drops the dominated one) and above it in others
+        below = above = 0
+        for g in self.planted(4200, range(5, 25), 10):
+            for a in range(g.n):
+                for b in bits(g.adj[a]):
+                    if not g.clo[a] & ~g.clo[b]:
+                        if b < a:
+                            below += 1
+                        else:
+                            above += 1
+        assert below > 100 and above > 100
+
+    def test_matches_the_search_over_every_vertex(self):
+        for g in self.planted(4201, range(5, 25), 10):
+            for k in range(1, g.max_degree() + 2):
+                got = _isolation_solve(g, k)
+                ref = full_target_isolation_solve(g, k, g.full)
+                assert (got.value, got.witness) == (ref.value, ref.witness), (
+                    encode_graph6(g),
+                    k,
+                )
+
+    def test_matches_the_oracles(self):
+        for g in self.planted(4202, range(3, 11), 6):
+            for k in range(1, g.max_degree() + 2):
+                got = _isolation_solve(g, k)
+                assert (got.value, got.witness) == oracles.brute_iota(g, k), (
+                    encode_graph6(g),
+                    k,
+                )
+
+    def test_witnesses_and_covers_keep_to_the_candidates(self):
+        graphs = self.planted(4203, range(5, 25), 10)
+        rng = random.Random(4204)
+        graphs += [unit_disk(n, 6.0, rng) for n in range(20, 31)]
+        for g in graphs:
+            cand = candidate_mask(g)
+            for k in range(1, g.max_degree() + 2):
+                assert isolation_covers(g, k)[0] == cand, encode_graph6(g)
+                assert not mask_of(_isolation_solve(g, k).witness) & ~cand, (
+                    encode_graph6(g),
+                    k,
+                )
+                for _, cover in clique_table(g, k):
+                    assert cover & cand, (encode_graph6(g), k)
+
+    def test_gkl_6_3_gamma(self):
+        # before the rule this search took 9.6M nodes
+        g = gen_Gkl(6, 3).graph
+        got = gamma(g)
+        assert got.value == 12
+        assert len(got.witness) == 12 and is_dominating(g, got.witness)
+        assert got.explored < 1000
+
+    def test_hksl_8_6_gamma_finishes(self):
+        # no value is pinned: nothing apart from this search confirms one
+        g = gen_Hksl(8, 6).graph
+        got = gamma(g)
+        packing, _ = iota_lower_bound(g, 1)
+        assert packing == 35
+        assert len(got.witness) == got.value >= packing
+        assert is_dominating(g, got.witness)
 
 
 # The theorem checks of a verify record, which depend only on the graph's
