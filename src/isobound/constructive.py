@@ -14,21 +14,20 @@ from typing import NamedTuple, Optional
 from .errors import ParameterError, RegimeError
 from .graph import Graph, bits, clique_table
 from .partition import IrredundancePartition, check_delta_regime, refine_pairs, refine_twins
-from .predicates import is_k_isolating
+from .predicates import is_k_isolating_mask
 
 
 class BoundCertificate(NamedTuple):
     """Outcome of one constructive run.
 
-    t is the isolating set built from input_set; bound is the certified
-    ceiling on |t| for the regime; satisfied records the exact comparison
-    len(t) <= bound; isolating_verified is a direct predicate check of t.
-    s_param is only set in the delta_minus_1 regime.
+    t is the isolating set built from the partition's set; bound is the
+    certified ceiling on |t| for the regime; satisfied records the exact
+    comparison len(t) <= bound; isolating_verified is a direct predicate
+    check of t. s_param is only set in the delta_minus_1 regime.
     """
 
     regime: str
     k: int
-    input_set: tuple
     t: tuple
     bound: Fraction
     satisfied: bool
@@ -89,15 +88,13 @@ def build_isolating_set(g: Graph, part: IrredundancePartition, k: int) -> BoundC
         raise _regime_error("constructive", k, delta)
 
     bound = isolation_bound(k, delta, part.i.bit_count(), s_param)
-    t = tuple(bits(t))
     return BoundCertificate(
         regime=regime,
         k=k,
-        input_set=tuple(bits(part.i)),
-        t=t,
+        t=tuple(bits(t)),
         bound=bound,
-        satisfied=len(t) * bound.denominator <= bound.numerator,
-        isolating_verified=is_k_isolating(g, t, k),
+        satisfied=t.bit_count() * bound.denominator <= bound.numerator,
+        isolating_verified=is_k_isolating_mask(g, t, k),
         s_param=s_param,
     )
 

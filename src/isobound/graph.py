@@ -419,28 +419,6 @@ def clique_table(g, k):
     return levels[k - 1][2]
 
 
-def _clique_within(adj, cand, need):
-    """Whether cand holds a clique on need vertices."""
-    if need == 0:
-        return True
-    while cand:
-        if cand.bit_count() < need:
-            return False
-        b = cand & -cand
-        v = b.bit_length() - 1
-        cand ^= b
-        if _clique_within(adj, cand & adj[v], need - 1):
-            return True
-    return False
-
-
-def has_k_clique(g, k, within=None):
-    """Whether any k-clique exists (early-exit variant)."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    return _clique_within(g.adj, g.full if within is None else within, k)
-
-
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------

@@ -229,7 +229,14 @@ def _theorem_checks(g6, g, cls, gam, ir_value, iotas):
 
 
 def check_graph(g6, spot_check=True):
-    """Full per-graph verification; returns the record dict."""
+    """Full per-graph verification; returns the record dict.
+
+    The record is the graph's CSV row: every column of CSV_COLUMNS but the
+    iota_k<k> ones, with the class flags as 0/1 and the construct columns
+    joined from the minimum set's certificates in ascending k (those built
+    before the machinery raised, if it did). Beside them it holds iota
+    ({str(k): iota_k} for k = 1..delta+1), checks and failures.
+    """
     g6 = g6.strip()
     g = parse_graph6(g6)
     cls = classify(g)
@@ -245,11 +252,10 @@ def check_graph(g6, spot_check=True):
     # each set's partition is computed once and shared by its certificates
     # and witness checks; a seeded spot set equal to the minimum set reuses
     # the minimum set's outcomes, which rebuilding would repeat exactly
-    constructive = {}
+    min_certs = []
     try:
         ks = applicable_ks(delta)
         min_part = compute_partition(g, irr.witness)
-        min_certs = []
         for k in ks:
             cert = build_isolating_set(g, min_part, k)
             _record_certificate(cert, "min", "construct", checks, failures, g6, iotas)
@@ -257,15 +263,6 @@ def check_graph(g6, spot_check=True):
             if iotas[k] > cert.bound:
                 failures.append(f"{g6} k={k}: exact iota exceeds the certified bound")
                 checks[f"construct_k{k}"] = False
-            constructive[str(k)] = {
-                "regime": cert.regime,
-                "t": " ".join(map(str, cert.t)),
-                "t_size": len(cert.t),
-                "bound": fraction_str(cert.bound),
-                "s_param": cert.s_param,
-                "satisfied": cert.satisfied,
-                "isolating": cert.isolating_verified,
-            }
         min_problems = _witness_problems(g, min_part)
         _record_witnesses(min_problems, "min", checks, failures, g6)
         if spot_check and g.n:
@@ -292,17 +289,20 @@ def check_graph(g6, spot_check=True):
         "n": g.n,
         "m": cls.m,
         "delta": delta,
-        "connected": cls.is_connected,
-        "tree": cls.is_tree,
-        "cactus": cls.is_cactus,
-        "block_graph": cls.is_block_graph,
-        "claw_free": cls.is_claw_free,
+        "connected": int(cls.is_connected),
+        "tree": int(cls.is_tree),
+        "cactus": int(cls.is_cactus),
+        "block_graph": int(cls.is_block_graph),
+        "claw_free": int(cls.is_claw_free),
         "cyclomatic": cls.cyclomatic_number,
         "gamma": gam.value,
         "ir": irr.value,
         "ir_witness": " ".join(map(str, irr.witness)),
+        "construct_sizes": " ".join(str(len(cert.t)) for cert in min_certs),
+        "construct_bounds": " ".join(fraction_str(cert.bound) for cert in min_certs),
+        "s_params": " ".join(str(cert.s_param) for cert in min_certs),
+        "failure_count": len(failures),
         "iota": {str(k): v for k, v in iotas.items()},
-        "constructive": constructive,
         "checks": checks,
         "failures": failures,
     }
@@ -615,6 +615,9 @@ def certify_families(grid=None):
 # serialization
 # ---------------------------------------------------------------------------
 
+# The iota columns stop at iota_k8, so a graph with Delta >= 8 loses its
+# iota_k for k >= 9 in the CSV (the JSON's max_ratios keeps them); the
+# header stays as it is, since widening it would change every CSV's bytes.
 CSV_COLUMNS = [
     "graph6", "n", "m", "delta",
     "connected", "tree", "cactus", "block_graph", "claw_free", "cyclomatic",
@@ -622,23 +625,6 @@ CSV_COLUMNS = [
     "iota_k1", "iota_k2", "iota_k3", "iota_k4", "iota_k5", "iota_k6", "iota_k7", "iota_k8",
     "construct_sizes", "construct_bounds", "s_params", "failure_count",
 ]
-
-
-def _csv_row(rec):
-    row = {c: rec.get(c, "") for c in CSV_COLUMNS}
-    for ks, val in rec.get("iota", {}).items():
-        col = f"iota_k{ks}"
-        if col in row:
-            row[col] = val
-    cons = rec.get("constructive", {})
-    ks = sorted(cons, key=int)
-    row["construct_sizes"] = " ".join(str(cons[k]["t_size"]) for k in ks)
-    row["construct_bounds"] = " ".join(cons[k]["bound"] for k in ks)
-    row["s_params"] = " ".join(str(cons[k]["s_param"]) for k in ks)
-    row["failure_count"] = len(rec.get("failures", []))
-    for col in ("connected", "tree", "cactus", "block_graph", "claw_free"):
-        row[col] = int(bool(rec.get(col)))
-    return row
 
 
 @contextlib.contextmanager
@@ -665,12 +651,15 @@ def replacing(path, newline=None):
 
 @contextlib.contextmanager
 def write_csv(path):
-    """A sink, for the with block, that writes each record it is given as
-    one CSV row, published at path as `replacing` does."""
+    """A sink, for the with block, that writes each check_graph record it
+    is given as its CSV row, with iota spread into the iota_k<k> columns,
+    published at path as `replacing` does."""
     with replacing(path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, extrasaction="ignore")
         writer.writeheader()
-        yield lambda rec: writer.writerow(_csv_row(rec))
+        yield lambda rec: writer.writerow(
+            dict(rec, **{f"iota_k{k}": v for k, v in rec["iota"].items()})
+        )
 
 
 def write_json(report_or_dict, path):

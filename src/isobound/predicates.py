@@ -7,7 +7,7 @@ state that the ir search and the partition machinery share is built by
 private_neighborhoods and irredundant_extension.
 """
 
-from .graph import bits, closed_mask, has_k_clique, vertex_mask
+from .graph import bits, closed_mask, vertex_mask
 
 
 def private_neighbors(g, s, x):
@@ -96,8 +96,24 @@ def is_maximal_irredundant(g, s):
     return state is not None and irredundant_extension(g, *state, g.full & ~smask) is None
 
 
+def _clique_within(adj, cand, need):
+    """Whether cand holds a clique on need vertices: an early-exit search of
+    its own, which never reads the clique table."""
+    if need == 0:
+        return True
+    while cand:
+        if cand.bit_count() < need:
+            return False
+        b = cand & -cand
+        v = b.bit_length() - 1
+        cand ^= b
+        if _clique_within(adj, cand & adj[v], need - 1):
+            return True
+    return False
+
+
 def is_k_isolating_mask(g, smask, k):
-    return not has_k_clique(g, k, within=g.full & ~closed_mask(g, smask))
+    return not _clique_within(g.adj, g.full & ~closed_mask(g, smask), k)
 
 
 def is_k_isolating(g, s, k):

@@ -5,13 +5,15 @@ Usage: python tests/run_mutants.py KILL_MAP.json
 For each mutant, src/ and tests/ are copied to a temporary directory, with
 README.md and pyproject.toml, which the tests read, and the mutant's one
 replacement is made in the copy. The expected killer runs first; if it
-passes, the whole file it belongs to runs. The kill map written to
-KILL_MAP.json is {id: {"status": "killed" | "survived", "by": test}}, where
-test is the killer, its file, or null for a survivor.
+passes, the whole file it belongs to runs, and then the whole of tests/
+but tests/test_mutants.py, which fails on any mutant because the old text
+is gone. The kill map written to KILL_MAP.json is
+{id: {"status": "killed" | "survived", "by": test}}, where test is the
+killer, its file, "tests", or null for a survivor.
 
 This is not a tier-1 test: a mutant that the killer misses costs a run of
-the killer's whole file. pytest does not collect it, since its name does not
-start with test_.
+the killer's whole file, and a survivor a run of all of tests/. pytest does
+not collect it, since its name does not start with test_.
 """
 
 import json
@@ -51,7 +53,8 @@ def fails(tree, target):
     """Whether pytest fails on target inside tree."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", target],
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--ignore=tests/test_mutants.py", target],
         cwd=tree,
         env=env,
         stdout=subprocess.DEVNULL,
@@ -66,7 +69,7 @@ def run(mutant):
     killer = mutant["killer"]
     with tempfile.TemporaryDirectory() as tree:
         mutated_tree(mutant, tree)
-        for target in (killer, killer.partition("::")[0]):
+        for target in (killer, killer.partition("::")[0], "tests"):
             if fails(tree, target):
                 return {"status": "killed", "by": target}
     return {"status": "survived", "by": None}

@@ -73,7 +73,7 @@ class TestCheckGraph:
         assert rec["iota"]["1"] == rec["gamma"]
 
     def test_failure_lines_use_the_stripped_record(self, monkeypatch):
-        monkeypatch.setattr(constructive, "is_k_isolating", lambda *args: False)
+        monkeypatch.setattr(constructive, "is_k_isolating_mask", lambda *args: False)
         rec = check_graph("@\n")
         assert rec["graph6"] == "@"
         assert rec["failures"]
@@ -411,7 +411,7 @@ class TestSharedMachinery:
 
     @pytest.mark.parametrize("g6", sorted(SPOT_REPEATS))
     def test_spot_repeat_replays_failures(self, g6, monkeypatch):
-        monkeypatch.setattr(constructive, "is_k_isolating", lambda *args: False)
+        monkeypatch.setattr(constructive, "is_k_isolating_mask", lambda *args: False)
         rec = check_graph(g6)
         ks = applicable_ks(parse_graph6(g6).max_degree())
         assert rec["failures"] == [
@@ -1149,3 +1149,39 @@ class TestSerialization:
         record = dict(zip(header, values))
         assert record["iota_k1"] == "1"
         assert record["iota_k2"] == ""
+
+    def test_csv_stops_at_iota_k8(self, tmp_path):
+        # the star K1,9 has iota_k for k = 1..10: the CSV keeps k = 1..8,
+        # while the JSON's max_ratios keeps k = 9 and 10 too
+        path = tmp_path / "star.csv"
+        with write_csv(str(path)) as sink:
+            report = verify_stream(["IsaCCA?_?"], sink=sink)
+        header, values = (row.split(",") for row in path.read_text().splitlines())
+        assert header == harness.CSV_COLUMNS
+        record = dict(zip(header, values))
+        assert [c for c in header if c.startswith("iota_k")] == [f"iota_k{k}" for k in range(1, 9)]
+        assert [record[f"iota_k{k}"] for k in range(1, 9)] == ["1", "1"] + ["0"] * 6
+        ratios = report.aggregate["max_ratios"]
+        assert [key for key in ratios if key.startswith("delta=9,")] == [
+            f"delta=9,k={k}" for k in range(1, 11)
+        ]
+
+    def test_csv_row_after_the_machinery_raised_partway(self, tmp_path, monkeypatch):
+        # building T raises at the second order of the star K1,3: the
+        # construct columns keep the first order, and failure_count counts
+        # the machinery line
+        real = harness.build_isolating_set
+
+        def second_order_raises(g, part, k):
+            if k == applicable_ks(g.max_degree())[1]:
+                raise MachineryError("injected at the second order")
+            return real(g, part, k)
+
+        monkeypatch.setattr(harness, "build_isolating_set", second_order_raises)
+        path = tmp_path / "raised.csv"
+        with write_csv(str(path)) as sink:
+            report = verify_stream(["Cs"], sink=sink)
+        assert report.hard_failures == ["Cs machinery: MachineryError: injected at the second order"]
+        assert path.read_text().splitlines()[1] == (
+            "Cs,4,3,3,1,1,1,1,0,0,1,1,0,1,1,0,0,,,,,1,3/2,None,1"
+        )

@@ -1002,7 +1002,7 @@ class TestRecords:
         assert res == (2, (0, 3), res.explored)
 
     def test_certificate_s_param_defaults_to_none(self):
-        cert = BoundCertificate("delta", 3, (0,), (0,), Fraction(1), True, True)
+        cert = BoundCertificate("delta", 3, (0,), Fraction(1), True, True)
         assert cert.s_param is None
 
 
