@@ -129,7 +129,15 @@ def _option_int(option, token):
 
 
 def _parse_vertex_set(text, option):
-    return tuple(_option_int(option, tok) for tok in text.replace(",", " ").split())
+    """The vertices a comma or space separated list spells, in its order; a
+    vertex given twice is a ParameterError, not a silent repeat."""
+    vertices = []
+    for tok in text.replace(",", " ").split():
+        v = _option_int(option, tok)
+        if v in vertices:
+            raise ParameterError(f"{option}: vertex {v} given twice")
+        vertices.append(v)
+    return tuple(vertices)
 
 
 def _parse_params(text):

@@ -88,14 +88,16 @@ def build_isolating_set(g: Graph, part: IrredundancePartition, k: int) -> BoundC
         raise _regime_error("constructive", k, delta)
 
     bound = isolation_bound(k, delta, part.i.bit_count(), s_param)
+    # positional: a named tuple matches keyword arguments to its fields on
+    # every call
     return BoundCertificate(
-        regime=regime,
-        k=k,
-        t=tuple(bits(t)),
-        bound=bound,
-        satisfied=t.bit_count() * bound.denominator <= bound.numerator,
-        isolating_verified=is_k_isolating_mask(g, t, k),
-        s_param=s_param,
+        regime,
+        k,
+        tuple(bits(t)),
+        bound,
+        t.bit_count() * bound.denominator <= bound.numerator,
+        is_k_isolating_mask(g, t, k),
+        s_param,
     )
 
 

@@ -11,7 +11,6 @@ isolation search with the graph's candidate mask, and clique_table adds the
 vertex masks for the callers that read them.
 """
 
-from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import Graph6ParseError, OrderCapError
@@ -305,10 +304,16 @@ def components(g):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1)
-def _kept_cliques(g):
-    """The candidate mask and the clique levels of the most recently asked
-    graph, the levels grown as larger k are asked for.
+# The graph whose clique levels are kept, as (graph, candidate mask,
+# levels) from _first_levels. The graph is matched by identity, so a hit
+# neither hashes nor compares it: verify asks one parsed graph for all its
+# sizes, while an equal graph built apart gets levels of its own.
+_kept = (None, 0, None)
+
+
+def _first_levels(g):
+    """(g, candidate mask, levels) for the graph g, with its first two
+    clique levels built.
 
     The candidate mask holds each vertex a that has no neighbour b < a with
     N[a] inside N[b]. Such a b lies in every clique cover that a lies in,
@@ -343,22 +348,25 @@ def _kept_cliques(g):
             add_cover(cv | clo[w])
             add_above(common & adj[w])
     levels = [[clo, above, rows], [tuple(covers), common_above, None]]
-    return g.full ^ dominated, levels
+    return g, g.full ^ dominated, levels
 
 
 def _clique_levels(g, k):
-    """The candidate mask of g and its kept levels, grown to size k or to
-    the first empty size.
+    """(g, candidate mask, levels) as kept for g, the levels grown to size
+    k or to the first empty size.
 
     A j-clique is extended by each common neighbour w above its last vertex,
     in ascending order, to the (j + 1)-clique with cover cover | N[w] and
     common neighbours common & N(w), which yields the (j + 1)-cliques in
     lex order.
     """
+    global _kept
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    kept = _kept_cliques(g)
-    levels = kept[1]
+    kept = _kept
+    if kept[0] is not g:
+        kept = _kept = _first_levels(g)
+    levels = kept[2]
     adj = g.adj
     clo = g.clo
     while len(levels) < k and levels[-1][0]:
@@ -381,7 +389,7 @@ def isolation_covers(g, k):
 
     The tuple is the kept level's own, shared and not copied.
     """
-    candidates, levels = _clique_levels(g, k)
+    _, candidates, levels = _clique_levels(g, k)
     return candidates, levels[k - 1][0] if k <= len(levels) else ()
 
 
@@ -396,9 +404,12 @@ def clique_table(g, k):
     a vertex mask `zone` are the rows with `not vmask & ~zone`, still in lex
     order.
     """
-    levels = _clique_levels(g, k)[1]
+    levels = _clique_levels(g, k)[2]
     if k > len(levels):
         return ()
+    rows = levels[k - 1][2]
+    if rows is not None:
+        return rows
     j = k
     while levels[j - 1][2] is None:
         j -= 1

@@ -33,12 +33,11 @@ from .constructive import (
 )
 from .errors import Graph6ParseError, OrderCapError, ParameterError, SizeCapError
 from .families import make_instance
-from .graph import GRAPH6_HEADER, bits, classify, encode_graph6, graph6_order, mask_of, parse_graph6
+from .graph import GRAPH6_HEADER, bits, classify, encode_graph6, graph6_order, parse_graph6
 from .partition import compute_partition, representatives_dominate, undominated_witnesses
 from .predicates import (
     irredundant_extension,
     is_dominating,
-    is_dominating_mask,
     is_k_isolating,
     is_maximal_irredundant,
 )
@@ -96,13 +95,21 @@ def random_maximal_irredundant(g, rng):
 
 def _is_minimum_dominating(g, res):
     """Whether a gamma result holds up without the solver: its witness has
-    res.value vertices and dominates, and no set one vertex smaller does
+    res.value vertices and dominates, and no set one vertex smaller does,
+    that is no res.value - 1 closed neighborhoods cover every vertex
     (domination is monotone, so smaller sets need no check)."""
     if len(res.witness) != res.value or not is_dominating(g, res.witness):
         return False
-    return res.value == 0 or not any(
-        is_dominating_mask(g, mask_of(c)) for c in combinations(range(g.n), res.value - 1)
-    )
+    if res.value == 0:
+        return True
+    full = g.full
+    for nbhds in combinations(g.clo, res.value - 1):
+        covered = 0
+        for c in nbhds:
+            covered |= c
+        if covered == full:
+            return False
+    return True
 
 
 # The report key of the check or refinement that each regime's certificate runs
@@ -111,8 +118,8 @@ REGIME_CHECKS = {"delta": "delta_regime", "delta_minus_1": "pairs", "delta_minus
 
 def _record_certificate(cert, tag, record_key, checks, failures, g6, iotas):
     k = cert.k
-    ok = cert.satisfied and cert.isolating_verified
-    checks[f"construct_k{k}"] = checks.get(f"construct_k{k}", True) and ok
+    key = f"construct_k{k}"
+    checks[key] = checks.get(key, True) and cert.satisfied and cert.isolating_verified
     # below Delta + 1, building T ran the check or refinement of its regime,
     # which raises unless the guarantees it checks hold
     piece = REGIME_CHECKS.get(cert.regime)

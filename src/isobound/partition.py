@@ -61,27 +61,38 @@ class UndominatedWitness(NamedTuple):
     pairs: tuple  # (x1, x2, y1, y2) rows, x1 < x2
 
 
-def _is_clique_mask(g, m):
-    for v in bits(m):
-        if m & ~g.clo[v]:
-            return False
-    return True
-
-
-def _select(mask, keep):
-    """The members x of mask with keep(x), as a mask."""
-    out = 0
-    for x in bits(mask):
-        if keep(x):
-            out |= 1 << x
-    return out
-
-
 def _lows(masks):
     """The lowest vertex of each nonempty mask, together as one mask."""
     out = 0
     for m in masks:
         out |= m & -m
+    return out
+
+
+def _by_pn_size(pn, mask):
+    """The members x of mask with |PN(x)| = 1, = 2, = 3 and > 3, as four
+    masks."""
+    one = two = three = more = 0
+    for x in bits(mask):
+        size = pn[x].bit_count()
+        if size == 1:
+            one |= 1 << x
+        elif size == 2:
+            two |= 1 << x
+        elif size == 3:
+            three |= 1 << x
+        elif size > 3:
+            more |= 1 << x
+    return one, two, three, more
+
+
+def _fenced(g, zone, outside):
+    """The vertices of zone with no neighbor in outside, as a mask."""
+    adj = g.adj
+    out = 0
+    for v in bits(zone):
+        if not adj[v] & outside:
+            out |= 1 << v
     return out
 
 
@@ -98,38 +109,54 @@ def compute_partition(g, i):
         raise PreconditionError("input set is not maximal irredundant")
 
     pns, closed_i = state
+    adj = g.adj
+    clo = g.clo
+    umask = g.full & ~closed_i
+    nus = [adj[u] for u in bits(umask)]
+    # one pass over the members sorts each into z (isolated in G[i]) or a,
+    # and a member of a into b when its private neighborhood fits inside the
+    # open neighborhood of an undominated vertex; the closure below is
+    # seeded with the members of b whose private neighborhood is a clique
     pn = [0] * g.n
-    seen = 0
+    seen = zmask = bmask = nmask = 0
     for x, pnm in zip(bits(imask), pns):
         if pnm & seen:
             raise MachineryError("private neighborhoods of distinct members overlap")
         seen |= pnm
         pn[x] = pnm
+        if not adj[x] & imask:
+            zmask |= 1 << x
+            continue
+        for nu in nus:
+            if not pnm & ~nu:
+                bmask |= 1 << x
+                for v in bits(pnm):
+                    if pnm & ~clo[v]:
+                        break
+                else:
+                    nmask |= 1 << x
+                break
 
-    umask = g.full & ~closed_i
     pmask = seen & ~imask
     # N(i) and N[i] agree outside i
     smask = closed_i & ~imask & ~seen
     for v in bits(smask):
-        if (g.adj[v] & imask).bit_count() < 2:
+        if (adj[v] & imask).bit_count() < 2:
             raise MachineryError(f"shared vertex {v} has fewer than two i-neighbors")
 
-    zmask = _select(imask, lambda x: not g.adj[x] & imask)
     amask = imask & ~zmask
-    bmask = _select(amask, lambda x: any(not pn[x] & ~g.adj[u] for u in bits(umask)))
     qmask = amask & ~bmask
     if umask and not bmask:
         raise MachineryError("undominated vertices exist but no member qualifies")
 
-    # closure: seed with members whose private neighborhood is a clique, then
-    # keep adding members all of whose private neighbors dominate the private
-    # neighborhood of some member already inside, in ascending index order
-    nmask = _select(bmask, lambda x: _is_clique_mask(g, pn[x]))
+    # closure: from the seed, keep adding members all of whose private
+    # neighbors dominate the private neighborhood of some member already
+    # inside, in ascending index order
     changed = True
     while changed:
         changed = False
         for x in bits(bmask & ~nmask):
-            if all(any(not pn[y] & ~g.clo[xp] for y in bits(nmask)) for xp in bits(pn[x])):
+            if all(any(not pn[y] & ~clo[xp] for y in bits(nmask)) for xp in bits(pn[x])):
                 nmask |= 1 << x
                 changed = True
     mmask = bmask & ~nmask
@@ -142,20 +169,11 @@ def compute_partition(g, i):
     if nhat_mask.bit_count() != len(nhat):
         raise MachineryError("closure representatives collide")
 
+    # the records of this module are built positionally, in field order:
+    # a named tuple matches keyword arguments to its fields on every call
     return IrredundancePartition(
-        i=imask,
-        u=umask,
-        p=pmask,
-        s=smask,
-        z=zmask,
-        a=amask,
-        q=qmask,
-        b=bmask,
-        nset=nmask,
-        m=mmask,
-        nhat=nhat,
-        nhat_mask=nhat_mask,
-        pn=tuple(pn),
+        imask, umask, pmask, smask, zmask, amask, qmask, bmask, nmask, mmask,
+        nhat, nhat_mask, tuple(pn),
     )
 
 
@@ -301,10 +319,10 @@ def refine_pairs(g, part):
     k = delta - 1
     pn = part.pn
     smask = part.s
-    mprime = _select(part.m, lambda x: pn[x].bit_count() == 2)
+    mprime = _by_pn_size(pn, part.m)[1]
     pairs = tuple((x, *bits(pn[x])) for x in bits(mprime))
     nm_mask = part.nset | mprime
-    sprime = _select(smask, lambda v: not g.adj[v] & part.i & ~nm_mask)
+    sprime = _fenced(g, smask, part.i & ~nm_mask)
 
     # one pass over the k-cliques: those of the shared zone must be closed
     # off inside it, those of sprime must be disjoint, and those meeting the
@@ -353,16 +371,16 @@ def refine_pairs(g, part):
         xs = 1 << anchor | _lows(c for c in cliques if not g.adj[anchor] & c)
 
     return PairRefinement(
-        mprime=mprime,
-        mtilde=part.m & ~mprime,
-        pairs=pairs,
-        y=mask_of(lo for _, lo, _ in pairs),
-        w=mask_of(hi for _, _, hi in pairs),
-        sprime=sprime,
-        cliques=tuple(tuple(bits(c)) for c in cliques),
-        s_param=s_param,
-        anchor=anchor,
-        x=xs,
+        mprime,
+        part.m & ~mprime,  # mtilde
+        pairs,
+        mask_of(lo for _, lo, _ in pairs),  # y
+        mask_of(hi for _, _, hi in pairs),  # w
+        sprime,
+        tuple(tuple(bits(c)) for c in cliques),  # cliques
+        s_param,
+        anchor,
+        xs,  # x
     )
 
 
@@ -414,12 +432,10 @@ def refine_twins(g, part):
         raise RegimeError(f"the delta-2 regime needs delta >= 3, got delta={delta}")
     k = delta - 2
     pn = part.pn
-    mprime = _select(part.m, lambda x: pn[x].bit_count() == 2)
-    mdouble = _select(part.m, lambda x: pn[x].bit_count() == 3)
-    mbar = _select(part.m, lambda x: pn[x].bit_count() > 3)
-    qprime = _select(part.q, lambda x: pn[x].bit_count() == 1)
+    _, mprime, mdouble, mbar = _by_pn_size(pn, part.m)
+    qprime = _by_pn_size(pn, part.q)[0]
     core_mask = part.nset | mprime | mdouble | qprime
-    sdouble = _select(part.s, lambda v: not g.adj[v] & part.i & ~core_mask)
+    sdouble = _fenced(g, part.s, part.i & ~core_mask)
 
     apn = [pn[y] for y in bits(part.a)]
     for x in bits(mprime | mdouble):
@@ -433,7 +449,8 @@ def refine_twins(g, part):
                     f"lonely private neighbor {xp} of {x} dominates nobody's privates"
                 )
 
-    cmasks = [c for c, _ in clique_table(g, k) if not c & ~sdouble]
+    # a clique is nonempty, so an empty sdouble holds none
+    cmasks = [c for c, _ in clique_table(g, k) if not c & ~sdouble] if sdouble else []
     cliques = tuple(tuple(bits(c)) for c in cmasks)
 
     for ia in range(len(cliques)):
@@ -481,17 +498,17 @@ def refine_twins(g, part):
         )
 
     return TwinRefinement(
-        mprime=mprime,
-        mdouble=mdouble,
-        mbar=mbar,
-        qprime=qprime,
-        qtilde=part.q & ~qprime,
-        sdouble=sdouble,
-        cliques=cliques,
-        clusters=tuple(clusters),
-        isolated_count=isolated_count,
-        twin_count=twin_count,
-        mhat=_lows(pn[x] for x in bits(mprime | mdouble)),
-        qhat=_lows(pn[x] for x in bits(qprime)),
-        x=mask_of(c[0] for c in clusters),
+        mprime,
+        mdouble,
+        mbar,
+        qprime,
+        part.q & ~qprime,  # qtilde
+        sdouble,
+        cliques,
+        tuple(clusters),
+        isolated_count,
+        twin_count,
+        _lows(pn[x] for x in bits(mprime | mdouble)),  # mhat
+        _lows(pn[x] for x in bits(qprime)),  # qhat
+        mask_of(c[0] for c in clusters),  # x
     )

@@ -21,7 +21,6 @@ from isobound import (
     private_neighbors,
 )
 from isobound.graph import (
-    _kept_cliques,
     bits,
     clique_table,
     closed_mask,
@@ -363,8 +362,8 @@ class TestCliqueCovers:
 
     @staticmethod
     def call_orders(graphs):
-        """Lists of (graph, k, ask covers first) calls, each list starting
-        from an empty cache; k runs one past Delta + 1, an empty size. The
+        """Lists of (graph, k, ask covers first) calls, each list run on
+        fresh copies of the graphs; k runs one past Delta + 1, an empty size. The
         last order per graph is a seeded shuffle of both kinds of call."""
         ks = {id(g): range(1, g.max_degree() + 3) for g in graphs}
         for g in graphs:
@@ -385,15 +384,18 @@ class TestCliqueCovers:
     def assert_orders_agree(self, graphs):
         want = {id(g): {k: lex_clique_rows(g, k) for k in range(1, g.max_degree() + 3)} for g in graphs}
         for calls in self.call_orders(graphs):
-            _kept_cliques.cache_clear()
+            # the levels are kept for one graph, matched by identity: fresh
+            # copies start each order from nothing
+            fresh = {id(g): Graph.from_adj(g.adj) for g in graphs}
             for g, k, covers_first in calls:
+                h = fresh[id(g)]
                 if covers_first:
-                    covers, rows = isolation_covers(g, k)[1], clique_table(g, k)
+                    covers, rows = isolation_covers(h, k)[1], clique_table(h, k)
                 else:
-                    rows, covers = clique_table(g, k), isolation_covers(g, k)[1]
+                    rows, covers = clique_table(h, k), isolation_covers(h, k)[1]
                 assert rows == want[id(g)][k], (encode_graph6(g), k)
                 assert covers == tuple(cover for _, cover in rows), (encode_graph6(g), k)
-                assert isolation_covers(g, k)[1] is covers
+                assert isolation_covers(h, k)[1] is covers
 
     def test_corpus_up_to_seven(self, corpus_by_order):
         graphs = [g for n in range(1, 8) for _, g in corpus_by_order[n]]

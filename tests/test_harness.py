@@ -912,6 +912,25 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"error: {option}: expected an integer, got {token!r}\n"
 
+    # "+0" spells vertex 0 again; before the check, each set was collapsed
+    # to its distinct vertices and checked or partitioned as that
+    @pytest.mark.parametrize(
+        "argv, option, vertex",
+        [
+            (["check", "--g6", "{g6}", "--set", "1,1", "--predicate", "irredundant"], "--set", 1),
+            (["partition", "--g6", "{g6}", "--iset", "0,0"], "--iset", 0),
+            (["construct", "--g6", "{g6}", "--iset", "0 2 +0", "--k", "2"], "--iset", 0),
+        ],
+        ids=["check", "partition", "construct"],
+    )
+    def test_repeated_vertex_exit_two(self, capsys, tmp_path, argv, option, vertex):
+        g6 = tmp_path / "in.g6"
+        g6.write_text("Cs\n")
+        assert self.run([a.format(g6=g6) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {option}: vertex {vertex} given twice\n"
+
     def test_family_params_item_without_value(self, capsys):
         assert self.run(["family", "--name", "G1", "--params", "t=2,k"]) == 2
         assert capsys.readouterr().err == "error: --params: expected key=value, got 'k'\n"

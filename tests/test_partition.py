@@ -11,6 +11,7 @@ from isobound import (
     check_delta_regime,
     compute_partition,
     is_maximal_irredundant,
+    parse_graph6,
     refine_pairs,
     refine_twins,
     representatives_dominate,
@@ -396,6 +397,85 @@ class TestSetMachinery:
         refine_pairs(g, part)
         with pytest.raises(RegimeError):
             refine_twins(g, part)
+
+
+def outcome(fn, *args):
+    """What fn(*args) returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestReferenceCrossCheck:
+    """compute_partition, refine_pairs and refine_twins give the whole
+    records of their reference copies in oracles, or raise the same
+    exception with the same message."""
+
+    @staticmethod
+    def assert_matches_reference(g, iset):
+        part = outcome(compute_partition, g, iset)
+        assert part == outcome(oracles.compute_partition, g, iset), iset
+        if isinstance(part, tuple) and len(part) == 2:
+            return part[0]
+        for new, ref in (
+            (refine_pairs, oracles.refine_pairs),
+            (refine_twins, oracles.refine_twins),
+        ):
+            assert outcome(new, g, part) == outcome(ref, g, part), iset
+        return None
+
+    def test_corpus_sets(self, corpus_by_order):
+        # every maximal irredundant set of the graphs on up to 6 vertices;
+        # an edgeless or low-degree graph gets the same RegimeError
+        sets = raised = 0
+        for n in range(1, 7):
+            for line, g in corpus_by_order[n]:
+                for iset in oracles.maximal_irredundant_sets(g):
+                    raised += self.assert_matches_reference(g, iset) is not None
+                    sets += 1
+        assert (sets, raised) == (1039, 0)
+
+    def test_seeded_unit_disk(self):
+        rng = random.Random(23)
+        for _ in range(100):
+            g = unit_disk(rng.randint(12, 20), rng.uniform(2.0, 5.0), rng)
+            for _ in range(3):
+                assert self.assert_matches_reference(g, random_maximal_irredundant(g, rng)) is None
+
+    def test_non_maximal_sets(self, corpus_by_order):
+        # a maximal irredundant set less a member, and a redundant set, on
+        # both sides raise PreconditionError with one message
+        rng = random.Random(7)
+        for line, g in corpus_by_order[6][::10]:
+            iset = random_maximal_irredundant(g, rng)
+            for bad in (iset[1:], tuple(range(g.n))):
+                if is_maximal_irredundant(g, bad):
+                    continue
+                assert self.assert_matches_reference(g, bad) is PreconditionError, line
+        assert self.assert_matches_reference(c6(), (0,)) is PreconditionError
+        assert self.assert_matches_reference(p4(), (0, 1, 2)) is PreconditionError
+
+    def test_members_with_three_or_more_private_neighbors(self):
+        # no set of the two tests above puts such a member in m: found among
+        # seeded random maximal irredundant sets of the 7- and 8-vertex graphs
+        g = parse_graph6("FsXvg")
+        ref = refine_twins(g, compute_partition(g, (2, 4)))
+        assert ref.mdouble and not ref.mbar
+        assert self.assert_matches_reference(g, (2, 4)) is None
+        g = parse_graph6("GsXvng")
+        ref = refine_twins(g, compute_partition(g, (2, 4)))
+        assert ref.mbar and not ref.mdouble
+        assert self.assert_matches_reference(g, (2, 4)) is None
+
+    @pytest.mark.parametrize("name, params", [("Gkl", {"k": 6, "l": 3}), ("Hksl", {"k": 8, "s": 6})])
+    def test_family_witnesses(self, name, params):
+        # the only inputs known to reach s >= 1 and a twin merge
+        inst = make_instance(name, params)
+        g, iset = inst.graph, inst.witness_irredundant
+        assert self.assert_matches_reference(g, iset) is None
+        part = compute_partition(g, iset)
+        assert refine_pairs(g, part).s_param >= 1 and refine_twins(g, part).twin_count >= 1
 
 
 class TestMachineryGuard:
