@@ -150,7 +150,10 @@ def survey_ratios(records):
     with ir = 0 contribute nothing. Returns {"rows": {(delta, k): {"ratio",
     "witness"}}, "monotone": {delta: bool}} with exact fractions.
     """
-    rows = {}
+    # each cell's maximum as (iota, ir, witness), compared with val/irv by
+    # cross-multiplication; only the kept maxima become Fractions. A strict
+    # comparison keeps the first graph that attains the maximum.
+    best = {}
     for rec in records:
         irv = rec["ir"]
         if not irv:
@@ -158,11 +161,13 @@ def survey_ratios(records):
         delta = rec["delta"]
         for key, val in rec["iota"].items():
             cell = (delta, int(key))
-            cur = rows.get(cell)
-            # val/irv against the kept maximum by cross-multiplication; a
-            # Fraction is built only for a new maximum
-            if cur is None or val * cur["ratio"].denominator > cur["ratio"].numerator * irv:
-                rows[cell] = {"ratio": Fraction(val, irv), "witness": rec.get("graph6")}
+            cur = best.get(cell)
+            if cur is None or val * cur[1] > cur[0] * irv:
+                best[cell] = (val, irv, rec.get("graph6"))
+    rows = {
+        cell: {"ratio": Fraction(val, irv), "witness": witness}
+        for cell, (val, irv, witness) in best.items()
+    }
     monotone = {}
     for delta in sorted({d for d, _ in rows}):
         ks = sorted(kk for d, kk in rows if d == delta)

@@ -49,11 +49,13 @@ def mask_of(vertices):
 
 def vertex_mask(g, vertices):
     """The vertices as a mask of g; ValueError naming the first one outside
-    0..n-1."""
+    0..n-1 or given twice."""
     m = 0
     for v in vertices:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range for n={g.n}")
+        if m >> v & 1:
+            raise ValueError(f"vertex {v} given twice")
         m |= 1 << v
     return m
 

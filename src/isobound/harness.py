@@ -54,9 +54,14 @@ GAMMA_RECHECK_ORDER_CAP = 10
 # At jobs > 1 the input goes to the workers in ordered chunks of CHUNK_LINES
 # lines, at most CHUNKS_PER_JOB chunks per worker in flight: enough to keep
 # every worker busy while the parent folds a finished chunk, and a fixed
-# read-ahead however long the input is.
-CHUNK_LINES = 64
-CHUNKS_PER_JOB = 4
+# read-ahead however long the input is. A chunk's round trip costs the parent
+# about 0.3 ms of CPU, which the workers lack on a host with as many cores as
+# jobs: a verify pass over the 12113-graph corpus at jobs 2 on 2 vCPUs took
+# 205 ms of parent CPU in 64-line chunks and 164 ms in 256-line ones. Past 256
+# lines that pass stops getting faster (512 read within 0.5%), and two chunks
+# per job keep the workers as busy as four, while one starves them (5% slower).
+CHUNK_LINES = 256
+CHUNKS_PER_JOB = 2
 
 
 class CheckReport(NamedTuple):
@@ -115,16 +120,28 @@ def _is_minimum_dominating(g, res):
 # The report key of the check or refinement that each regime's certificate runs
 REGIME_CHECKS = {"delta": "delta_regime", "delta_minus_1": "pairs", "delta_minus_2": "twins"}
 
+# Every key a record builds from a number or a tag comes from these tables,
+# so all records share one object per key and pickle sends it once per
+# chunk. check_graph reaches k <= delta + 1 <= n <= IR_ORDER_CAP: a larger
+# graph fails its ir solve before any key is made.
+CONSTRUCT_KEYS = tuple(f"construct_k{k}" for k in range(IR_ORDER_CAP + 1))
+IOTA_KEYS = tuple(str(k) for k in range(IR_ORDER_CAP + 1))
+REGIME_KEYS = {
+    tag: {regime: f"{piece}_{tag}" for regime, piece in REGIME_CHECKS.items()}
+    for tag in ("min", "spot")
+}
+WITNESS_KEYS = {tag: f"witnesses_{tag}" for tag in ("min", "spot")}
+
 
 def _record_certificate(cert, tag, record_key, checks, failures, g6, iotas):
     k = cert.k
-    key = f"construct_k{k}"
+    key = CONSTRUCT_KEYS[k]
     checks[key] = checks.get(key, True) and cert.satisfied and cert.isolating_verified
     # below Delta + 1, building T ran the check or refinement of its regime,
     # which raises unless the guarantees it checks hold
-    piece = REGIME_CHECKS.get(cert.regime)
-    if piece:
-        checks[f"{piece}_{tag}"] = True
+    piece_key = REGIME_KEYS[tag].get(cert.regime)
+    if piece_key:
+        checks[piece_key] = True
     if not cert.satisfied:
         failures.append(
             f"{g6} {record_key} k={k}: |T|={len(cert.t)} exceeds bound {fraction_str(cert.bound)}"
@@ -167,7 +184,7 @@ def _witness_problems(g, part):
 
 
 def _record_witnesses(problems, tag, checks, failures, g6):
-    checks[f"witnesses_{tag}"] = not problems
+    checks[WITNESS_KEYS[tag]] = not problems
     failures.extend(f"{g6} {tag}: {problem}" for problem in problems)
 
 
@@ -269,7 +286,7 @@ def check_graph(g6, spot_check=True):
             min_certs.append(cert)
             if iotas[k] > cert.bound:
                 failures.append(f"{g6} k={k}: exact iota exceeds the certified bound")
-                checks[f"construct_k{k}"] = False
+                checks[CONSTRUCT_KEYS[k]] = False
         min_problems = _witness_problems(g, min_part)
         _record_witnesses(min_problems, "min", checks, failures, g6)
         if spot_check and g.n:
@@ -309,7 +326,7 @@ def check_graph(g6, spot_check=True):
         "construct_bounds": " ".join(fraction_str(cert.bound) for cert in min_certs),
         "s_params": " ".join(str(cert.s_param) for cert in min_certs),
         "failure_count": len(failures),
-        "iota": {str(k): v for k, v in iotas.items()},
+        "iota": {IOTA_KEYS[k]: v for k, v in iotas.items()},
         "checks": checks,
         "failures": failures,
     }
@@ -432,15 +449,17 @@ def verify_stream(lines, jobs=1, max_n=None, spot_check=True, sink=None):
     _require_at_least("jobs", jobs, 1)
     _require_at_least("max_n", max_n, 0)
     hard_failures = []
-    check_counts = {}
+    # counted in C: iter() so that update counts the names, not adds the
+    # values, and filter(checks.get) for the names whose check passed
+    evaluated = collections.Counter()
+    passed = collections.Counter()
 
     def folded(records):
         for rec in records:
             hard_failures.extend(rec["failures"])
-            for name, ok in rec["checks"].items():
-                slot = check_counts.setdefault(name, [0, 0])
-                slot[0] += 1
-                slot[1] += ok
+            checks = rec["checks"]
+            evaluated.update(iter(checks))
+            passed.update(filter(checks.get, checks))
             if sink is not None:
                 sink(rec)
             yield rec
@@ -454,8 +473,8 @@ def verify_stream(lines, jobs=1, max_n=None, spot_check=True, sink=None):
         "parse_error_count": len(stream.parse_errors),
         "hard_failure_count": len(hard_failures),
         "checks": {
-            name: {"evaluated": ev, "passed": ok}
-            for name, (ev, ok) in sorted(check_counts.items())
+            name: {"evaluated": ev, "passed": passed[name]}
+            for name, ev in sorted(evaluated.items())
         },
         "max_ratios": {
             f"delta={d},k={k}": {"ratio": fraction_str(row["ratio"]), "witness": row["witness"]}

@@ -224,6 +224,21 @@ class TestSurveyRatios:
         assert out["rows"][(3, 2)] == {"ratio": Fraction(1, 1), "witness": "a"}
         assert out["monotone"] == {3: True}
 
+    def test_first_graph_at_the_maximum_is_the_witness(self):
+        # equal ratios written with different (iota, ir) pairs tie: the
+        # first graph that attains a maximum stays its witness
+        records = [
+            {"delta": 4, "ir": 1, "iota": {"1": 1}, "graph6": "a"},
+            {"delta": 4, "ir": 2, "iota": {"1": 2}, "graph6": "b"},
+            {"delta": 4, "ir": 3, "iota": {"1": 4}, "graph6": "c"},
+            {"delta": 4, "ir": 6, "iota": {"1": 8}, "graph6": "d"},
+            {"delta": 4, "ir": 2, "iota": {"1": 2}, "graph6": "e"},
+        ]
+        assert survey_ratios(records[:2])["rows"] == {(4, 1): {"ratio": 1, "witness": "a"}}
+        row = survey_ratios(records)["rows"][(4, 1)]
+        assert row == {"ratio": Fraction(4, 3), "witness": "c"}
+        assert (row["ratio"].numerator, row["ratio"].denominator) == (4, 3)
+
     def test_string_keys_accepted(self):
         out = survey_ratios([{"delta": 2, "ir": 1, "iota": {"1": 1}}])
         assert out["rows"][(2, 1)]["ratio"] == 1

@@ -450,7 +450,8 @@ class TestNeighborhoods:
 
     def test_vertex_sets_validated_in_one_place(self):
         # every entry point that takes a vertex set names the bad vertex,
-        # below 0 as well as at n
+        # below 0 as well as at n, and a vertex given twice: a repeat is
+        # refused, not collapsed into a set the caller did not write
         g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         takers = [
             lambda s: vertex_mask(g, s),
@@ -459,12 +460,19 @@ class TestNeighborhoods:
             lambda s: is_maximal_irredundant(g, s),
             lambda s: is_k_isolating(g, s, 2),
             lambda s: compute_partition(g, s),
+            lambda s: private_neighbors(g, s, 1),
         ]
         for take in takers:
             for bad in (-1, g.n):
                 with pytest.raises(ValueError, match=f"vertex {bad} out of range for n=5"):
                     take([1, bad])
-        assert vertex_mask(g, [4, 0, 4]) == 0b10001
+            with pytest.raises(ValueError, match="vertex 4 given twice"):
+                take([1, 4, 0, 4])
+        assert vertex_mask(g, [4, 0, 1]) == 0b10011
+        with pytest.raises(ValueError, match="vertex 1 given twice"):
+            is_irredundant(parse_graph6("Cs"), (1, 1))
+        with pytest.raises(ValueError, match="vertex 0 given twice"):
+            compute_partition(parse_graph6("Cs"), (0, 0))
         with pytest.raises(ValueError, match="vertex -1 is not in the set"):
             private_neighbors(g, [1], -1)
 

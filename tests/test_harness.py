@@ -122,6 +122,16 @@ class TestCheckGraph:
             assert 1 <= len(calls) <= 2
             assert len(set(calls)) == len(calls)
 
+    def test_records_share_their_key_objects(self, corpus_by_order):
+        # keys made from a number or a tag come from module tables: one
+        # object per key across records, so pickle sends it once per chunk
+        seen = {}
+        for line, _ in corpus_by_order[6][:40]:
+            rec = check_graph(line)
+            for key in itertools.chain(rec["checks"], rec["iota"]):
+                assert seen.setdefault(key, key) is key, key
+        assert {"construct_k4", "twins_spot", "witnesses_spot", "4"} <= seen.keys()
+
     def test_random_graphs_past_the_corpus(self):
         # seeded G(n, p), n = 9..12: the ir witness, the spot set and every
         # applicable k, where the exhaustive corpus stops
@@ -561,6 +571,78 @@ class TestVerifyStream:
         lines = ["DQc", "Cr", "Bw"]
         report = verify_stream(lines, jobs=2)
         assert report.hard_failures == [f"marked {line}" for line in lines]
+
+    def test_failing_checks_folded_at_any_jobs(self, corpus_by_order, tmp_path, monkeypatch):
+        # a seeded third of the lines fail roundtrip, past one chunk of input
+        lines = [line for n in (4, 5, 6, 7) for line, _ in corpus_by_order[n]]
+        lines = lines[: harness.CHUNK_LINES + 60]
+        failing = set(random.Random(24).sample(lines, len(lines) // 3))
+        real = harness.check_graph
+
+        def roundtrip_fails(g6, *args, **kwargs):
+            rec = real(g6, *args, **kwargs)
+            if g6 in failing:
+                rec["checks"]["roundtrip"] = False
+                rec["failures"].append(f"{g6} roundtrip: failed on purpose")
+            return rec
+
+        monkeypatch.setattr(harness, "check_graph", roundtrip_fails)
+        outputs = {}
+        for jobs in (1, 2):
+            report = verify_stream(lines, jobs=jobs)
+            checks = report.aggregate["checks"]
+            assert checks["roundtrip"] == {
+                "evaluated": len(lines), "passed": len(lines) - len(failing)
+            }
+            assert checks["machinery_clean"] == {"evaluated": len(lines), "passed": len(lines)}
+            assert all(c["evaluated"] == c["passed"] > 0 for name, c in checks.items()
+                       if name != "roundtrip")
+            assert report.hard_failures == [
+                f"{g6} roundtrip: failed on purpose" for g6 in lines if g6 in failing
+            ]
+            json_path = tmp_path / f"j{jobs}.json"
+            write_json(report, str(json_path))
+            outputs[jobs] = json_path.read_bytes()
+        assert outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("rotation", [0, 1, 2])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_chunk_boundaries_at_any_jobs(self, corpus_by_order, tmp_path, offset, rotation):
+        # CHUNK_LINES + offset non-empty lines; a parse error, a line above
+        # the ir cap and a line skipped by max_n lie on each side of the first
+        # chunk boundary, each of them next to it in one rotation
+        cap = harness.IR_ORDER_CAP
+        unchecked = ["Dq", encode_graph6(path(cap + 1))]
+        skip = encode_graph6(path(cap + 2))
+        kinds = unchecked + [skip]
+        kinds = kinds[rotation:] + kinds[:rotation]
+        fill = [line for n in (3, 4, 5) for line, _ in corpus_by_order[n]]
+        count = harness.CHUNK_LINES + offset
+        lines = [fill[i % len(fill)] for i in range(count)]
+        at = harness.CHUNK_LINES
+        lines[at - 3:at] = kinds
+        lines[at:at + 3] = kinds
+        lines = lines[:count]
+        # a blank line first, so line numbers are not positions
+        lines = [""] + lines
+        outputs = {}
+        for jobs in (1, 2):
+            csv_path = tmp_path / f"j{jobs}.csv"
+            json_path = tmp_path / f"j{jobs}.json"
+            with write_csv(str(csv_path)) as sink:
+                report = verify_stream(lines, jobs=jobs, max_n=cap + 1, sink=sink)
+            write_json(report, str(json_path))
+            outputs[jobs] = (csv_path.read_bytes(), json_path.read_bytes(), report.over_cap)
+        assert outputs[1] == outputs[2]
+        report = json.loads(outputs[2][1])
+        numbers = [error["line_number"] for error in report["parse_errors"]]
+        expected = [i + 1 for i, line in enumerate(lines) if line in unchecked]
+        assert numbers == expected
+        skipped = lines.count(skip)
+        assert report["aggregate"]["skipped_over_max_n"] == skipped
+        checked = count - len(expected) - skipped
+        assert report["aggregate"]["graphs"] == checked
+        assert outputs[2][0].count(b"\n") == checked + 1
 
     def test_jobs_below_one_rejected(self):
         with pytest.raises(ParameterError):
