@@ -6,7 +6,6 @@ from .constructive import (
     applicable_ks,
     build_isolating_set,
     isolation_bound,
-    survey_ratios,
 )
 from .errors import (
     CertificateError,
@@ -33,6 +32,7 @@ from .harness import (
     certify_family,
     check_graph,
     conjecture_survey,
+    survey_ratios,
     verify_stream,
 )
 from .partition import (

@@ -140,37 +140,3 @@ def isolation_bound(k: int, delta: int, ir_value: int, s: Optional[int] = None) 
             return base - s + 1
         raise ParameterError(f"s must lie in 0..{delta - 2}, got {s}")
     raise _regime_error("bound", k, delta)
-
-
-def survey_ratios(records):
-    """Aggregate iota_k / ir maxima from per-graph records.
-
-    Each record needs delta, ir, and an iota mapping (keys may be ints or
-    strings); graph6 is carried along as the witness when present. Records
-    with ir = 0 contribute nothing. Returns {"rows": {(delta, k): {"ratio",
-    "witness"}}, "monotone": {delta: bool}} with exact fractions.
-    """
-    # each cell's maximum as (iota, ir, witness), compared with val/irv by
-    # cross-multiplication; only the kept maxima become Fractions. A strict
-    # comparison keeps the first graph that attains the maximum.
-    best = {}
-    for rec in records:
-        irv = rec["ir"]
-        if not irv:
-            continue
-        delta = rec["delta"]
-        for key, val in rec["iota"].items():
-            cell = (delta, int(key))
-            cur = best.get(cell)
-            if cur is None or val * cur[1] > cur[0] * irv:
-                best[cell] = (val, irv, rec.get("graph6"))
-    rows = {
-        cell: {"ratio": Fraction(val, irv), "witness": witness}
-        for cell, (val, irv, witness) in best.items()
-    }
-    monotone = {}
-    for delta in sorted({d for d, _ in rows}):
-        ks = sorted(kk for d, kk in rows if d == delta)
-        vals = [rows[(delta, kk)]["ratio"] for kk in ks]
-        monotone[delta] = all(a >= b for a, b in zip(vals, vals[1:]))
-    return {"rows": rows, "monotone": monotone}

@@ -384,19 +384,14 @@ def gen_Hksl(k, s):
         raise ParameterError(
             f"Hksl needs the wiring leftover r <= k-3; k={k}, s={s} gives r={r}"
         )
-    rprime = r
-    supply = (s - 1) + step * (l - 1) + rprime
-    capacity = 2 * (s - 1) * k
-    if supply > capacity:
-        raise ParameterError(
-            f"wiring demand {supply} exceeds tail capacity {capacity} for k={k}, s={s}"
-        )
 
     lay = _Layout()
     a, kp, kpp, tails = _fks_parts(lay, k, s)
     copies = [_sk_parts(lay, k, str(i)) for i in range(1, l + 1)]
 
-    # spare-capacity wiring into the tail cliques
+    # spare-capacity wiring into the tail cliques: the preloads and the
+    # quotas come to (s-1) + (s-1)(2k-1) = 2k(s-1), two outside edges for
+    # each of the k(s-1) vertices of l1, so the quotas fit l1 exactly
     l1 = [v for tail in tails[1:] for v in tail]
     load = {v: 0 for v in l1}
     for tail in tails[1:]:
@@ -408,7 +403,7 @@ def gen_Hksl(k, s):
     for xs, _z, _blocks in copies[:-1]:
         sources.append((xs[5], delta - 4))
         sources.append((xs[6], delta - 2))
-    sources.append((last_xs[5], rprime))
+    sources.append((last_xs[5], r))
     pointer = 0
     for src, quota in sources:
         taken = set()
@@ -419,7 +414,7 @@ def gen_Hksl(k, s):
             pointer += 1
             spins += 1
             if spins > 2 * len(l1):
-                raise ParameterError("tail wiring stuck; capacity audit was wrong")
+                raise ParameterError(f"tail wiring stuck with {quota - placed} edges left to place")
             if load[v] >= 2 or v in taken:
                 continue
             lay.join(src, [v])
@@ -437,7 +432,7 @@ def gen_Hksl(k, s):
         cliques += [tuple(b) for b in blocks]
     return FamilyInstance(
         name="Hksl",
-        params={"k": k, "s": s, "l": l, "r": r, "rprime": rprime},
+        params={"k": k, "s": s, "l": l, "r": r, "rprime": r},
         graph=lay.graph(delta),
         k=k,
         labels=lay.labels,

@@ -68,7 +68,7 @@ class Graph:
     operations regardless of n.
     """
 
-    __slots__ = ("n", "adj", "clo", "full", "_delta", "_hash")
+    __slots__ = ("n", "adj", "clo", "full", "_delta")
 
     def __init__(self, n, edges=()):
         if n < 0 or n > ORDER_CAP:
@@ -99,7 +99,6 @@ class Graph:
         self.clo = tuple(a | (1 << v) for v, a in enumerate(adj_masks))
         self.full = (1 << self.n) - 1
         self._delta = max(map(int.bit_count, adj_masks), default=0)
-        self._hash = None
 
     def degree(self, v):
         return self.adj[v].bit_count()
@@ -135,12 +134,7 @@ class Graph:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
     def __hash__(self):
-        # computed on first use and kept: the clique cache hashes its graph
-        # on every lookup, and many graphs are never hashed at all
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((self.n, self.adj))
-        return h
+        return hash((self.n, self.adj))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.edge_count()})"
@@ -164,9 +158,9 @@ def _parse_order(data, pos):
     if pos + 1 >= len(data):
         raise Graph6ParseError("truncated long-form order", pos + 1)
     if data[pos + 1] == 126:
-        span, start = 6, pos + 2
+        span, start, least = 6, pos + 2, 258048
     else:
-        span, start = 3, pos + 1
+        span, start, least = 3, pos + 1, 63
     if start + span > len(data):
         raise Graph6ParseError("truncated long-form order", len(data))
     n = 0
@@ -175,6 +169,10 @@ def _parse_order(data, pos):
         if not 63 <= c <= 126:
             raise Graph6ParseError(f"byte {c} outside graph6 range 63..126", i)
         n = n << 6 | (c - 63)
+    # each order has one form: the short one below 63, '~' and 3 bytes
+    # below 258048; another form re-encodes to different text
+    if n < least:
+        raise Graph6ParseError(f"order {n} written in a long form that starts at {least}", pos)
     return n, start + span
 
 
@@ -248,8 +246,6 @@ def parse_graph6(text):
 def encode_graph6(g):
     """Encode a Graph as a canonical graph6 string (no header, no newline)."""
     n = g.n
-    if n > ORDER_CAP:
-        raise OrderCapError(f"order {n} exceeds supported cap {ORDER_CAP}")
     out = bytearray()
     if n <= 62:
         out.append(n + 63)

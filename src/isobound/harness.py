@@ -25,12 +25,11 @@ import multiprocessing
 import os
 import random
 import zlib
+from fractions import Fraction
 from itertools import combinations, islice
 from typing import NamedTuple
 
-from .constructive import (
-    applicable_ks, build_isolating_set, fraction_str, isolation_bound, survey_ratios
-)
+from .constructive import applicable_ks, build_isolating_set, fraction_str, isolation_bound
 from .errors import Graph6ParseError, OrderCapError, ParameterError, SizeCapError
 from .families import make_instance
 from .graph import GRAPH6_HEADER, bits, classify, encode_graph6, graph6_order, parse_graph6
@@ -120,12 +119,12 @@ def _is_minimum_dominating(g, res):
 # The report key of the check or refinement that each regime's certificate runs
 REGIME_CHECKS = {"delta": "delta_regime", "delta_minus_1": "pairs", "delta_minus_2": "twins"}
 
-# Every key a record builds from a number or a tag comes from these tables,
-# so all records share one object per key and pickle sends it once per
-# chunk. check_graph reaches k <= delta + 1 <= n <= IR_ORDER_CAP: a larger
-# graph fails its ir solve before any key is made.
+# Every check name a record builds from a number or a tag comes from these
+# tables, so all records share one object per name and pickle sends it once
+# per chunk; the iota map is keyed by the int k itself. check_graph reaches
+# k <= delta + 1 <= n <= IR_ORDER_CAP: a larger graph fails its ir solve
+# before any name is made.
 CONSTRUCT_KEYS = tuple(f"construct_k{k}" for k in range(IR_ORDER_CAP + 1))
-IOTA_KEYS = tuple(str(k) for k in range(IR_ORDER_CAP + 1))
 REGIME_KEYS = {
     tag: {regime: f"{piece}_{tag}" for regime, piece in REGIME_CHECKS.items()}
     for tag in ("min", "spot")
@@ -259,7 +258,7 @@ def check_graph(g6, spot_check=True):
     iota_k<k> ones, with the class flags as 0/1 and the construct columns
     joined from the minimum set's certificates in ascending k (those built
     before the machinery raised, if it did). Beside them it holds iota
-    ({str(k): iota_k} for k = 1..delta+1), checks and failures.
+    ({k: iota_k} for k = 1..delta+1), checks and failures.
     """
     g6 = g6.strip()
     g = parse_graph6(g6)
@@ -326,7 +325,7 @@ def check_graph(g6, spot_check=True):
         "construct_bounds": " ".join(fraction_str(cert.bound) for cert in min_certs),
         "s_params": " ".join(str(cert.s_param) for cert in min_certs),
         "failure_count": len(failures),
-        "iota": {IOTA_KEYS[k]: v for k, v in iotas.items()},
+        "iota": iotas,
         "checks": checks,
         "failures": failures,
     }
@@ -350,6 +349,41 @@ def _survey_line(line, k_max):
     top = delta + 1 if k_max is None else min(k_max, delta + 1)
     _gam, irr, iotas = _exact_invariants(g, top)
     return {"graph6": line, "delta": delta, "ir": irr.value, "iota": iotas}
+
+
+def survey_ratios(records):
+    """Aggregate iota_k / ir maxima from the records that check_graph or
+    _survey_line builds.
+
+    Each record holds graph6, delta, ir and iota ({k: iota_k}); graph6 is
+    the witness. Records with ir = 0 contribute nothing. Returns {"rows":
+    {(delta, k): {"ratio", "witness"}}, "monotone": {delta: bool}} with
+    exact fractions.
+    """
+    # each cell's maximum as (iota, ir, witness), compared with val/irv by
+    # cross-multiplication; only the kept maxima become Fractions. A strict
+    # comparison keeps the first graph that attains the maximum.
+    best = {}
+    for rec in records:
+        irv = rec["ir"]
+        if not irv:
+            continue
+        delta = rec["delta"]
+        for k, val in rec["iota"].items():
+            cell = (delta, k)
+            cur = best.get(cell)
+            if cur is None or val * cur[1] > cur[0] * irv:
+                best[cell] = (val, irv, rec["graph6"])
+    rows = {
+        cell: {"ratio": Fraction(val, irv), "witness": witness}
+        for cell, (val, irv, witness) in best.items()
+    }
+    monotone = {}
+    for delta in sorted({d for d, _ in rows}):
+        ks = sorted(kk for d, kk in rows if d == delta)
+        vals = [rows[(delta, kk)]["ratio"] for kk in ks]
+        monotone[delta] = all(a >= b for a, b in zip(vals, vals[1:]))
+    return {"rows": rows, "monotone": monotone}
 
 
 def _run_line(per_line, max_n, option, numbered):

@@ -1,10 +1,10 @@
 """Vertex-set predicates: domination, irredundance, clique isolation.
 
 Public functions take iterables of vertex indices and validate their input.
-Domination and isolation also have _mask variants on raw bit masks without
-validation, which the solvers and verify call in hot loops; the irredundance
-state that the ir search and the partition machinery share is built by
-private_neighborhoods and irredundant_extension.
+Isolation also has a _mask variant on raw bit masks without validation,
+which the isolation solver and the constructive certificates call; the
+irredundance state that the ir search and the partition machinery share is
+built by private_neighborhoods and irredundant_extension.
 """
 
 from .graph import bits, closed_mask, vertex_mask
@@ -22,13 +22,9 @@ def private_neighbors(g, s, x):
     return tuple(bits(g.clo[x] & ~closed_mask(g, smask & ~(1 << x))))
 
 
-def is_dominating_mask(g, smask):
-    return closed_mask(g, smask) == g.full
-
-
 def is_dominating(g, s):
     """Whether N[s] covers every vertex."""
-    return is_dominating_mask(g, vertex_mask(g, s))
+    return closed_mask(g, vertex_mask(g, s)) == g.full
 
 
 def private_neighborhoods(g, smask):

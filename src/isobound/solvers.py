@@ -139,15 +139,11 @@ def _isolation_solve(g, k):
                 if size == 1:
                     break
         if best_cando is None:
-            # nothing left to kill; pad with the lowest allowed vertices
-            if allowed.bit_count() < budget:
-                return None
-            pad = 0
-            for _ in range(budget):
-                low = allowed & -allowed
-                pad |= low
-                allowed ^= low
-            return pad
+            # nothing left to kill, so `chosen` isolates and budget is 0: with
+            # budget b > 0 it would isolate with b fewer vertices than the
+            # size searched, which the value loop proved infeasible before
+            # reaching this size, and the witness pass searches at that value
+            return 0
         # Sibling exclusion: a solution holding v lies in v's branch, whose
         # `allowed` only shrinks below it, so later siblings may drop v.
         while best_cando:

@@ -228,20 +228,16 @@ class TestSurveyRatios:
         # equal ratios written with different (iota, ir) pairs tie: the
         # first graph that attains a maximum stays its witness
         records = [
-            {"delta": 4, "ir": 1, "iota": {"1": 1}, "graph6": "a"},
-            {"delta": 4, "ir": 2, "iota": {"1": 2}, "graph6": "b"},
-            {"delta": 4, "ir": 3, "iota": {"1": 4}, "graph6": "c"},
-            {"delta": 4, "ir": 6, "iota": {"1": 8}, "graph6": "d"},
-            {"delta": 4, "ir": 2, "iota": {"1": 2}, "graph6": "e"},
+            {"delta": 4, "ir": 1, "iota": {1: 1}, "graph6": "a"},
+            {"delta": 4, "ir": 2, "iota": {1: 2}, "graph6": "b"},
+            {"delta": 4, "ir": 3, "iota": {1: 4}, "graph6": "c"},
+            {"delta": 4, "ir": 6, "iota": {1: 8}, "graph6": "d"},
+            {"delta": 4, "ir": 2, "iota": {1: 2}, "graph6": "e"},
         ]
         assert survey_ratios(records[:2])["rows"] == {(4, 1): {"ratio": 1, "witness": "a"}}
         row = survey_ratios(records)["rows"][(4, 1)]
         assert row == {"ratio": Fraction(4, 3), "witness": "c"}
         assert (row["ratio"].numerator, row["ratio"].denominator) == (4, 3)
-
-    def test_string_keys_accepted(self):
-        out = survey_ratios([{"delta": 2, "ir": 1, "iota": {"1": 1}}])
-        assert out["rows"][(2, 1)]["ratio"] == 1
 
     def test_degree_two_ratio_is_one(self, corpus_by_order):
         records = []

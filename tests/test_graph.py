@@ -106,8 +106,7 @@ class TestConstruction:
         b = Graph(3, [(1, 0)])
         assert a == b and hash(a) == hash(b)
         assert a != Graph(3, [(0, 2)])
-        # the kept hash is the one computed afresh, whichever way the
-        # graph was built
+        # equal graphs hash alike, whichever way they were built
         c = Graph.from_adj(a.adj)
         assert hash(a) == hash(a) == hash(c) == hash((a.n, a.adj))
 
@@ -216,6 +215,25 @@ class TestParseErrors:
     def test_truncated_long_form(self):
         with pytest.raises(Graph6ParseError, match="long-form"):
             parse_graph6("~" + chr(63))
+
+    @pytest.mark.parametrize(
+        "text, offset",
+        [("~??DQc", 0), (">>graph6<<~??DQc", 10), ("~~?????DQc", 0), ("~~???}~~", 0)],
+    )
+    def test_long_form_below_its_range(self, text, offset):
+        # '~' and 3 bytes write the orders 63..258047 and '~~' and 6 bytes
+        # the larger ones; a smaller order in either form is not graph6
+        for read in (parse_graph6, graph6_order):
+            with pytest.raises(Graph6ParseError, match="long form") as info:
+                read(text)
+            assert info.value.offset == offset
+
+    def test_long_forms_from_their_first_order(self):
+        g = Graph(63, [(0, 62), (30, 31)])
+        enc = encode_graph6(g)
+        assert enc.startswith("~??~")
+        assert parse_graph6(enc) == g
+        assert graph6_order("~~???~??") == 258048
 
     def test_non_ascii_character(self):
         with pytest.raises(Graph6ParseError) as info:

@@ -1,6 +1,7 @@
 import csv
 import errno
 import gc
+import io
 import itertools
 import json
 import multiprocessing
@@ -70,7 +71,17 @@ class TestCheckGraph:
         assert rec["n"] == 5
         assert rec["failures"] == []
         assert all(rec["checks"].values())
-        assert rec["iota"]["1"] == rec["gamma"]
+        assert rec["iota"][1] == rec["gamma"]
+
+    def test_empty_graph_record(self):
+        # no ir, no spot set, and only the k = 1 certificate at Delta = 0
+        rec = check_graph("?")
+        assert list(rec["checks"]) == [
+            "roundtrip", "iota1_is_gamma", "iota_monotone",
+            "construct_k1", "witnesses_min", "machinery_clean",
+        ]
+        assert all(rec["checks"].values()) and rec["failures"] == []
+        assert rec["iota"] == {1: 0}
 
     def test_failure_lines_use_the_stripped_record(self, monkeypatch):
         monkeypatch.setattr(constructive, "is_k_isolating_mask", lambda *args: False)
@@ -123,14 +134,15 @@ class TestCheckGraph:
             assert len(set(calls)) == len(calls)
 
     def test_records_share_their_key_objects(self, corpus_by_order):
-        # keys made from a number or a tag come from module tables: one
+        # check names made from a number or a tag come from module tables
+        # and the iota keys are small ints, which the interpreter shares: one
         # object per key across records, so pickle sends it once per chunk
         seen = {}
         for line, _ in corpus_by_order[6][:40]:
             rec = check_graph(line)
             for key in itertools.chain(rec["checks"], rec["iota"]):
                 assert seen.setdefault(key, key) is key, key
-        assert {"construct_k4", "twins_spot", "witnesses_spot", "4"} <= seen.keys()
+        assert {"construct_k4", "twins_spot", "witnesses_spot", 4} <= seen.keys()
 
     def test_random_graphs_past_the_corpus(self):
         # seeded G(n, p), n = 9..12: the ir witness, the spot set and every
@@ -558,6 +570,20 @@ class TestVerifyStream:
         ]
         assert report.aggregate["parse_error_count"] == 2
         assert report.hard_failures == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_line_above_the_codec_cap_is_a_line_error(self, jobs):
+        # "~?G@" declares 513 vertices, one past what the codec reads
+        error = {"line_number": 1, "error": "graph6 order 513 exceeds supported cap 512"}
+        records = []
+        report = verify_stream(["~?G@", "DQc"], jobs=jobs, sink=records.append)
+        assert [rec["graph6"] for rec in records] == ["DQc"]
+        assert report.parse_errors == [error]
+        assert report.over_cap == {1}
+        assert report.hard_failures == []
+        out = conjecture_survey(["~?G@", "DQc"], jobs=jobs)
+        assert out["graphs"] == 1
+        assert out["parse_errors"] == [error]
 
     def test_rebound_check_graph_reaches_pool_workers(self, monkeypatch):
         real = harness.check_graph
@@ -1191,6 +1217,116 @@ class TestCli:
         assert self.run(argv) == 2
         assert "error: --g6: " in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
+
+    def test_verify_lists_hard_failures(self, capsys, tmp_path, monkeypatch):
+        # every line fails its roundtrip; the listing stops at 50
+        monkeypatch.setattr(harness, "encode_graph6", lambda g: "X")
+        g6 = tmp_path / "in.g6"
+        g6.write_text("@\n" * 51)
+        assert self.run(["verify", "--g6", str(g6)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "  roundtrip: 0/51" in out
+        at = out.index("HARD FAILURES: 51")
+        assert out[at + 1:] == ["  @ roundtrip: re-encoded to X"] * 50
+
+    def test_verify_line_above_the_codec_cap(self, capsys, tmp_path):
+        g6 = tmp_path / "in.g6"
+        g6.write_text("~?G@\n")
+        assert self.run(["verify", "--g6", str(g6)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "not checked (above a size cap): 1" in out
+        assert "line 1 not checked: graph6 order 513 exceeds supported cap 512" in out
+
+    def test_verify_long_form_order_is_a_parse_error(self, capsys, tmp_path):
+        # DQc with its order written in the long form: bad input, not a
+        # graph that fails its roundtrip
+        error = "order 5 written in a long form that starts at 63 (byte offset 0)"
+        g6 = tmp_path / "in.g6"
+        g6.write_text("~??DQc\nDQc\n")
+        json_out = tmp_path / "agg.json"
+        assert self.run(["verify", "--g6", str(g6), "--json", str(json_out)]) == 0
+        assert f"parse error at line 1: {error}" in capsys.readouterr().out.splitlines()
+        payload = json.loads(json_out.read_text())
+        assert payload["parse_errors"] == [{"line_number": 1, "error": error}]
+        assert payload["aggregate"]["graphs"] == 1
+        assert payload["hard_failures"] == []
+
+    def test_survey_prints_its_table_and_writes_json(self, capsys, tmp_path):
+        lines = ["DQc", "Cr", "Bw"]
+        g6 = tmp_path / "in.g6"
+        g6.write_text("\n".join(lines) + "\n")
+        json_out = tmp_path / "survey.json"
+        assert self.run(["survey", "--g6", str(g6), "--json", str(json_out)]) == 0
+        assert capsys.readouterr().out == (
+            "graphs surveyed: 3\n"
+            "delta  k  max iota_k/ir  witness\n"
+            "    2  1           1/1  DQc\n"
+            "    2  2           1/1  Bw\n"
+            "    2  3           1/1  Bw\n"
+            "observed maxima for delta=2: non-increasing\n"
+        )
+        expected = io.StringIO()
+        write_json(conjecture_survey(lines), expected)
+        assert json_out.read_text() == expected.getvalue()
+
+    def test_certify_writes_json_and_fails_a_wrong_claim(self, capsys, tmp_path, monkeypatch):
+        json_out = tmp_path / "certify.json"
+        argv = ["certify", "--family", "G1", "--params", "t=1,k=2", "--json", str(json_out)]
+        assert self.run(argv) == 0
+        expected = io.StringIO()
+        write_json(harness.certify_families([("G1", {"t": 1, "k": 2})]), expected)
+        assert json_out.read_text() == expected.getvalue()
+        capsys.readouterr()
+        TestCertifyFamily._altered(monkeypatch, claimed_ir=5)
+        assert self.run(argv) == 1
+        failure = "G1{'t': 1, 'k': 2}: ir 1 != claimed 5"
+        assert capsys.readouterr().out.splitlines()[-2:] == ["HARD FAILURES: 1", f"  {failure}"]
+        assert json.loads(json_out.read_text())["hard_failures"] == [failure]
+
+    def test_solve_iota_skips_blank_lines_and_reports_bad_ones(self, capsys, tmp_path):
+        g6 = tmp_path / "in.g6"
+        g6.write_text("DQc\n\nDq\nCr\n")
+        assert self.run(["solve", "--invariant", "iota", "--k", "2", "--g6", str(g6)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "DQc iota=1 witness=[4]\nCr iota=1 witness=[0]\n"
+        assert captured.err == "Dq error: body needs 2 bytes, found 1 (byte offset 2)\n"
+
+    @pytest.mark.parametrize(
+        "line, predicate, vset, k, holds",
+        [
+            ("Cr", "irredundant", "1,2", None, True),
+            ("Cr", "irredundant", "0,1,2", None, False),
+            ("Cr", "maximal-irredundant", "1,2", None, True),
+            ("Cr", "maximal-irredundant", "1", None, False),
+            ("DQc", "isolating", "4", "2", True),
+            ("DQc", "isolating", "4", "1", False),
+        ],
+    )
+    def test_check_predicates(self, capsys, tmp_path, line, predicate, vset, k, holds):
+        g6 = tmp_path / "in.g6"
+        g6.write_text(f"{line}\n")
+        argv = ["check", "--g6", str(g6), "--set", vset, "--predicate", predicate]
+        assert self.run(argv + (["--k", k] if k else [])) == (0 if holds else 1)
+        assert capsys.readouterr().out == ("true\n" if holds else "false\n")
+
+    def test_check_isolating_requires_k(self, capsys, tmp_path):
+        g6 = tmp_path / "in.g6"
+        g6.write_text("DQc\n")
+        assert self.run(["check", "--g6", str(g6), "--set", "4", "--predicate", "isolating"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --k is required for the isolating predicate\n"
+
+    def test_g6_dash_reads_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("DQc\nCr\n"))
+        assert self.run(["solve", "--invariant", "gamma", "--g6", "-"]) == 0
+        assert capsys.readouterr().out == "DQc gamma=2 witness=[0 1]\nCr gamma=2 witness=[0 1]\n"
+
+    def test_bound_negative_delta_exit_two(self, capsys):
+        assert self.run(["bound", "--k", "1", "--delta", "-1", "--ir", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: maximum degree must be non-negative, got -1\n"
 
     def test_certify_single_family(self, capsys):
         assert self.run(["certify", "--family", "G1", "--params", "t=1,k=2"]) == 0
