@@ -32,7 +32,7 @@ from .errors import (
     SizeCapError,
 )
 from .families import FAMILIES, make_instance
-from .graph import bits, encode_graph6, parse_graph6
+from .graph import bits, encode_graph6, graph6_lines, parse_graph6
 from .harness import (
     certify_families,
     certify_family,
@@ -57,7 +57,6 @@ USER_ERRORS = (
     ParameterError,
     PreconditionError,
     RegimeError,
-    SizeCapError,
     CertificateError,
     ValueError,
 )
@@ -74,16 +73,18 @@ def _named_path(option, path):
 
 
 def _read_lines(path):
-    """The lines of --g6, or of stdin for "-", read one at a time."""
+    """The lines of --g6, or of stdin for "-", read one at a time, both with
+    errors="surrogateescape": a byte that does not decode reaches the codec
+    as that line's fault."""
     if path == "-":
-        for ln in sys.stdin:
-            yield ln.rstrip("\n")
+        with contextlib.suppress(AttributeError):  # io.StringIO decodes nothing
+            sys.stdin.reconfigure(errors="surrogateescape")
+        yield from sys.stdin
         return
     with _named_path("--g6", path):
-        fh = open(path)
+        fh = open(path, errors="surrogateescape")
     with fh:
-        for ln in fh:
-            yield ln.rstrip("\n")
+        yield from fh
 
 
 def _report_file(stack, path):
@@ -103,9 +104,7 @@ def _only_graph(path):
     """The one graph of the input; reading stops at a second graph6 line,
     which is an error."""
     g = None
-    for number, line in enumerate(_read_lines(path), 1):
-        if not line.strip():
-            continue
+    for number, line in graph6_lines(_read_lines(path)):
         if g is not None:
             raise ParameterError(f"expected one graph, found a second at line {number}")
         g = parse_graph6(line)
@@ -258,9 +257,7 @@ def cmd_solve(args):
         if args.k < 1:
             raise ParameterError(f"isolation order must be positive, got {args.k}")
     status = 0
-    for line in _read_lines(args.g6):
-        if not line.strip():
-            continue
+    for _number, line in graph6_lines(_read_lines(args.g6)):
         try:
             g = parse_graph6(line)
             if args.invariant == "gamma":
@@ -270,12 +267,10 @@ def cmd_solve(args):
             else:
                 res = iota(g, args.k)
             witness = " ".join(map(str, res.witness))
-            print(f"{line.strip()} {args.invariant}={res.value} witness=[{witness}]")
-        except SizeCapError as exc:
-            print(f"{line.strip()} error: {exc.reason}; pass --force", file=sys.stderr)
-            status = 1
+            print(f"{line} {args.invariant}={res.value} witness=[{witness}]")
         except USER_ERRORS as exc:
-            print(f"{line.strip()} error: {exc}", file=sys.stderr)
+            hint = "; pass --force" if isinstance(exc, SizeCapError) else ""
+            print(f"{line} error: {exc}{hint}", file=sys.stderr)
             status = 1
     return status
 

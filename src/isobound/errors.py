@@ -10,7 +10,7 @@ class Graph6ParseError(ValueError):
 
 
 class OrderCapError(ValueError):
-    """Graph order outside the supported range (0 <= n <= 512)."""
+    """Graph order outside a supported range: 0..512, or a solver's cap (SizeCapError)."""
 
 
 class PreconditionError(ValueError):
@@ -29,20 +29,8 @@ class CertificateError(ValueError):
     """A supplied certificate fails validation."""
 
 
-class SizeCapError(RuntimeError):
-    """Input exceeds a solver size cap.
-
-    Made from (reason, hint): reason names the order and the cap, hint how
-    the caller lifts the cap (the library's force=True), and the message is
-    both. Callers that cannot lift the cap report reason alone.
-    """
-
-    def __init__(self, reason, hint):
-        super().__init__(reason, hint)
-        self.reason = reason
-
-    def __str__(self):
-        return "; ".join(self.args)
+class SizeCapError(OrderCapError):
+    """Graph order above a solver's cap, which the library's force=True lifts."""
 
 
 class MachineryError(RuntimeError):

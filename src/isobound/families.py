@@ -13,8 +13,8 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .constructive import isolation_bound
-from .errors import ParameterError
-from .graph import Graph
+from .errors import OrderCapError, ParameterError
+from .graph import ORDER_CAP, Graph
 
 
 class FamilyInstance(NamedTuple):
@@ -41,20 +41,30 @@ class _Layout:
         self.edges = []
         self.labels = {}
 
+    def take(self, count):
+        """count new vertex ids; OrderCapError first if they pass ORDER_CAP."""
+        n = self.n + count
+        if n > ORDER_CAP:
+            raise OrderCapError(f"order at least {n} outside supported range 0..{ORDER_CAP}")
+        self.n = n
+        return list(range(n - count, n))
+
     def add(self, *names):
         """One new vertex per name, in order."""
-        verts = list(range(self.n, self.n + len(names)))
-        self.n += len(names)
+        verts = self.take(len(names))
         self.labels.update(zip(names, verts))
         return verts
 
     def numbered(self, prefix, count):
         """count new vertices named prefix1 .. prefix<count>."""
-        return self.add(*(f"{prefix}{j}" for j in range(1, count + 1)))
+        verts = self.take(count)
+        self.labels.update((f"{prefix}{j}", v) for j, v in enumerate(verts, 1))
+        return verts
 
     def clique(self, prefix, size):
         """size new pairwise adjacent vertices named prefix.0 .. prefix.<size-1>."""
-        verts = self.add(*(f"{prefix}.{j}" for j in range(size)))
+        verts = self.take(size)
+        self.labels.update((f"{prefix}.{j}", v) for j, v in enumerate(verts))
         self.complete(verts)
         return verts
 

@@ -176,15 +176,23 @@ def _parse_order(data, pos):
     return n, start + span
 
 
+def graph6_lines(lines):
+    """(number, stripped text) of each non-blank line; blank ones are counted."""
+    for number, line in enumerate(lines, 1):
+        if text := line.strip():
+            yield number, text
+
+
 def _graph6_head(text):
     """One graph6 record as bytes, its order and the offset of its body.
 
-    A str must be ASCII: its first other character raises Graph6ParseError
-    at its offset, which is also its byte offset.
+    A str must be ASCII but for the surrogates that errors="surrogateescape"
+    puts for bytes it cannot decode, each refused as its byte. Any other
+    character raises Graph6ParseError at its offset, also its byte offset.
     """
     if isinstance(text, str):
         try:
-            data = text.encode("ascii")
+            data = text.encode("ascii", "surrogateescape")
         except UnicodeEncodeError as exc:
             raise Graph6ParseError(
                 f"non-ASCII character {text[exc.start]!r}", exc.start

@@ -8,11 +8,11 @@ a witness that fails its predicate, or machinery that raises. A line that
 cannot be checked (malformed graph6, an order above a cap) is recorded with
 its line number and skipped, never fatal.
 
-verify and survey share one pipeline: each non-empty input line goes through
-one worker, in input order, and the survey is the ratio projection of the
-invariants verify computes. The pipeline streams: it reads the input only as
-far ahead as its workers, and verify folds each record into the aggregate and
-drops it, so memory does not grow with the input.
+verify and survey share one pipeline: each line that graph6_lines yields goes
+through one worker, in input order, and the survey is the ratio projection of
+the invariants verify computes. The pipeline streams: it reads the input only
+as far ahead as its workers, and verify folds each record into the aggregate
+and drops it, so memory does not grow with the input.
 """
 
 import collections
@@ -30,9 +30,11 @@ from itertools import combinations, islice
 from typing import NamedTuple
 
 from .constructive import applicable_ks, build_isolating_set, fraction_str, isolation_bound
-from .errors import Graph6ParseError, OrderCapError, ParameterError, SizeCapError
+from .errors import Graph6ParseError, OrderCapError, ParameterError
 from .families import make_instance
-from .graph import GRAPH6_HEADER, bits, classify, encode_graph6, graph6_order, parse_graph6
+from .graph import (
+    GRAPH6_HEADER, bits, classify, encode_graph6, graph6_lines, graph6_order, parse_graph6
+)
 from .partition import compute_partition, representatives_dominate, undominated_witnesses
 from .predicates import (
     irredundant_extension,
@@ -208,7 +210,7 @@ def _theorem_checks(g6, g, cls, gam, ir_value, iotas):
     delta, gv = cls.max_degree, gam.value
     enc = encode_graph6(g)
     # g was parsed from exactly this body, so equal text is a full round trip
-    body = g6.strip().removeprefix(GRAPH6_HEADER)
+    body = g6.removeprefix(GRAPH6_HEADER)
     yield "roundtrip", enc == body, lambda: f"{g6} roundtrip: re-encoded to {enc}"
     if g.n <= GAMMA_RECHECK_ORDER_CAP:
         yield "iota1_is_gamma", _is_minimum_dominating(g, gam), lambda: (
@@ -389,8 +391,8 @@ def survey_ratios(records):
 def _run_line(per_line, max_n, option, numbered):
     """The pipeline worker: ("record", record) for a checked line,
     ("skipped", None) for an order above max_n, ("parse_error", error) for a
-    malformed line and ("over_cap", error) for a line above an order or size
-    cap, where error is {"line_number", "error"}."""
+    malformed line and ("over_cap", error) for a line above the codec's or a
+    solver's order cap, where error is {"line_number", "error"}."""
     line_number, line = numbered
     try:
         if max_n is not None and graph6_order(line) > max_n:
@@ -400,13 +402,10 @@ def _run_line(per_line, max_n, option, numbered):
         return "parse_error", {"line_number": line_number, "error": str(exc)}
     except OrderCapError as exc:
         return "over_cap", {"line_number": line_number, "error": str(exc)}
-    except SizeCapError as exc:
-        # neither verify nor survey can lift the cap, so the hint is left out
-        return "over_cap", {"line_number": line_number, "error": exc.reason}
 
 
 class _Pipeline:
-    """Every non-empty input line through one per-line function.
+    """Every line that graph6_lines yields through one per-line function.
 
     Use it as a context manager: at jobs > 1 the worker pool lives for the
     with block and is terminated when the block exits, also when the consumer
@@ -439,9 +438,7 @@ class _Pipeline:
         return False
 
     def _results(self):
-        numbered = (
-            (number, raw.strip()) for number, raw in enumerate(self.lines, 1) if raw.strip()
-        )
+        numbered = graph6_lines(self.lines)
         if self.pool is None:
             yield from map(self.work, numbered)
             return

@@ -122,10 +122,13 @@ def _isolation_solve(g, k):
         for cover in targets:
             if cover & chosen:
                 continue
+            # No live target is out of candidates: each holds its lowest vertex
+            # at the root; the branch target is a smallest live one, so the
+            # siblings that exclusion drops never cover another's candidates;
+            # in the witness pass `known` keeps a candidate above v in each. An
+            # empty one could never be killed, so the node would return None.
             cando = cover & allowed
             size = cando.bit_count()
-            if size == 0:
-                return None
             # Live targets with pairwise disjoint candidate sets each need
             # their own vertex, so packing more than `budget` of them proves
             # the node infeasible (this also covers budget == 0).
@@ -224,9 +227,7 @@ def ir(g, force=False):
     cap keeps accidental huge inputs from hanging.
     """
     if g.n > IR_ORDER_CAP and not force:
-        raise SizeCapError(
-            f"ir solve on n={g.n} exceeds cap {IR_ORDER_CAP}", "pass force=True"
-        )
+        raise SizeCapError(f"ir solve on n={g.n} exceeds cap {IR_ORDER_CAP}")
     parts = components(g)
     if len(parts) < 2:
         return _ir_search(g)

@@ -5,6 +5,7 @@ import pytest
 
 from isobound import (
     FAMILIES,
+    OrderCapError,
     ParameterError,
     gamma,
     iota,
@@ -15,6 +16,7 @@ from isobound import (
     is_maximal_irredundant,
 )
 from isobound.families import (
+    _Layout,
     gen_Dkt,
     gen_Fks,
     gen_G1,
@@ -97,6 +99,12 @@ class TestDkt:
         bound, _ = iota_lower_bound(inst.graph, 2, inst.designated_cliques)
         assert bound == 6
 
+    def test_parameter_validation(self):
+        for k, t in ((0, 1), (1, 0)):
+            message = f"^Dkt needs k >= 1 and t >= 1, got k={k}, t={t}$"
+            with pytest.raises(ParameterError, match=message):
+                gen_Dkt(k, t)
+
 
 class TestSubcubicH:
     def test_solver_agreement(self):
@@ -109,6 +117,10 @@ class TestSubcubicH:
     def test_ratio_three_halves(self):
         inst = gen_subcubicH(3)
         assert Fraction(gamma(inst.graph).value, ir(inst.graph).value) == Fraction(3, 2)
+
+    def test_parameter_validation(self):
+        with pytest.raises(ParameterError, match="^subcubicH needs c >= 1, got c=0$"):
+            gen_subcubicH(0)
 
 
 class TestFiveThirds:
@@ -208,6 +220,26 @@ class TestHksl:
         # leftover r = 3 > k-3 = 1: tail wiring cannot saturate
         with pytest.raises(ParameterError):
             gen_Hksl(4, 2)
+
+
+class TestOrderCap:
+    def test_layout_refuses_before_it_grows(self):
+        # the vertex that would pass the cap is refused before any name,
+        # edge or vertex id of its step is made
+        lay = _Layout()
+        lay.numbered("x", 500)
+        message = "^order at least 513 outside supported range 0..512$"
+        for grow in (lambda: lay.clique("K", 13), lambda: lay.add(*"abcdefghijklm")):
+            with pytest.raises(OrderCapError, match=message):
+                grow()
+            assert lay.n == 500 and lay.edges == [] and len(lay.labels) == 500
+        assert lay.numbered("y", 12) == list(range(500, 512))
+
+    def test_family_above_the_cap(self):
+        with pytest.raises(OrderCapError, match="^order at least 2000 "):
+            gen_G1(1, 2000)
+        with pytest.raises(OrderCapError, match="^order at least 514 "):
+            gen_G1(300, 2)
 
 
 class TestLabels:

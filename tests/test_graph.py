@@ -25,6 +25,7 @@ from isobound.graph import (
     clique_table,
     closed_mask,
     components,
+    graph6_lines,
     graph6_order,
     isolation_covers,
     mask_of,
@@ -100,6 +101,13 @@ class TestConstruction:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             Graph(3, [(0, 3)])
+
+    def test_rejects_an_order_above_the_cap(self):
+        message = "^order 513 outside supported range 0..512$"
+        with pytest.raises(OrderCapError, match=message):
+            Graph(513, [])
+        with pytest.raises(OrderCapError, match=message):
+            Graph.from_adj([0] * 513)
 
     def test_equality_and_hash(self):
         a = Graph(3, [(0, 1)])
@@ -194,14 +202,14 @@ class TestParseErrors:
             parse_graph6(encode_graph6(p4) + "??")
 
     def test_out_of_range_byte_offset(self):
-        err = None
-        try:
-            parse_graph6("C" + chr(32))
-        except Graph6ParseError as exc:
-            err = exc
-        assert err is not None
-        assert err.offset == 1
-        assert "byte offset 1" in str(err)
+        # a space in the body and in a long-form order, and the surrogate
+        # that errors="surrogateescape" reads for the undecodable byte 0xff
+        for text, byte, offset in [("C ", 32, 1), ("~? ?", 32, 2), ("B\udcff", 255, 1)]:
+            with pytest.raises(Graph6ParseError) as info:
+                parse_graph6(text)
+            assert info.value.offset == offset
+            error = f"byte {byte} outside graph6 range 63..126 (byte offset {offset})"
+            assert str(info.value) == error
 
     def test_nonzero_padding(self):
         # order 2 has one body byte with a single meaningful bit; set a pad bit
@@ -213,8 +221,10 @@ class TestParseErrors:
             parse_graph6("~" + chr(63) + chr(63 + 8) + chr(63 + 1) + "rest")
 
     def test_truncated_long_form(self):
-        with pytest.raises(Graph6ParseError, match="long-form"):
-            parse_graph6("~" + chr(63))
+        for text, offset in [("~", 1), ("~?", 2)]:
+            with pytest.raises(Graph6ParseError, match="truncated long-form order") as info:
+                parse_graph6(text)
+            assert info.value.offset == offset
 
     @pytest.mark.parametrize(
         "text, offset",
@@ -245,6 +255,10 @@ class TestParseErrors:
         with pytest.raises(Graph6ParseError) as info:
             graph6_order("\u00e9")
         assert info.value.offset == 0
+
+    def test_graph6_lines_strip_and_count_every_line(self):
+        lines = [" DQc \t\n", "\n", "  \r\n", "Cr", "B\udcff\n"]
+        assert list(graph6_lines(lines)) == [(1, "DQc"), (4, "Cr"), (5, "B\udcff")]
 
     def test_graph6_order_peeks(self):
         assert graph6_order("G???????") == 8

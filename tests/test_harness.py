@@ -516,6 +516,20 @@ class TestCertifyFamily:
         assert row["ir_certification"] == "asserted" and "ir" not in row
         assert failures == ["G1{'t': 2, 'k': 2}: ir claim not pinned by certificates"]
 
+    @pytest.mark.parametrize(
+        "changes, failure",
+        [
+            ({"witness_dominating": (0,)}, "dominating witness fails its predicate"),
+            ({"designated_cliques": ((0, 1),)}, "packing bound 1 != claimed 2"),
+        ],
+    )
+    def test_a_failed_certificate_is_a_failure(self, monkeypatch, changes, failure):
+        # the solvers still pin every claim, so the certificate is the one failure
+        self._altered(monkeypatch, **changes)
+        row, failures = certify_family("G1", {"t": 2, "k": 2})
+        assert row["status"] == "FAIL"
+        assert failures == [f"G1{{'t': 2, 'k': 2}}: {failure}"]
+
     def test_iota_claim_needs_the_packing_bound(self, monkeypatch):
         monkeypatch.setattr(harness, "IOTA_CAP", 0)
         row, failures = certify_family("G1", {"t": 2, "k": 2})
@@ -1282,6 +1296,60 @@ class TestCli:
         failure = "G1{'t': 1, 'k': 2}: ir 1 != claimed 5"
         assert capsys.readouterr().out.splitlines()[-2:] == ["HARD FAILURES: 1", f"  {failure}"]
         assert json.loads(json_out.read_text())["hard_failures"] == [failure]
+
+    def test_every_reader_takes_the_same_lines(self, capfd, tmp_path):
+        # line 1 has whitespace around it, line 2 is blank, line 3 holds a
+        # byte that does not decode and line 4 is plain
+        g6 = tmp_path / "in.g6"
+        g6.write_bytes(b" DQc \t\n\nB\xff\nCr\n")
+        error = "byte 255 outside graph6 range 63..126 (byte offset 1)"
+        reports = []
+        for jobs in ("1", "2"):
+            csv_out, json_out = tmp_path / f"{jobs}.csv", tmp_path / f"{jobs}.json"
+            argv = ["verify", "--g6", str(g6), "--jobs", jobs, "--csv", str(csv_out)]
+            assert self.run(argv + ["--json", str(json_out)]) == 0
+            assert f"parse error at line 3: {error}" in capfd.readouterr().out.splitlines()
+            with open(csv_out, newline="") as fh:
+                assert [row["graph6"] for row in csv.DictReader(fh)] == ["DQc", "Cr"]
+            reports.append(json.loads(json_out.read_text()))
+        assert reports[0] == reports[1]
+        assert reports[0]["parse_errors"] == [{"line_number": 3, "error": error}]
+        json_out = tmp_path / "survey.json"
+        assert self.run(["survey", "--g6", str(g6), "--json", str(json_out)]) == 0
+        survey = json.loads(json_out.read_text())
+        assert survey["graphs"] == 2
+        assert survey["parse_errors"] == [{"line_number": 3, "error": error}]
+        capfd.readouterr()
+        assert self.run(["solve", "--invariant", "gamma", "--g6", str(g6)]) == 1
+        out, err = capfd.readouterr()
+        assert out == "DQc gamma=2 witness=[0 1]\nCr gamma=2 witness=[0 1]\n"
+        # the captured stream writes the undecodable byte as "?"
+        assert err == f"B? error: {error}\n"
+
+    def test_stdin_read_as_files_are(self, capsys, monkeypatch):
+        # a strict decoder, as stdin has outside Python's UTF-8 mode
+        stdin = io.TextIOWrapper(io.BytesIO(b"DQc\nB\xff\n"), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert self.run(["verify", "--g6", "-"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "parse error at line 2: byte 255 outside graph6 range 63..126 (byte offset 1)" in out
+
+    @pytest.mark.parametrize("argv", ONE_GRAPH_COMMANDS)
+    def test_one_graph_commands_strip_the_line(self, capsys, tmp_path, argv):
+        outputs = []
+        for text in ("Cr\n", "\n \tCr \r\n\n"):
+            g6 = tmp_path / "in.g6"
+            g6.write_text(text)
+            assert self.run(argv + ["--g6", str(g6)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command", [["family", "--name"], ["certify", "--family"]])
+    def test_family_above_the_order_cap_exit_two(self, capsys, command):
+        assert self.run(command + ["G1", "--params", "t=1,k=2000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: order at least 2000 outside supported range 0..512\n"
 
     def test_solve_iota_skips_blank_lines_and_reports_bad_ones(self, capsys, tmp_path):
         g6 = tmp_path / "in.g6"

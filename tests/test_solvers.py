@@ -471,7 +471,7 @@ class TestIr:
 
     def test_order_cap(self):
         big = complete(33)
-        with pytest.raises(SizeCapError, match=r"n=33 exceeds cap 32; pass force=True$"):
+        with pytest.raises(SizeCapError, match=r"^ir solve on n=33 exceeds cap 32$"):
             ir(big)
         assert ir(big, force=True).value == 1
 
@@ -902,8 +902,7 @@ class TestComponents:
         assert len(components(triangles)) == 11
         with pytest.raises(SizeCapError) as exc:
             ir(triangles)
-        assert exc.value.reason == "ir solve on n=33 exceeds cap 32"
-        assert str(exc.value) == "ir solve on n=33 exceeds cap 32; pass force=True"
+        assert str(exc.value) == "ir solve on n=33 exceeds cap 32"
         res = ir(triangles, force=True)
         assert (res.value, res.witness) == (11, tuple(range(0, 33, 3)))
 
@@ -932,6 +931,10 @@ class TestPackingBound:
         assert bound == 2
         with pytest.raises(CertificateError):
             iota_lower_bound(g, 3, designated=[(0, 1, 3)])  # not a clique
+        with pytest.raises(CertificateError, match="^clique vertex 6 out of range$"):
+            iota_lower_bound(g, 3, designated=[(4, 5, 6)])
+        with pytest.raises(ValueError, match="^k must be positive, got 0$"):
+            iota_lower_bound(g, 0)
         with pytest.raises(CertificateError):
             # shared closed neighborhood: both triangles touch vertex 2's edge
             iota_lower_bound(
