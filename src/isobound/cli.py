@@ -61,6 +61,11 @@ USER_ERRORS = (
     ValueError,
 )
 
+# The lone surrogate that errors="surrogateescape" reads for each byte it
+# cannot decode, mapped to the byte written as \xNN: an echoed line then
+# shows the byte that its parse error names, on any stream.
+_UNDECODED_BYTES = {0xDC00 + b: f"\\x{b:02x}" for b in range(128, 256)}
+
 
 @contextlib.contextmanager
 def _named_path(option, path):
@@ -270,7 +275,7 @@ def cmd_solve(args):
             print(f"{line} {args.invariant}={res.value} witness=[{witness}]")
         except USER_ERRORS as exc:
             hint = "; pass --force" if isinstance(exc, SizeCapError) else ""
-            print(f"{line} error: {exc}{hint}", file=sys.stderr)
+            print(f"{line.translate(_UNDECODED_BYTES)} error: {exc}{hint}", file=sys.stderr)
             status = 1
     return status
 

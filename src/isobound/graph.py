@@ -359,7 +359,8 @@ def _first_levels(g):
 
 def _clique_levels(g, k):
     """(g, candidate mask, levels) as kept for g, the levels grown to size
-    k or to the first empty size.
+    k or to the first empty size. A size already built for the kept graph
+    is looked up first, which most calls are.
 
     A j-clique is extended by each common neighbour w above its last vertex,
     in ascending order, to the (j + 1)-clique with cover cover | N[w] and
@@ -367,9 +368,11 @@ def _clique_levels(g, k):
     lex order.
     """
     global _kept
+    kept = _kept
+    if kept[0] is g and 0 < k <= len(kept[2]):
+        return kept
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    kept = _kept
     if kept[0] is not g:
         kept = _kept = _first_levels(g)
     levels = kept[2]
@@ -406,16 +409,19 @@ def clique_table(g, k):
     the first call that asks for them, from the rows of the size below: the
     children of a j-clique are the bits of its common-neighbour mask in
     ascending order, each added to its vertex mask. The rows are kept with
-    the levels; the returned tuple is shared, not copied. The cliques inside
+    the levels, and rows already derived for the kept graph are looked up
+    first; the returned tuple is shared, not copied. The cliques inside
     a vertex mask `zone` are the rows with `not vmask & ~zone`, still in lex
     order.
     """
+    kept = _kept
+    if kept[0] is g and 0 < k <= len(kept[2]):
+        rows = kept[2][k - 1][2]
+        if rows is not None:
+            return rows
     levels = _clique_levels(g, k)[2]
     if k > len(levels):
         return ()
-    rows = levels[k - 1][2]
-    if rows is not None:
-        return rows
     j = k
     while levels[j - 1][2] is None:
         j -= 1
@@ -512,14 +518,16 @@ def _blocks(g):
 
 
 def _is_claw_free(g):
+    adj = g.adj
+    clo = g.clo
     for v in range(g.n):
-        nbrs = list(bits(g.adj[v]))
-        for ai, a in enumerate(nbrs):
-            for b in nbrs[ai + 1 :]:
-                if g.adj[a] >> b & 1:
-                    continue
-                # third leaf: neighbor of v avoiding N[a] and N[b]
-                if g.adj[v] & ~g.clo[a] & ~g.clo[b]:
+        nv = adj[v]
+        for a in bits(nv):
+            # b runs over the neighbours of v above a and not adjacent to it;
+            # a third leaf is a neighbour of v outside N[a] and N[b]
+            rest = nv & ~clo[a]
+            for b in bits(rest >> (a + 1) << (a + 1)):
+                if rest & ~clo[b]:
                     return False
     return True
 

@@ -22,6 +22,7 @@ import errno
 import functools
 import json
 import multiprocessing
+import operator
 import os
 import random
 import zlib
@@ -36,12 +37,7 @@ from .graph import (
     GRAPH6_HEADER, bits, classify, encode_graph6, graph6_lines, graph6_order, parse_graph6
 )
 from .partition import compute_partition, representatives_dominate, undominated_witnesses
-from .predicates import (
-    irredundant_extension,
-    is_dominating,
-    is_k_isolating,
-    is_maximal_irredundant,
-)
+from .predicates import is_dominating, is_k_isolating, is_maximal_irredundant
 from .solvers import IR_ORDER_CAP, gamma, iota, iota_lower_bound, ir
 
 GAMMA_CAP = 26
@@ -81,21 +77,29 @@ def random_maximal_irredundant(g, rng):
     """A maximal irredundant set grown greedily in a seeded random order.
 
     One pass suffices: irredundance is hereditary, so a vertex that cannot
-    join the set now cannot join any larger set later.
+    join the set now cannot join any larger set later. v joins S when N[v]
+    reaches outside N[S] and every member keeps a private neighbour outside
+    N[v].
     """
     order = list(range(g.n))
     rng.shuffle(order)
+    clo = g.clo
     smask = 0
     pns = []
     union_closed = 0
     for v in order:
-        if irredundant_extension(g, pns, union_closed, 1 << v) is None:
+        cv = clo[v]
+        own = cv & ~union_closed
+        if not own:
             continue
-        cv = g.clo[v]
-        pns = [pn & ~cv for pn in pns]
-        pns.append(cv & ~union_closed)
-        union_closed |= cv
-        smask |= 1 << v
+        for pn in pns:
+            if not pn & ~cv:
+                break
+        else:
+            pns = [pn & ~cv for pn in pns]
+            pns.append(own)
+            union_closed |= cv
+            smask |= 1 << v
     return tuple(bits(smask))
 
 
@@ -285,7 +289,8 @@ def check_graph(g6, spot_check=True):
             cert = build_isolating_set(g, min_part, k)
             _record_certificate(cert, "min", "construct", checks, failures, g6, iotas)
             min_certs.append(cert)
-            if iotas[k] > cert.bound:
+            bound = cert.bound
+            if iotas[k] * bound.denominator > bound.numerator:
                 failures.append(f"{g6} k={k}: exact iota exceeds the certified bound")
                 checks[CONSTRUCT_KEYS[k]] = False
         min_problems = _witness_problems(g, min_part)
@@ -675,12 +680,15 @@ def certify_families(grid=None):
 # The iota columns stop at iota_k8, so a graph with Delta >= 8 loses its
 # iota_k for k >= 9 in the CSV (the JSON's max_ratios keeps them); the
 # header stays as it is, since widening it would change every CSV's bytes.
-CSV_COLUMNS = [
+_CSV_IOTA_KS = range(1, 9)
+_CSV_BEFORE_IOTA = (
     "graph6", "n", "m", "delta",
     "connected", "tree", "cactus", "block_graph", "claw_free", "cyclomatic",
     "gamma", "ir", "ir_witness",
-    "iota_k1", "iota_k2", "iota_k3", "iota_k4", "iota_k5", "iota_k6", "iota_k7", "iota_k8",
-    "construct_sizes", "construct_bounds", "s_params", "failure_count",
+)
+_CSV_AFTER_IOTA = ("construct_sizes", "construct_bounds", "s_params", "failure_count")
+CSV_COLUMNS = [
+    *_CSV_BEFORE_IOTA, *(f"iota_k{k}" for k in _CSV_IOTA_KS), *_CSV_AFTER_IOTA
 ]
 
 
@@ -710,12 +718,18 @@ def replacing(path, newline=None):
 def write_csv(path):
     """A sink, for the with block, that writes each check_graph record it
     is given as its CSV row, with iota spread into the iota_k<k> columns,
-    published at path as `replacing` does."""
+    published at path as `replacing` does.
+
+    Rows go through csv.writer in CSV_COLUMNS order; an iota_k<k> column
+    whose k the record lacks gets None, which csv writes as an empty cell.
+    """
+    before = operator.itemgetter(*_CSV_BEFORE_IOTA)
+    after = operator.itemgetter(*_CSV_AFTER_IOTA)
     with replacing(path, newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, extrasaction="ignore")
-        writer.writeheader()
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
         yield lambda rec: writer.writerow(
-            dict(rec, **{f"iota_k{k}": v for k, v in rec["iota"].items()})
+            (*before(rec), *map(rec["iota"].get, _CSV_IOTA_KS), *after(rec))
         )
 
 

@@ -359,11 +359,12 @@ def refine_pairs(g, part):
 
     s_param = 0
     anchor = None
-    for v in bits(nm_mask):
-        cnt = sum(1 for c in cliques if g.adj[v] & c)
-        if cnt > s_param:
-            s_param = cnt
-            anchor = v
+    if cliques:
+        for v in bits(nm_mask):
+            cnt = sum(1 for c in cliques if g.adj[v] & c)
+            if cnt > s_param:
+                s_param = cnt
+                anchor = v
     if s_param > delta - 2:
         raise MachineryError(f"anchor degree {s_param} exceeds delta-2")
     xs = 0

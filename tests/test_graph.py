@@ -340,6 +340,28 @@ class TestCliques:
         assert cliques_of(twin, 3) == oracles.all_k_cliques(graphs[0], 3)
         assert clique_table(twin, 2) == clique_table(graphs[0], 2)
 
+    def test_kept_levels_still_refuse_k_below_one(self):
+        # every size of the kept graph built and its rows derived, so a
+        # lookup of the kept levels would find one at k - 1 = -1
+        g = parse_graph6("DQc")
+        for k in range(1, g.max_degree() + 3):
+            clique_table(g, k)
+            isolation_covers(g, k)
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k must be positive"):
+                clique_table(g, k)
+            with pytest.raises(ValueError, match="k must be positive"):
+                isolation_covers(g, k)
+
+    def test_equal_graph_built_apart_gets_levels_of_its_own(self):
+        g = parse_graph6("E~~w")
+        rows, covers = clique_table(g, 3), isolation_covers(g, 3)[1]
+        twin = Graph.from_adj(g.adj)
+        assert twin == g
+        assert clique_table(twin, 3) == rows and clique_table(twin, 3) is not rows
+        assert isolation_covers(twin, 3)[1] == covers
+        assert isolation_covers(twin, 3)[1] is not covers
+
     def test_rows_on_unit_disk_graphs(self):
         # the rows carry both masks, grown level by level: each cover is the
         # closed neighbourhood of its clique, and the order is strictly lex

@@ -781,16 +781,22 @@ class TestStreaming:
         g6.write_text("\n".join(order8 * 100) + "\n")
         csv_out = tmp_path / "records.csv"
         rows = 0
+        real_writer = harness.csv.writer
 
-        class FullDisk(csv.DictWriter):
+        class FullDisk:
+            """A csv writer whose disk fills after 100 rows."""
+
+            def __init__(self, fh):
+                self.writer = real_writer(fh)
+
             def writerow(self, row):
                 nonlocal rows
                 rows += 1
                 if rows > 100:
                     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-                return super().writerow(row)
+                return self.writer.writerow(row)
 
-        monkeypatch.setattr(harness.csv, "DictWriter", FullDisk)
+        monkeypatch.setattr(harness.csv, "writer", FullDisk)
         start = time.monotonic()
         with pytest.raises(OSError):
             main(["verify", "--g6", str(g6), "--jobs", "2", "--csv", str(csv_out)])
@@ -1323,8 +1329,8 @@ class TestCli:
         assert self.run(["solve", "--invariant", "gamma", "--g6", str(g6)]) == 1
         out, err = capfd.readouterr()
         assert out == "DQc gamma=2 witness=[0 1]\nCr gamma=2 witness=[0 1]\n"
-        # the captured stream writes the undecodable byte as "?"
-        assert err == f"B? error: {error}\n"
+        # the echo writes the undecodable byte as the escape of that byte
+        assert err == f"B\\xff error: {error}\n"
 
     def test_stdin_read_as_files_are(self, capsys, monkeypatch):
         # a strict decoder, as stdin has outside Python's UTF-8 mode
@@ -1333,6 +1339,18 @@ class TestCli:
         assert self.run(["verify", "--g6", "-"]) == 0
         out = capsys.readouterr().out.splitlines()
         assert "parse error at line 2: byte 255 outside graph6 range 63..126 (byte offset 1)" in out
+
+    def test_solve_echoes_an_undecodable_byte_as_that_byte(self, monkeypatch, tmp_path):
+        # a stderr with a strict encoder, which a lone surrogate would break
+        g6 = tmp_path / "in.g6"
+        g6.write_bytes(b"B\xff\nCr\n")
+        stderr = io.TextIOWrapper(io.BytesIO(), encoding="ascii", errors="strict")
+        monkeypatch.setattr(sys, "stderr", stderr)
+        assert self.run(["solve", "--invariant", "gamma", "--g6", str(g6)]) == 1
+        stderr.flush()
+        assert stderr.buffer.getvalue() == (
+            b"B\\xff error: byte 255 outside graph6 range 63..126 (byte offset 1)\n"
+        )
 
     @pytest.mark.parametrize("argv", ONE_GRAPH_COMMANDS)
     def test_one_graph_commands_strip_the_line(self, capsys, tmp_path, argv):
@@ -1470,6 +1488,34 @@ class TestSerialization:
         assert [key for key in ratios if key.startswith("delta=9,")] == [
             f"delta=9,k={k}" for k in range(1, 11)
         ]
+
+    def test_rows_are_those_of_a_dict_writer(self, corpus_by_order, tmp_path, monkeypatch):
+        # every n <= 6 corpus graph, the star K1,9 (iota_k beyond k = 8), the
+        # empty graph and a record whose machinery raised partway, which
+        # the monkeypatch of the test below sets up
+        records = []
+        lines = [line for n in range(1, 7) for line, _ in corpus_by_order[n]]
+        verify_stream(lines + ["IsaCCA?_?", "?"], sink=records.append)
+        real = harness.build_isolating_set
+
+        def second_order_raises(g, part, k):
+            if k == applicable_ks(g.max_degree())[1]:
+                raise MachineryError("injected at the second order")
+            return real(g, part, k)
+
+        monkeypatch.setattr(harness, "build_isolating_set", second_order_raises)
+        verify_stream(["Cs"], sink=records.append)
+        assert records[-1]["checks"]["machinery_clean"] is False
+        path = tmp_path / "records.csv"
+        with write_csv(str(path)) as sink:
+            for rec in records:
+                sink(rec)
+        want = io.StringIO(newline="")
+        writer = csv.DictWriter(want, fieldnames=harness.CSV_COLUMNS, extrasaction="ignore")
+        writer.writeheader()
+        for rec in records:
+            writer.writerow(dict(rec, **{f"iota_k{k}": v for k, v in rec["iota"].items()}))
+        assert path.read_bytes() == want.getvalue().encode()
 
     def test_csv_row_after_the_machinery_raised_partway(self, tmp_path, monkeypatch):
         # building T raises at the second order of the star K1,3: the
