@@ -61,12 +61,6 @@ USER_ERRORS = (
     ValueError,
 )
 
-# The lone surrogate that errors="surrogateescape" reads for each byte it
-# cannot decode, mapped to the byte written as \xNN: an echoed line then
-# shows the byte that its parse error names, on any stream.
-_UNDECODED_BYTES = {0xDC00 + b: f"\\x{b:02x}" for b in range(128, 256)}
-
-
 @contextlib.contextmanager
 def _named_path(option, path):
     """Report an OSError on a path the user named as bad input, naming the
@@ -275,7 +269,10 @@ def cmd_solve(args):
             print(f"{line} {args.invariant}={res.value} witness=[{witness}]")
         except USER_ERRORS as exc:
             hint = "; pass --force" if isinstance(exc, SizeCapError) else ""
-            print(f"{line.translate(_UNDECODED_BYTES)} error: {exc}{hint}", file=sys.stderr)
+            # echoed as its bytes, each non-ASCII one written \xNN, so that a
+            # stream with a strict ASCII encoder can print it
+            echo = line.encode("utf-8", "surrogateescape").decode("ascii", "backslashreplace")
+            print(f"{echo} error: {exc}{hint}", file=sys.stderr)
             status = 1
     return status
 

@@ -195,7 +195,7 @@ def _graph6_head(text):
             data = text.encode("ascii", "surrogateescape")
         except UnicodeEncodeError as exc:
             raise Graph6ParseError(
-                f"non-ASCII character {text[exc.start]!r}", exc.start
+                f"non-ASCII character {text[exc.start]!a}", exc.start
             ) from None
     else:
         data = bytes(text)

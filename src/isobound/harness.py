@@ -40,8 +40,6 @@ from .partition import compute_partition, representatives_dominate, undominated_
 from .predicates import is_dominating, is_k_isolating, is_maximal_irredundant
 from .solvers import IR_ORDER_CAP, gamma, iota, iota_lower_bound, ir
 
-GAMMA_CAP = 26
-IOTA_CAP = 30
 # Largest order on which verify re-checks gamma apart from the solver, by
 # testing every set one vertex smaller than the witness: at most
 # C(10, 5) = 252 domination tests per graph.
@@ -572,7 +570,7 @@ DEFAULT_GRID = (
 def _pin_claim(row, failures, where, key, claimed, solve, pinned, label):
     """Record the value and provenance label of one claimed invariant.
 
-    solve is the exact solver, or None above its order cap. Above the cap the
+    solve is the exact solver, or None above IR_ORDER_CAP. Above the cap the
     claim stands under label only when pinned, that is when certificates just
     re-checked give the claimed value; otherwise it is "asserted", and a
     failure.
@@ -595,12 +593,12 @@ def _pin_claim(row, failures, where, key, claimed, solve, pinned, label):
 def certify_family(name, params):
     """Certify one family instance; returns (row, failures).
 
-    Every claim goes through one rule. At or below its solver's order cap the
-    solver decides it ("solver"). Above the cap its witness must pass its
-    predicate and have the claimed size: that pins ir and gamma from above
-    ("witness-upper+asserted-lower"), and iota exactly when the clique-packing
-    bound also equals the claim ("witness+packing"). Anything else is
-    "asserted" and a failure.
+    Every claim goes through one rule. At or below IR_ORDER_CAP, the limit
+    of ir, verify and survey, the exact solver decides it ("solver"). Above it
+    the claim's witness must pass its predicate and have the claimed size:
+    that pins ir and gamma from above ("witness-upper+asserted-lower"), and
+    iota exactly when the clique-packing bound also equals the claim
+    ("witness+packing"). Anything else is "asserted" and a failure.
     """
     inst = make_instance(name, params)
     g = inst.graph
@@ -636,16 +634,17 @@ def certify_family(name, params):
         if inst.claimed_iota is not None and packing != inst.claimed_iota:
             failures.append(f"{where}: packing bound {packing} != claimed {inst.claimed_iota}")
 
+    solvable = g.n <= IR_ORDER_CAP
     upper_only = "witness-upper+asserted-lower"
-    for key, claim, cap, solve, pinned, label in (
-        ("iota", inst.claimed_iota, IOTA_CAP, functools.partial(iota, g, inst.k),
+    for key, claim, solve, pinned, label in (
+        ("iota", inst.claimed_iota, functools.partial(iota, g, inst.k),
          sizes.get("iota") == inst.claimed_iota == packing, "witness+packing"),
-        ("ir", inst.claimed_ir, IR_ORDER_CAP, functools.partial(ir, g),
+        ("ir", inst.claimed_ir, functools.partial(ir, g),
          sizes.get("ir") == inst.claimed_ir, upper_only),
-        ("gamma", inst.claimed_gamma, GAMMA_CAP, functools.partial(gamma, g),
+        ("gamma", inst.claimed_gamma, functools.partial(gamma, g),
          sizes.get("gamma") == inst.claimed_gamma, upper_only),
     ):
-        _pin_claim(row, failures, where, key, claim, solve if g.n <= cap else None, pinned, label)
+        _pin_claim(row, failures, where, key, claim, solve if solvable else None, pinned, label)
     row["status"] = "ok" if not failures else "FAIL"
     return row, failures
 

@@ -483,12 +483,16 @@ class TestCertifyFamily:
         with open(CERTIFY_DEFAULT, "rb") as fh:
             assert out.read_bytes() == fh.read()
 
-    def test_ir_solve_not_gated_on_gamma_cap(self, monkeypatch):
-        monkeypatch.setattr(harness, "GAMMA_CAP", 0)
-        row, failures = certify_family("G1", {"t": 1, "k": 2})
-        assert failures == []
-        assert row["ir_certification"] == "solver"
-        assert row["gamma_certification"] == "witness-upper+asserted-lower"
+    @pytest.mark.parametrize(
+        "params, n, solved",
+        [({"t": 8, "k": 4}, 32, {"gamma", "ir", "iota"}), ({"t": 11, "k": 3}, 33, set())],
+    )
+    def test_one_order_limit_for_every_claim(self, params, n, solved):
+        # at IR_ORDER_CAP the solver decides every claim, one vertex above it none
+        row, failures = certify_family("G1", params)
+        assert failures == [] and row["status"] == "ok" and row["n"] == n
+        keys = ("gamma", "ir", "iota")
+        assert {key for key in keys if row[f"{key}_certification"] == "solver"} == solved
 
     @staticmethod
     def _altered(monkeypatch, **changes):
@@ -501,7 +505,7 @@ class TestCertifyFamily:
 
     def test_gamma_claim_above_its_witness_is_asserted(self, monkeypatch):
         # the dominating witness has 2 vertices, so it cannot pin gamma = 3
-        monkeypatch.setattr(harness, "GAMMA_CAP", 0)
+        monkeypatch.setattr(harness, "IR_ORDER_CAP", 0)
         self._altered(monkeypatch, claimed_gamma=3)
         row, failures = certify_family("G1", {"t": 2, "k": 2})
         assert row["status"] == "FAIL"
@@ -531,7 +535,7 @@ class TestCertifyFamily:
         assert failures == [f"G1{{'t': 2, 'k': 2}}: {failure}"]
 
     def test_iota_claim_needs_the_packing_bound(self, monkeypatch):
-        monkeypatch.setattr(harness, "IOTA_CAP", 0)
+        monkeypatch.setattr(harness, "IR_ORDER_CAP", 0)
         row, failures = certify_family("G1", {"t": 2, "k": 2})
         assert failures == [] and row["iota_certification"] == "witness+packing"
         self._altered(monkeypatch, designated_cliques=None)
@@ -568,7 +572,7 @@ class TestVerifyStream:
         assert len(records) == 2
         assert report.parse_errors == [
             {"line_number": 2, "error": "body needs 2 bytes, found 1 (byte offset 2)"},
-            {"line_number": 3, "error": "non-ASCII character '\u00e9' (byte offset 1)"},
+            {"line_number": 3, "error": "non-ASCII character '\\xe9' (byte offset 1)"},
         ]
         assert report.hard_failures == []
 
@@ -1340,17 +1344,52 @@ class TestCli:
         out = capsys.readouterr().out.splitlines()
         assert "parse error at line 2: byte 255 outside graph6 range 63..126 (byte offset 1)" in out
 
+    @staticmethod
+    def _strict_ascii(monkeypatch, name):
+        """Replace sys.<name> with a stream whose encoder refuses non-ASCII."""
+        stream = io.TextIOWrapper(io.BytesIO(), encoding="ascii", errors="strict")
+        monkeypatch.setattr(sys, name, stream)
+        return stream
+
     def test_solve_echoes_an_undecodable_byte_as_that_byte(self, monkeypatch, tmp_path):
         # a stderr with a strict encoder, which a lone surrogate would break
         g6 = tmp_path / "in.g6"
         g6.write_bytes(b"B\xff\nCr\n")
-        stderr = io.TextIOWrapper(io.BytesIO(), encoding="ascii", errors="strict")
-        monkeypatch.setattr(sys, "stderr", stderr)
+        stderr = self._strict_ascii(monkeypatch, "stderr")
         assert self.run(["solve", "--invariant", "gamma", "--g6", str(g6)]) == 1
         stderr.flush()
         assert stderr.buffer.getvalue() == (
             b"B\\xff error: byte 255 outside graph6 range 63..126 (byte offset 1)\n"
         )
+
+    def test_solve_echoes_a_non_ascii_character_as_its_bytes(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # the echo and the message stay ASCII, and the next line is still solved
+        g6 = tmp_path / "in.g6"
+        g6.write_bytes(b"B\xc3\xa9\nBw\n")
+        stderr = self._strict_ascii(monkeypatch, "stderr")
+        assert self.run(["solve", "--invariant", "gamma", "--g6", str(g6)]) == 1
+        stderr.flush()
+        assert stderr.buffer.getvalue() == (
+            b"B\\xc3\\xa9 error: non-ASCII character '\\xe9' (byte offset 1)\n"
+        )
+        assert capsys.readouterr().out == "Bw gamma=1 witness=[0]\n"
+
+    def test_verify_reports_a_non_ascii_character_on_a_strict_stdout(
+        self, monkeypatch, tmp_path
+    ):
+        g6 = tmp_path / "in.g6"
+        g6.write_bytes(b"B\xc3\xa9\nBw\n")
+        stdout = self._strict_ascii(monkeypatch, "stdout")
+        assert self.run(["verify", "--g6", str(g6)]) == 0
+        stdout.flush()
+        out = stdout.buffer.getvalue().splitlines()
+        assert out[:3] == [b"graphs checked: 1", b"skipped (order above cap): 0", b"parse errors: 1"]
+        assert out[-2:] == [
+            b"parse error at line 1: non-ASCII character '\\xe9' (byte offset 1)",
+            b"all checks passed",
+        ]
 
     @pytest.mark.parametrize("argv", ONE_GRAPH_COMMANDS)
     def test_one_graph_commands_strip_the_line(self, capsys, tmp_path, argv):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,8 +9,10 @@ from isobound import (
     MachineryError,
     PreconditionError,
     RegimeError,
+    build_isolating_set,
     check_delta_regime,
     compute_partition,
+    is_k_isolating,
     is_maximal_irredundant,
     parse_graph6,
     refine_pairs,
@@ -345,6 +348,19 @@ class TestTwinClusters:
         inst = make_instance(name, params)
         ref = self.assert_matches_reference(inst.graph, inst.witness_irredundant)
         assert ref.twin_count == twins
+
+    def test_twin_cluster_off_the_families(self):
+        # a graph no family builds, found by a seeded random search: the two
+        # shared-zone cliques meet in vertex 10 and merge into one cluster
+        g = parse_graph6("L?oOCWO?QOgFW?")
+        iset = (1, 5, 6, 7, 11)
+        ref = self.assert_matches_reference(g, iset)
+        assert (g.n, g.max_degree()) == (13, 4)
+        assert ref.cliques == ((4, 10), (9, 10)) and ref.clusters == ((4, 9, 10),)
+        assert (ref.twin_count, list(bits(ref.x))) == (1, [4])
+        cert = build_isolating_set(g, compute_partition(g, iset), 2)
+        assert (cert.regime, len(cert.t), cert.bound) == ("delta_minus_2", 6, Fraction(15, 2))
+        assert cert.satisfied and is_k_isolating(g, cert.t, 2)
 
     def test_seeded_unit_disk(self):
         # sparse enough that Delta - 2 stays small and some cliques fit

@@ -933,6 +933,11 @@ class TestPackingBound:
             iota_lower_bound(g, 3, designated=[(0, 1, 3)])  # not a clique
         with pytest.raises(CertificateError, match="^clique vertex 6 out of range$"):
             iota_lower_bound(g, 3, designated=[(4, 5, 6)])
+        # a repeated vertex: too few distinct vertices, or k of them in k + 1 entries
+        for repeated in ((0, 1, 1), (0, 1, 2, 2)):
+            with pytest.raises(CertificateError) as info:
+                iota_lower_bound(g, 3, designated=[repeated])
+            assert str(info.value) == f"designated set {repeated} is not a 3-clique"
         with pytest.raises(ValueError, match="^k must be positive, got 0$"):
             iota_lower_bound(g, 0)
         with pytest.raises(CertificateError):
