@@ -11,6 +11,7 @@ from .errors import (
     CertificateError,
     DichotomyError,
     Graph6ParseError,
+    InputError,
     MachineryError,
     OrderCapError,
     ParameterError,
@@ -75,6 +76,7 @@ __all__ = [
     "Graph",
     "Graph6ParseError",
     "GraphClass",
+    "InputError",
     "IrredundancePartition",
     "MachineryError",
     "OrderCapError",

@@ -7,10 +7,12 @@ invariants), partition / construct (machinery for one graph), family
 bound).
 
 Exit status: 0 when every requested guarantee held, 1 when one was violated
-(or a tested predicate is false), 2 on bad input, 3 when the machinery
-itself failed (a MachineryError: an internal bug or a falsified guarantee).
-verify is the exception: it records a MachineryError as that graph's hard
-failure and exits 1.
+(or a tested predicate is false), 2 on bad input (an InputError, or an
+option that is not an integer), 3 when the machinery itself failed (a
+MachineryError: an internal bug or a falsified guarantee). verify is the
+exception: it records a MachineryError as that graph's hard failure and
+exits 1. Any other exception is a bug; it propagates with its traceback,
+and Python exits 1.
 """
 
 import argparse
@@ -21,16 +23,7 @@ import re
 import sys
 
 from .constructive import build_isolating_set, fraction_str, isolation_bound
-from .errors import (
-    CertificateError,
-    Graph6ParseError,
-    MachineryError,
-    OrderCapError,
-    ParameterError,
-    PreconditionError,
-    RegimeError,
-    SizeCapError,
-)
+from .errors import Graph6ParseError, InputError, MachineryError, ParameterError, SizeCapError
 from .families import FAMILIES, make_instance
 from .graph import bits, encode_graph6, graph6_lines, parse_graph6
 from .harness import (
@@ -51,15 +44,6 @@ from .predicates import (
 )
 from .solvers import gamma, iota, ir
 
-USER_ERRORS = (
-    Graph6ParseError,
-    OrderCapError,
-    ParameterError,
-    PreconditionError,
-    RegimeError,
-    CertificateError,
-    ValueError,
-)
 
 @contextlib.contextmanager
 def _named_path(option, path):
@@ -117,13 +101,22 @@ def _vertices(vertices):
     return " ".join(map(str, vertices)) or "-"
 
 
-def _option_int(option, token):
-    """The integer an optional sign and ASCII digits spell, or a
-    ParameterError naming the option and the token. int() alone would also
-    take 1_0 and non-ASCII digits."""
+def _integer(token):
+    """The integer an optional sign and ASCII digits spell, the rule of every
+    integer option, or an ArgumentTypeError naming the token. int() alone
+    would also take 1_0 and non-ASCII digits."""
     if re.fullmatch(r"[+-]?[0-9]+", token.strip()) is None:
-        raise ParameterError(f"{option}: expected an integer, got {token!r}")
+        raise argparse.ArgumentTypeError(f"expected an integer, got {token!r}")
     return int(token)
+
+
+def _option_int(option, token):
+    """_integer of a token inside an option's value, its fault a
+    ParameterError naming the option and the token."""
+    try:
+        return _integer(token)
+    except argparse.ArgumentTypeError as exc:
+        raise ParameterError(f"{option}: {exc}") from None
 
 
 def _parse_vertex_set(text, option):
@@ -267,7 +260,7 @@ def cmd_solve(args):
                 res = iota(g, args.k)
             witness = " ".join(map(str, res.witness))
             print(f"{line} {args.invariant}={res.value} witness=[{witness}]")
-        except USER_ERRORS as exc:
+        except InputError as exc:
             hint = "; pass --force" if isinstance(exc, SizeCapError) else ""
             # echoed as its bytes, each non-ASCII one written \xNN, so that a
             # stream with a strict ASCII encoder can print it
@@ -379,8 +372,8 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run the full check suite over a graph6 stream")
     add_g6(p)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--max-n", type=int, default=None)
+    p.add_argument("--jobs", type=_integer, default=1)
+    p.add_argument("--max-n", type=_integer, default=None)
     p.add_argument("--json", default=None, help="write the aggregate report here")
     p.add_argument("--csv", default=None, help="write per-graph records here")
     p.add_argument("--no-spot-check", action="store_true")
@@ -388,9 +381,9 @@ def build_parser():
 
     p = sub.add_parser("survey", help="tabulate observed iota_k/ir maxima")
     add_g6(p)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--k-max", type=int, default=None)
+    p.add_argument("--jobs", type=_integer, default=1)
+    p.add_argument("--max-n", type=_integer, default=None)
+    p.add_argument("--k-max", type=_integer, default=None)
     p.add_argument("--json", default=None)
     p.set_defaults(func=cmd_survey)
 
@@ -403,7 +396,7 @@ def build_parser():
     p = sub.add_parser("solve", help="exact gamma, ir, or iota values")
     add_g6(p)
     p.add_argument("--invariant", required=True, choices=("gamma", "ir", "iota"))
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_integer, default=None)
     p.add_argument("--force", action="store_true", help="lift the ir order cap")
     p.set_defaults(func=cmd_solve)
 
@@ -416,7 +409,7 @@ def build_parser():
     p = sub.add_parser("construct", help="build and certify a k-isolating set")
     add_g6(p)
     p.add_argument("--iset", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_integer, required=True)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("family", help="generate an extremal family instance")
@@ -434,14 +427,14 @@ def build_parser():
         required=True,
         choices=("dominating", "irredundant", "maximal-irredundant", "isolating"),
     )
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_integer, default=None)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("bound", help="evaluate the certified iota bound")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--ir", type=int, required=True)
-    p.add_argument("--s", type=int, default=None)
+    p.add_argument("--k", type=_integer, required=True)
+    p.add_argument("--delta", type=_integer, required=True)
+    p.add_argument("--ir", type=_integer, required=True)
+    p.add_argument("--s", type=_integer, default=None)
     p.set_defaults(func=cmd_bound)
 
     return parser
@@ -454,7 +447,7 @@ def main(argv=None):
     except MachineryError as exc:
         print(f"machinery error: {exc}", file=sys.stderr)
         return 3
-    except USER_ERRORS as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,7 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rule that sorts faults.
+
+An InputError is bad input, which the caller can mend: the CLI prints it as
+"error: ..." and exits 2, and solve reports it for its line and goes on. A
+MachineryError is a failed structural guarantee: the CLI exits 3. Any other
+exception is a bug in the program and propagates with its traceback.
+"""
 
 
-class Graph6ParseError(ValueError):
+class InputError(ValueError):
+    """Bad input: the base of every input-fault type below."""
+
+
+class Graph6ParseError(InputError):
     """Malformed graph6 input. Carries the byte offset of the first bad byte."""
 
     def __init__(self, message, offset):
@@ -9,23 +19,23 @@ class Graph6ParseError(ValueError):
         self.offset = offset
 
 
-class OrderCapError(ValueError):
+class OrderCapError(InputError):
     """Graph order outside a supported range: 0..512, or a solver's cap (SizeCapError)."""
 
 
-class PreconditionError(ValueError):
+class PreconditionError(InputError):
     """An operation's documented precondition does not hold for the input."""
 
 
-class RegimeError(ValueError):
+class RegimeError(InputError):
     """The requested k is outside the regime an operation supports."""
 
 
-class ParameterError(ValueError):
-    """Family parameters violate a construction constraint."""
+class ParameterError(InputError):
+    """A parameter, vertex or edge outside what an operation accepts."""
 
 
-class CertificateError(ValueError):
+class CertificateError(InputError):
     """A supplied certificate fails validation."""
 
 

@@ -13,7 +13,7 @@ vertex masks for the callers that read them.
 
 from typing import NamedTuple
 
-from .errors import Graph6ParseError, OrderCapError
+from .errors import Graph6ParseError, OrderCapError, ParameterError
 
 ORDER_CAP = 512
 
@@ -48,14 +48,14 @@ def mask_of(vertices):
 
 
 def vertex_mask(g, vertices):
-    """The vertices as a mask of g; ValueError naming the first one outside
-    0..n-1 or given twice."""
+    """The vertices as a mask of g; ParameterError naming the first one
+    outside 0..n-1 or given twice."""
     m = 0
     for v in vertices:
         if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
+            raise ParameterError(f"vertex {v} out of range for n={g.n}")
         if m >> v & 1:
-            raise ValueError(f"vertex {v} given twice")
+            raise ParameterError(f"vertex {v} given twice")
         m |= 1 << v
     return m
 
@@ -76,22 +76,30 @@ class Graph:
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+                raise ParameterError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
+                raise ParameterError(f"self-loop at vertex {u}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         self._fill(adj)
 
     @classmethod
     def from_adj(cls, adj_masks):
-        if len(adj_masks) > ORDER_CAP:
-            raise OrderCapError(
-                f"order {len(adj_masks)} outside supported range 0..{ORDER_CAP}"
-            )
-        g = cls.__new__(cls)
-        g._fill(adj_masks)
-        return g
+        """The graph whose open neighbourhoods are adj_masks; ParameterError
+        naming the first vertex whose mask reaches outside 0..n-1, holds the
+        vertex itself or lists a vertex whose mask does not list it back."""
+        n = len(adj_masks)
+        if n > ORDER_CAP:
+            raise OrderCapError(f"order {n} outside supported range 0..{ORDER_CAP}")
+        for v, a in enumerate(adj_masks):
+            if a >> n:
+                raise ParameterError(f"mask of vertex {v} reaches outside 0..{n - 1}")
+            if a >> v & 1:
+                raise ParameterError(f"self-loop at vertex {v}")
+            for w in bits(a):
+                if not adj_masks[w] >> v & 1:
+                    raise ParameterError(f"vertex {v} lists {w}, whose mask does not list {v}")
+        return _of_masks(adj_masks)
 
     def _fill(self, adj_masks):
         self.n = len(adj_masks)
@@ -128,7 +136,7 @@ class Graph:
         for i, v in enumerate(keep):
             for w in bits(self.adj[v] & vertex_mask):
                 adj[i] |= 1 << pos[w]
-        return Graph.from_adj(adj), tuple(keep)
+        return _of_masks(adj), tuple(keep)
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
@@ -138,6 +146,14 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.edge_count()})"
+
+
+def _of_masks(adj_masks):
+    """The Graph of masks known to be a simple graph on 0..n-1, n <= 512,
+    which from_adj would check again: the codec's and induced's own."""
+    g = Graph.__new__(Graph)
+    g._fill(adj_masks)
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +264,7 @@ def parse_graph6(text):
             i += 1
             if i == j:
                 i, j = 0, j + 1
-    return Graph.from_adj(adj)
+    return _of_masks(adj)
 
 
 def encode_graph6(g):
@@ -372,7 +388,7 @@ def _clique_levels(g, k):
     if kept[0] is g and 0 < k <= len(kept[2]):
         return kept
     if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+        raise ParameterError(f"k must be positive, got {k}")
     if kept[0] is not g:
         kept = _kept = _first_levels(g)
     levels = kept[2]

@@ -7,6 +7,7 @@ irredundance state that the ir search and the partition machinery share is
 built by private_neighborhoods and irredundant_extension.
 """
 
+from .errors import ParameterError
 from .graph import bits, closed_mask, vertex_mask
 
 
@@ -18,7 +19,7 @@ def private_neighbors(g, s, x):
     """
     smask = vertex_mask(g, s)
     if x < 0 or not smask >> x & 1:
-        raise ValueError(f"vertex {x} is not in the set")
+        raise ParameterError(f"vertex {x} is not in the set")
     return tuple(bits(g.clo[x] & ~closed_mask(g, smask & ~(1 << x))))
 
 
@@ -119,5 +120,5 @@ def is_k_isolating(g, s, k):
     every set (including the empty one) isolating.
     """
     if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+        raise ParameterError(f"k must be positive, got {k}")
     return is_k_isolating_mask(g, vertex_mask(g, s), k)

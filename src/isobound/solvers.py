@@ -53,7 +53,7 @@ witness depends on the order the DFS visits nodes in.
 
 from typing import NamedTuple
 
-from .errors import CertificateError, SizeCapError
+from .errors import CertificateError, ParameterError, SizeCapError
 from .graph import bits, clique_table, closed_mask, components, isolation_covers
 from .predicates import is_k_isolating_mask
 
@@ -207,8 +207,6 @@ def gamma(g):
 def iota(g, k):
     """k-isolation number: fewest vertices whose closed neighborhood removal
     leaves the graph k-clique-free."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
     return _isolation_solve(g, k)
 
 
@@ -360,7 +358,7 @@ def iota_lower_bound(g, k, designated=None):
     built.
     """
     if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+        raise ParameterError(f"k must be positive, got {k}")
     cliques = []
     regions = []
     used = 0

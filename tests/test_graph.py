@@ -10,6 +10,7 @@ from isobound import (
     Graph,
     Graph6ParseError,
     OrderCapError,
+    ParameterError,
     classify,
     compute_partition,
     encode_graph6,
@@ -108,6 +109,27 @@ class TestConstruction:
             Graph(513, [])
         with pytest.raises(OrderCapError, match=message):
             Graph.from_adj([0] * 513)
+
+    # masks that are not a simple graph: before the checks, gamma of [2, 0]
+    # failed the isolation self-check instead
+    def test_from_adj_refuses_an_unmirrored_mask(self):
+        with pytest.raises(ParameterError, match="^vertex 0 lists 1, whose mask does not list 0$"):
+            Graph.from_adj([0b10, 0])
+
+    def test_from_adj_refuses_a_self_loop(self):
+        with pytest.raises(ParameterError, match="^self-loop at vertex 0$"):
+            Graph.from_adj([0b1])
+
+    def test_from_adj_refuses_a_mask_outside_the_vertices(self):
+        with pytest.raises(ParameterError, match=r"^mask of vertex 0 reaches outside 0\.\.1$"):
+            Graph.from_adj([0b100, 0])
+        with pytest.raises(ParameterError, match=r"^mask of vertex 1 reaches outside 0\.\.1$"):
+            Graph.from_adj([0, -1])
+
+    def test_from_adj_rebuilds_every_corpus_graph(self, corpus_by_order):
+        for graphs in corpus_by_order.values():
+            for _, g in graphs:
+                assert Graph.from_adj(g.adj) == g
 
     def test_equality_and_hash(self):
         a = Graph(3, [(0, 1)])

@@ -189,6 +189,26 @@ class TestWitnessRecheck:
         assert rec["checks"]["witnesses_min"] is False
         assert f"{self.G6} min: {problem}" in rec["failures"]
 
+    # DqG's minimum set (0, 1) leaves vertex 4 undominated, so it has one
+    # witness to drop
+    @pytest.mark.parametrize(
+        "name, fake, problem",
+        [
+            ("undominated_witnesses", lambda real: lambda g, part: real(g, part)[:-1],
+             "witness count mismatch"),
+            ("representatives_dominate", lambda real: lambda g, part: False,
+             "representatives fail to dominate member privates"),
+        ],
+        ids=["count", "representatives"],
+    )
+    def test_a_failed_summary_check_fails(self, monkeypatch, name, fake, problem):
+        g = parse_graph6("DqG")
+        assert harness.undominated_witnesses(g, compute_partition(g, (0, 1)))
+        monkeypatch.setattr(harness, name, fake(getattr(harness, name)))
+        rec = check_graph("DqG")
+        assert rec["checks"]["witnesses_min"] is False
+        assert f"DqG min: {problem}" in rec["failures"]
+
 @st.composite
 def random_graphs(draw):
     """G(n, p) with n = 9..14, past the exhaustive corpus."""
@@ -901,6 +921,29 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"error: isolation order must be positive, got {k}\n"
 
+    def test_solve_reports_an_input_error_per_line_and_lets_a_bug_propagate(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        g6 = tmp_path / "in.g6"
+        g6.write_text("DQc\nCr\n")
+        argv = ["solve", "--invariant", "gamma", "--g6", str(g6)]
+
+        def refuse(g):
+            raise ParameterError(f"refused n={g.n}")
+
+        monkeypatch.setattr(cli, "gamma", refuse)
+        assert self.run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "DQc error: refused n=5\nCr error: refused n=4\n"
+
+        def broken(g):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(cli, "gamma", broken)
+        with pytest.raises(ValueError, match="^internal$"):
+            self.run(argv)
+
     def test_solve_ir_above_cap_points_to_force(self, capsys, tmp_path):
         n = harness.IR_ORDER_CAP + 1
         k33 = encode_graph6(Graph(n, list(itertools.combinations(range(n), 2))))
@@ -967,6 +1010,65 @@ class TestCli:
     def test_bound_command(self, capsys):
         assert self.run(["bound", "--k", "6", "--delta", "7", "--ir", "9"]) == 0
         assert capsys.readouterr().out.strip() == "51/4"
+
+    # each input-fault type a command raises past its own checks
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["construct", "--iset", "0,1", "--k", "9"],
+             "no constructive regime for k=9 at maximum degree 2; supported orders are 1..3"),
+            (["partition", "--iset", "0"], "input set is not maximal irredundant"),
+            (["check", "--set", "0", "--predicate", "isolating", "--k", "0"],
+             "k must be positive, got 0"),
+        ],
+        ids=["regime", "precondition", "isolating-k"],
+    )
+    def test_input_fault_exit_two(self, capsys, tmp_path, argv, message):
+        g6 = tmp_path / "in.g6"
+        g6.write_text("DQc\n")
+        assert self.run(argv + ["--g6", str(g6)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_a_plain_value_error_propagates(self, monkeypatch):
+        def broken(args):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(cli, "cmd_bound", broken)
+        with pytest.raises(ValueError, match="^internal$"):
+            self.run(["bound", "--k", "1", "--delta", "1", "--ir", "1"])
+
+    # every integer option takes the one rule of the vertex sets: int() alone
+    # read 1_0 as 10 and the Arabic-Indic digit two as 2
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["verify", "--g6", "{g6}", "--max-n", "{token}"], "--max-n"),
+            (["survey", "--g6", "{g6}", "--k-max", "{token}"], "--k-max"),
+            (["solve", "--g6", "{g6}", "--invariant", "iota", "--k", "{token}"], "--k"),
+            (["bound", "--k", "{token}", "--delta", "9", "--ir", "3"], "--k"),
+        ],
+        ids=["verify", "survey", "solve", "bound"],
+    )
+    @pytest.mark.parametrize("token", ["1_0", "\u0662"], ids=["underscore", "arabic-indic"])
+    def test_integer_option_not_an_integer_exit_two(self, capsys, tmp_path, argv, option, token):
+        g6 = tmp_path / "in.g6"
+        g6.write_text("DQc\n")
+        with pytest.raises(SystemExit) as exc:
+            self.run([a.format(g6=g6, token=token) for a in argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f": error: argument {option}: expected an integer, got {token!r}\n"
+        )
+
+    def test_integer_options_take_a_sign(self, capsys):
+        assert self.run(["bound", "--k", "+3", "--delta", "4", "--ir", "+3"]) == 0
+        assert capsys.readouterr().out == "4/1\n"
+        assert self.run(["bound", "--k", "1", "--delta", "-2", "--ir", "1"]) == 2
+        assert capsys.readouterr().err == "error: maximum degree must be non-negative, got -2\n"
 
     def test_user_error_exit_two(self, capsys, tmp_path):
         g6 = tmp_path / "in.g6"
