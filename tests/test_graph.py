@@ -110,8 +110,8 @@ class TestConstruction:
         with pytest.raises(OrderCapError, match=message):
             Graph.from_adj([0] * 513)
 
-    # masks that are not a simple graph: before the checks, gamma of [2, 0]
-    # failed the isolation self-check instead
+    # masks that are not a simple graph: unchecked, gamma of [2, 0] fails the
+    # isolation self-check
     def test_from_adj_refuses_an_unmirrored_mask(self):
         with pytest.raises(ParameterError, match="^vertex 0 lists 1, whose mask does not list 0$"):
             Graph.from_adj([0b10, 0])

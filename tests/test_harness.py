@@ -1040,7 +1040,7 @@ class TestCli:
             self.run(["bound", "--k", "1", "--delta", "1", "--ir", "1"])
 
     # every integer option takes the one rule of the vertex sets: int() alone
-    # read 1_0 as 10 and the Arabic-Indic digit two as 2
+    # reads 1_0 as 10 and the Arabic-Indic digit two as 2
     @pytest.mark.parametrize(
         "argv, option",
         [
