@@ -207,6 +207,10 @@ def cmd_survey(args):
     for delta, ok in out["monotone_by_delta"].items():
         tag = "non-increasing" if ok else "NOT monotone"
         print(f"observed maxima for delta={delta}: {tag}")
+    if out["skipped_over_max_n"]:
+        print(f"skipped (order above cap): {out['skipped_over_max_n']}")
+    for err in out["parse_errors"]:
+        print(f"line {err['line_number']} not surveyed: {err['error']}")
     return 0
 
 

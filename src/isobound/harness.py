@@ -34,7 +34,8 @@ from .constructive import applicable_ks, build_isolating_set, fraction_str, isol
 from .errors import Graph6ParseError, OrderCapError, ParameterError
 from .families import make_instance
 from .graph import (
-    GRAPH6_HEADER, bits, classify, encode_graph6, graph6_lines, graph6_order, parse_graph6
+    GRAPH6_HEADER, ORDER_CAP, bits, classify, encode_graph6, graph6_lines, graph6_order,
+    parse_graph6,
 )
 from .partition import compute_partition, representatives_dominate, undominated_witnesses
 from .predicates import is_dominating, is_k_isolating, is_maximal_irredundant
@@ -126,9 +127,8 @@ REGIME_CHECKS = {"delta": "delta_regime", "delta_minus_1": "pairs", "delta_minus
 # Every check name a record builds from a number or a tag comes from these
 # tables, so all records share one object per name and pickle sends it once
 # per chunk; the iota map is keyed by the int k itself. check_graph reaches
-# k <= delta + 1 <= n <= IR_ORDER_CAP: a larger graph fails its ir solve
-# before any name is made.
-CONSTRUCT_KEYS = tuple(f"construct_k{k}" for k in range(IR_ORDER_CAP + 1))
+# k <= delta + 1 <= n <= ORDER_CAP, the codec's cap, whatever the solvers'.
+CONSTRUCT_KEYS = tuple(f"construct_k{k}" for k in range(ORDER_CAP + 1))
 REGIME_KEYS = {
     tag: {regime: f"{piece}_{tag}" for regime, piece in REGIME_CHECKS.items()}
     for tag in ("min", "spot")
@@ -421,6 +421,8 @@ class _Pipeline:
     """
 
     def __init__(self, lines, jobs, max_n, per_line, option):
+        _require_at_least("jobs", jobs, 1)
+        _require_at_least("max_n", max_n, 0)
         self.lines = lines
         self.jobs = jobs
         self.work = functools.partial(_run_line, per_line, max_n, option)
@@ -480,8 +482,6 @@ def verify_stream(lines, jobs=1, max_n=None, spot_check=True, sink=None):
     count. A caller that wants the records collects them, for example with
     sink=records.append; write_csv gives a sink that writes them as rows.
     """
-    _require_at_least("jobs", jobs, 1)
-    _require_at_least("max_n", max_n, 0)
     hard_failures = []
     # counted in C: iter() so that update counts the names, not adds the
     # values, and filter(checks.get) for the names whose check passed
@@ -527,16 +527,18 @@ def conjecture_survey(lines, jobs=1, max_n=None, k_max=None):
     """Largest observed iota_k / ir per (delta, k), with witnesses.
 
     The same pipeline as verify_stream with only the exact invariants per
-    line. Ratios are reported, never asserted; the monotone flags say whether
+    line, and the same accounting of the lines it did not survey:
+    skipped_over_max_n counts those above max_n, parse_errors lists the
+    rest. Ratios are reported, never asserted; the monotone flags say whether
     the observed maxima are non-increasing in k for each delta.
     """
-    _require_at_least("jobs", jobs, 1)
-    _require_at_least("max_n", max_n, 0)
+    stream = _Pipeline(lines, jobs, max_n, _survey_line, k_max)  # checks jobs, max_n first
     _require_at_least("k_max", k_max, 1)
-    with _Pipeline(lines, jobs, max_n, _survey_line, k_max) as stream:
+    with stream:
         agg = survey_ratios(stream)
     return {
         "graphs": stream.graphs,
+        "skipped_over_max_n": stream.skipped,
         "parse_errors": stream.parse_errors,
         "rows": [
             {
@@ -567,38 +569,15 @@ DEFAULT_GRID = (
 )
 
 
-def _pin_claim(row, failures, where, key, claimed, solve, pinned, label):
-    """Record the value and provenance label of one claimed invariant.
-
-    solve is the exact solver, or None above IR_ORDER_CAP. Above the cap the
-    claim stands under label only when pinned, that is when certificates just
-    re-checked give the claimed value; otherwise it is "asserted", and a
-    failure.
-    """
-    if claimed is None:
-        return
-    cert = f"{key}_certification"
-    if solve is not None:
-        got = solve().value
-        row[key], row[cert] = got, "solver"
-        if got != claimed:
-            failures.append(f"{where}: {key} {got} != claimed {claimed}")
-    elif pinned:
-        row[key], row[cert] = claimed, label
-    else:
-        row[cert] = "asserted"
-        failures.append(f"{where}: {key} claim not pinned by certificates")
-
-
 def certify_family(name, params):
     """Certify one family instance; returns (row, failures).
 
-    Every claim goes through one rule. At or below IR_ORDER_CAP, the limit
-    of ir, verify and survey, the exact solver decides it ("solver"). Above it
-    the claim's witness must pass its predicate and have the claimed size:
-    that pins ir and gamma from above ("witness-upper+asserted-lower"), and
-    iota exactly when the clique-packing bound also equals the claim
-    ("witness+packing"). Anything else is "asserted" and a failure.
+    Every claim goes through one rule, in this order. At or below
+    IR_ORDER_CAP, the limit of ir, verify and survey, the exact solver
+    decides it ("solver"); any other value is a failure. Above it, a witness
+    of the claimed size that passes its predicate pins ir and gamma from
+    above ("witness-upper+asserted-lower"), and iota when the clique-packing
+    bound equals it too ("witness+packing"). Else it is "asserted", a failure.
     """
     inst = make_instance(name, params)
     g = inst.graph
@@ -644,7 +623,18 @@ def certify_family(name, params):
         ("gamma", inst.claimed_gamma, functools.partial(gamma, g),
          sizes.get("gamma") == inst.claimed_gamma, upper_only),
     ):
-        _pin_claim(row, failures, where, key, claim, solve if solvable else None, pinned, label)
+        if claim is None:
+            continue
+        cert = f"{key}_certification"
+        if solvable:
+            row[key], row[cert] = solve().value, "solver"
+            if row[key] != claim:
+                failures.append(f"{where}: {key} {row[key]} != claimed {claim}")
+        elif pinned:
+            row[key], row[cert] = claim, label
+        else:
+            row[cert] = "asserted"
+            failures.append(f"{where}: {key} claim not pinned by certificates")
     row["status"] = "ok" if not failures else "FAIL"
     return row, failures
 

@@ -24,7 +24,9 @@ from isobound import (
     conjecture_survey,
     verify_stream,
 )
-from isobound import MachineryError, ParameterError, cli, constructive, harness, partition, refine_pairs
+from isobound import (
+    MachineryError, ParameterError, cli, constructive, harness, partition, refine_pairs, solvers
+)
 from isobound.cli import main
 from isobound.constructive import applicable_ks
 from isobound.harness import (
@@ -159,6 +161,15 @@ class TestCheckGraph:
             assert rec["checks"]["witnesses_min"] and rec["checks"]["witnesses_spot"]
             for k in applicable_ks(g.max_degree()):
                 assert rec["checks"][f"construct_k{k}"] is True
+
+    def test_a_raised_ir_cap_reaches_every_construct_key(self, monkeypatch):
+        # the star K1,33 has k up to Delta + 1 = 34, past the ir cap of 32;
+        # the key table is sized by the codec's cap, not by ir's
+        monkeypatch.setattr(solvers, "IR_ORDER_CAP", 34)
+        rec = check_graph(encode_graph6(Graph(34, [(0, v) for v in range(1, 34)])))
+        assert rec["failures"] == []
+        assert rec["checks"]["machinery_clean"] is True
+        assert rec["checks"]["construct_k34"] is True
 
 
 
@@ -1394,6 +1405,37 @@ class TestCli:
         expected = io.StringIO()
         write_json(conjecture_survey(lines), expected)
         assert json_out.read_text() == expected.getvalue()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_survey_reports_the_lines_it_did_not_survey(self, capsys, tmp_path, jobs):
+        # line 2 has order 8, above --max-n; line 3 is malformed
+        g6 = tmp_path / "in.g6"
+        g6.write_text("DQc\nG?????\nB?x\n")
+        json_out = tmp_path / "survey.json"
+        argv = ["survey", "--g6", str(g6), "--max-n", "5", "--jobs", str(jobs)]
+        assert self.run(argv + ["--json", str(json_out)]) == 0
+        assert capsys.readouterr().out == (
+            "graphs surveyed: 1\n"
+            "delta  k  max iota_k/ir  witness\n"
+            "    2  1           1/1  DQc\n"
+            "    2  2           1/2  DQc\n"
+            "    2  3           0/1  DQc\n"
+            "observed maxima for delta=2: non-increasing\n"
+            "skipped (order above cap): 1\n"
+            "line 3 not surveyed: trailing data after graph6 body (byte offset 2)\n"
+        )
+        assert json.loads(json_out.read_text()) == {
+            "graphs": 1,
+            "skipped_over_max_n": 1,
+            "parse_errors": [
+                {"line_number": 3, "error": "trailing data after graph6 body (byte offset 2)"}
+            ],
+            "rows": [
+                {"delta": 2, "k": k, "ratio": ratio, "ratio_float": value, "witness": "DQc"}
+                for k, ratio, value in ((1, "1/1", 1.0), (2, "1/2", 0.5), (3, "0/1", 0.0))
+            ],
+            "monotone_by_delta": {"2": True},
+        }
 
     def test_certify_writes_json_and_fails_a_wrong_claim(self, capsys, tmp_path, monkeypatch):
         json_out = tmp_path / "certify.json"
