@@ -25,7 +25,7 @@ import sys
 from .constructive import build_isolating_set, fraction_str, isolation_bound
 from .errors import Graph6ParseError, InputError, MachineryError, ParameterError, SizeCapError
 from .families import FAMILIES, make_instance
-from .graph import bits, encode_graph6, graph6_lines, parse_graph6
+from .graph import GRAPH6_HEADER, ORDER_CAP, bits, encode_graph6, graph6_lines, parse_graph6
 from .harness import (
     certify_families,
     certify_family,
@@ -55,19 +55,52 @@ def _named_path(option, path):
         raise ParameterError(f"{option}: {path}: {exc.strerror or exc}") from exc
 
 
+# the longest record the codec accepts: the header, four bytes of order and
+# the body of a graph on ORDER_CAP vertices
+_RECORD_CAP = len(GRAPH6_HEADER) + 4 + (ORDER_CAP * (ORDER_CAP - 1) // 2 + 5) // 6
+
+
+def _bounded_lines(fh):
+    """The lines of fh, read in pieces of at most _RECORD_CAP + 1 characters,
+    so that one line costs bounded memory whatever its length."""
+    size = _RECORD_CAP + 1
+    while piece := fh.readline(size):
+        if len(piece) == size and not piece.endswith("\n"):
+            piece = _rest_of_long_line(fh, piece, size)
+        yield piece
+
+
+def _rest_of_long_line(fh, head, size):
+    """The line that head, a piece that filled size characters, begins. If
+    its text, blanks around it aside, is longer than _RECORD_CAP, it comes
+    out cut to its first _RECORD_CAP characters and the next non-blank one,
+    which the codec refuses, and the rest of the line is read and dropped."""
+    piece = head
+    head = head.lstrip()
+    while len(head.rstrip()) < size:
+        if piece.endswith("\n") or not (piece := fh.readline(size)):
+            return head
+        # past size characters of text, only whether a non-blank one
+        # follows matters, so head keeps no more than that before a piece
+        head = (head[:size] + piece).lstrip()
+    while piece and not piece.endswith("\n"):
+        piece = fh.readline(size)
+    return head[:_RECORD_CAP] + head[_RECORD_CAP:].lstrip()[0]
+
+
 def _read_lines(path):
-    """The lines of --g6, or of stdin for "-", read one at a time, both with
-    errors="surrogateescape": a byte that does not decode reaches the codec
-    as that line's fault."""
+    """The lines of --g6, or of stdin for "-", read one at a time by
+    _bounded_lines, both with errors="surrogateescape": a byte that does not
+    decode reaches the codec as that line's fault."""
     if path == "-":
         with contextlib.suppress(AttributeError):  # io.StringIO decodes nothing
             sys.stdin.reconfigure(errors="surrogateescape")
-        yield from sys.stdin
+        yield from _bounded_lines(sys.stdin)
         return
     with _named_path("--g6", path):
         fh = open(path, errors="surrogateescape")
     with fh:
-        yield from fh
+        yield from _bounded_lines(fh)
 
 
 def _report_file(stack, path):
@@ -252,6 +285,8 @@ def cmd_solve(args):
             raise ParameterError("--k is required for iota")
         if args.k < 1:
             raise ParameterError(f"isolation order must be positive, got {args.k}")
+    elif args.k is not None:
+        raise ParameterError(f"--k applies only to --invariant iota, not {args.invariant}")
     status = 0
     for _number, line in graph6_lines(_read_lines(args.g6)):
         try:
@@ -280,7 +315,8 @@ def cmd_partition(args):
     part = compute_partition(g, iset)
     for name in ("i", "u", "p", "s", "z", "a", "q", "b", "nset", "m"):
         print(f"{name}: {_vertices(bits(getattr(part, name)))}")
-    print(f"nhat: {_vertices(part.nhat)}")
+    reps = ((part.pn[x] & -part.pn[x]).bit_length() - 1 for x in bits(part.nset))
+    print(f"nhat: {_vertices(reps)}")  # in the order of the members of nset
     for x in bits(part.i):
         print(f"pn[{x}]: {_vertices(bits(part.pn[x]))}")
     for wit in undominated_witnesses(g, part):
@@ -342,6 +378,8 @@ def cmd_family(args):
 
 
 def cmd_check(args):
+    if args.k is not None and args.predicate != "isolating":
+        raise ParameterError(f"--k applies only to --predicate isolating, not {args.predicate}")
     g = _only_graph(args.g6)
     vset = _parse_vertex_set(args.set, "--set")
     if args.predicate == "dominating":

@@ -75,15 +75,15 @@ def build_isolating_set(g: Graph, part: IrredundancePartition, k: int) -> BoundC
             t |= vmask & -vmask
     elif k == delta:
         check_delta_regime(g, part)
-        regime, t = "delta", part.nhat_mask | part.m | part.q | part.z
+        regime, t = "delta", part.nhat | part.m | part.q | part.z
     elif k == delta - 1:
         ref = refine_pairs(g, part)
         regime, s_param = "delta_minus_1", ref.s_param
-        t = part.nhat_mask | ref.y | ref.x | ref.mtilde | part.q | part.z
+        t = part.nhat | ref.y | ref.x | ref.mtilde | part.q | part.z
     elif k == delta - 2:
         ref = refine_twins(g, part)
         regime = "delta_minus_2"
-        t = part.nhat_mask | ref.mhat | ref.mbar | ref.qhat | ref.qtilde | part.z | ref.x
+        t = part.nhat | ref.mhat | ref.mbar | ref.qhat | ref.qtilde | part.z | ref.x
     else:
         raise _regime_error("constructive", k, delta)
 

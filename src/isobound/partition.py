@@ -13,7 +13,7 @@ property raises MachineryError rather than degrading silently.
 from typing import NamedTuple
 
 from .errors import DichotomyError, MachineryError, PreconditionError, RegimeError
-from .graph import bits, clique_table, closed_mask, mask_of, vertex_mask
+from .graph import bits, clique_table, closed_mask, vertex_mask
 from .predicates import irredundant_extension, private_neighborhoods
 
 
@@ -28,8 +28,7 @@ class IrredundancePartition(NamedTuple):
        neighborhood of some undominated vertex; q: the rest of a.
     nset: the closure inside b seeded by members whose private neighborhood
        is a clique (see compute_partition); m: b minus nset.
-    nhat: per member of nset in ascending order, its lowest-index private
-       neighbor, as a tuple; nhat_mask: the same vertices as a mask.
+    nhat: the lowest-index private neighbor of each member of nset.
     pn: per vertex, laid out like Graph.adj: pn[x] is the private
        neighborhood mask of x for a member x of i, and 0 for every other
        vertex.
@@ -45,8 +44,7 @@ class IrredundancePartition(NamedTuple):
     b: int
     nset: int
     m: int
-    nhat: tuple
-    nhat_mask: int
+    nhat: int
     pn: tuple
 
 
@@ -164,16 +162,15 @@ def compute_partition(g, i):
         if pn[x].bit_count() < 2:
             raise MachineryError(f"member {x} outside the closure has a tiny private neighborhood")
 
-    nhat = tuple((pn[x] & -pn[x]).bit_length() - 1 for x in bits(nmask))
-    nhat_mask = mask_of(nhat)
-    if nhat_mask.bit_count() != len(nhat):
+    nhat = _lows(pn[x] for x in bits(nmask))
+    if nhat.bit_count() != nmask.bit_count():
         raise MachineryError("closure representatives collide")
 
     # the records of this module are built positionally, in field order:
     # a named tuple matches keyword arguments to its fields on every call
     return IrredundancePartition(
         imask, umask, pmask, smask, zmask, amask, qmask, bmask, nmask, mmask,
-        nhat, nhat_mask, tuple(pn),
+        nhat, tuple(pn),
     )
 
 
@@ -183,7 +180,7 @@ def representatives_dominate(g, part):
     union = 0
     for x in bits(part.nset):
         union |= part.pn[x]
-    return not union & ~closed_mask(g, part.nhat_mask)
+    return not union & ~closed_mask(g, part.nhat)
 
 
 def undominated_witnesses(g, part):
@@ -267,7 +264,7 @@ def check_delta_regime(g, part):
                     )
         if not cmask & (part.p | part.i):
             for v in bits(cmask):
-                if not g.adj[v] & part.nhat_mask:
+                if not g.adj[v] & part.nhat:
                     raise MachineryError(
                         f"clique vertex {v} misses every representative"
                     )
@@ -283,8 +280,7 @@ class PairRefinement(NamedTuple):
     """Refinement data for the k = Delta-1 regime; vertex sets are masks.
 
     mprime: members of m with exactly two private neighbors; mtilde: the rest.
-    pairs: (member, low private neighbor, high private neighbor) triples.
-    y / w: the low / high private neighbors across mprime.
+    y: the lower private neighbor of each member of mprime.
     sprime: shared vertices whose i-neighbors all lie in nset or mprime.
     cliques: the k-cliques inside sprime, as sorted tuples in lex order.
     s_param: the largest number of those cliques adjacent to one vertex of
@@ -294,9 +290,7 @@ class PairRefinement(NamedTuple):
 
     mprime: int
     mtilde: int
-    pairs: tuple
     y: int
-    w: int
     sprime: int
     cliques: tuple
     s_param: int
@@ -320,7 +314,6 @@ def refine_pairs(g, part):
     pn = part.pn
     smask = part.s
     mprime = _by_pn_size(pn, part.m)[1]
-    pairs = tuple((x, *bits(pn[x])) for x in bits(mprime))
     nm_mask = part.nset | mprime
     sprime = _fenced(g, smask, part.i & ~nm_mask)
 
@@ -374,9 +367,7 @@ def refine_pairs(g, part):
     return PairRefinement(
         mprime,
         part.m & ~mprime,  # mtilde
-        pairs,
-        mask_of(lo for _, lo, _ in pairs),  # y
-        mask_of(hi for _, _, hi in pairs),  # w
+        _lows(pn[x] for x in bits(mprime)),  # y
         sprime,
         tuple(tuple(bits(c)) for c in cliques),  # cliques
         s_param,
@@ -511,5 +502,5 @@ def refine_twins(g, part):
         twin_count,
         _lows(pn[x] for x in bits(mprime | mdouble)),  # mhat
         _lows(pn[x] for x in bits(qprime)),  # qhat
-        mask_of(c[0] for c in clusters),  # x
+        _lows(merged),  # x
     )

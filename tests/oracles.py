@@ -215,8 +215,7 @@ def compute_partition(g, i):
         b=bmask,
         nset=nmask,
         m=mmask,
-        nhat=nhat,
-        nhat_mask=nhat_mask,
+        nhat=nhat_mask,
         pn=tuple(pn),
     )
 
@@ -290,9 +289,7 @@ def refine_pairs(g, part):
     return PairRefinement(
         mprime=mprime,
         mtilde=part.m & ~mprime,
-        pairs=pairs,
         y=mask_of(lo for _, lo, _ in pairs),
-        w=mask_of(hi for _, _, hi in pairs),
         sprime=sprime,
         cliques=tuple(tuple(bits(c)) for c in cliques),
         s_param=s_param,

@@ -932,6 +932,17 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"error: isolation order must be positive, got {k}\n"
 
+    @pytest.mark.parametrize("invariant", ["gamma", "ir"])
+    def test_solve_refuses_k_without_iota(self, capsys, tmp_path, invariant):
+        # refused before any line is read or solved
+        g6 = tmp_path / "in.g6"
+        g6.write_text("DQc\nBx\n")
+        argv = ["solve", "--invariant", invariant, "--k", "-5", "--g6", str(g6)]
+        assert self.run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --k applies only to --invariant iota, not {invariant}\n"
+
     def test_solve_reports_an_input_error_per_line_and_lets_a_bug_propagate(
         self, capsys, tmp_path, monkeypatch
     ):
@@ -1488,6 +1499,48 @@ class TestCli:
         out = capsys.readouterr().out.splitlines()
         assert "parse error at line 2: byte 255 outside graph6 range 63..126 (byte offset 1)" in out
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_one_long_line_is_a_parse_error_in_bounded_memory(self, capsys, tmp_path, jobs):
+        # an 8 MiB line between two good ones is never held whole: the run
+        # peaks within 1 MiB of the same run without it
+        short, long = tmp_path / "short.g6", tmp_path / "long.g6"
+        short.write_text("DQc\nDQc\n")
+        long.write_text("DQc\n" + "A" * (8 << 20) + "\nDQc\n")
+        csv_out = tmp_path / "records.csv"
+
+        def peak(g6):
+            tracemalloc.start()
+            try:
+                argv = ["verify", "--g6", str(g6), "--jobs", jobs, "--csv", str(csv_out)]
+                assert self.run(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(short)  # fill the interpreter's caches first
+        clean = peak(short)
+        capsys.readouterr()
+        assert peak(long) - clean < 1 << 20
+        out = capsys.readouterr().out.splitlines()
+        assert "parse error at line 2: trailing data after graph6 body (byte offset 2)" in out
+        with open(csv_out, newline="") as fh:
+            assert [row["graph6"] for row in csv.DictReader(fh)] == ["DQc", "DQc"]
+
+    def test_longest_record_with_blanks_around_it_still_reads(self, capsys, tmp_path):
+        n = 512
+        record = ">>graph6<<" + encode_graph6(Graph(n, list(itertools.combinations(range(n), 2))))
+        assert len(record) == cli._RECORD_CAP == 21817
+        g6 = tmp_path / "in.g6"
+        g6.write_text(f" \t{record}  \n")
+        assert self.run(["solve", "--invariant", "gamma", "--g6", str(g6)]) == 0
+        assert capsys.readouterr().out == f"{record} gamma=1 witness=[0]\n"
+        # one more non-blank character past a blank makes the text too long
+        g6.write_text(f"{record} x\nCr\n")
+        assert self.run(["solve", "--invariant", "gamma", "--g6", str(g6)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "Cr gamma=2 witness=[0 1]\n"
+        assert captured.err.endswith(" error: trailing data after graph6 body (byte offset 21817)\n")
+
     @staticmethod
     def _strict_ascii(monkeypatch, name):
         """Replace sys.<name> with a stream whose encoder refuses non-ASCII."""
@@ -1577,6 +1630,19 @@ class TestCli:
         argv = ["check", "--g6", str(g6), "--set", vset, "--predicate", predicate]
         assert self.run(argv + (["--k", k] if k else [])) == (0 if holds else 1)
         assert capsys.readouterr().out == ("true\n" if holds else "false\n")
+
+    @pytest.mark.parametrize("predicate", ["dominating", "irredundant", "maximal-irredundant"])
+    def test_check_refuses_k_without_isolating(self, capsys, tmp_path, predicate):
+        # refused before the input is read: its second graph is no error here
+        g6 = tmp_path / "in.g6"
+        g6.write_text("DQc\nCr\n")
+        argv = ["check", "--g6", str(g6), "--set", "0,4", "--predicate", predicate, "--k", "3"]
+        assert self.run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --k applies only to --predicate isolating, not {predicate}\n"
+        )
 
     def test_check_isolating_requires_k(self, capsys, tmp_path):
         g6 = tmp_path / "in.g6"

@@ -22,8 +22,9 @@ from isobound import (
 )
 from isobound import partition
 from isobound.families import make_instance
-from isobound.graph import bits, mask_of
-from isobound.harness import random_maximal_irredundant
+from isobound.graph import bits, clique_table, mask_of
+from isobound.harness import check_graph, random_maximal_irredundant
+from isobound.solvers import ir
 
 import oracles
 from test_solvers import unit_disk
@@ -66,7 +67,7 @@ class TestComputePartition:
         assert members(part.q) == (1, 2)
         assert members(part.b) == ()
         assert members(part.nset) == () and members(part.m) == ()
-        assert part.nhat == () and part.nhat_mask == 0
+        assert part.nhat == 0
         assert part.pn == (0, 0b0001, 0b1000, 0)
 
     def test_cycle_isolated_members(self):
@@ -118,8 +119,8 @@ class TestComputePartition:
                     assert_split(part.i, part.z, part.a)
                     assert_split(part.a, part.b, part.q)
                     assert_split(part.b, part.nset, part.m)
-                    assert len(part.nhat) == part.nset.bit_count()
-                    assert part.nhat_mask == mask_of(part.nhat)
+                    assert part.nhat.bit_count() == part.nset.bit_count()
+                    assert part.nhat == mask_of(members(part.pn[x])[0] for x in bits(part.nset))
                     assert len(part.pn) == g.n
                     for x in range(g.n):
                         if x in iset:
@@ -228,12 +229,31 @@ class TestRefinePairs:
             part = compute_partition(g, iset)
             ref = refine_pairs(g, part)
             assert_split(part.m, ref.mprime, ref.mtilde)
-            assert [x for x, _, _ in ref.pairs] == list(bits(ref.mprime))
-            for x, lo, hi in ref.pairs:
-                assert lo < hi
-                assert members(part.pn[x]) == (lo, hi)
-            assert ref.y == mask_of(lo for _, lo, _ in ref.pairs)
-            assert ref.w == mask_of(hi for _, _, hi in ref.pairs)
+            for x in bits(part.m):
+                assert (ref.mprime >> x & 1) == (part.pn[x].bit_count() == 2)
+            assert ref.y == mask_of(members(part.pn[x])[0] for x in bits(ref.mprime))
+
+    def test_qualifying_member_outside_the_anchors(self):
+        # member 0 qualifies for the undominated vertex 9 but is no anchor,
+        # and the undominated vertex 10 lies in a triangle that avoids P, so
+        # the anchor check runs for 10 against member 0
+        line = "N_ICC@F@o?I@SBGA@??"
+        g = parse_graph6(line)
+        assert (g.n, g.max_degree()) == (15, 4)
+        iset = (0, 1, 2, 3, 4)
+        assert ir(g).witness == iset
+        part = compute_partition(g, iset)
+        assert members(part.pn[0]) == (5, 6, 7) and not part.pn[0] & ~g.adj[9]
+        assert members(part.b) == (0, 2)
+        assert members(part.nset) == (2,) and members(part.m) == (0,)
+        assert members(part.u) == (9, 10)
+        triangle = mask_of((10, 11, 12))
+        assert triangle in (c for c, _ in clique_table(g, 3))
+        assert not triangle & part.p
+        ref = refine_pairs(g, part)
+        assert ref.mprime == 0
+        rec = check_graph(line)
+        assert rec["failures"] == [], rec["failures"]
 
 
 class TestRefineTwins:
