@@ -278,8 +278,8 @@ def cmd_certify(args):
 
 
 def cmd_solve(args):
-    # --k is checked before any input is read: a bad k is one error, not
-    # one per line
+    # --k and --force are checked before any input is read: a bad option is
+    # one error, not one per line
     if args.invariant == "iota":
         if args.k is None:
             raise ParameterError("--k is required for iota")
@@ -287,6 +287,8 @@ def cmd_solve(args):
             raise ParameterError(f"isolation order must be positive, got {args.k}")
     elif args.k is not None:
         raise ParameterError(f"--k applies only to --invariant iota, not {args.invariant}")
+    if args.force and args.invariant != "ir":
+        raise ParameterError(f"--force applies only to --invariant ir, not {args.invariant}")
     status = 0
     for _number, line in graph6_lines(_read_lines(args.g6)):
         try:
@@ -378,7 +380,13 @@ def cmd_family(args):
 
 
 def cmd_check(args):
-    if args.k is not None and args.predicate != "isolating":
+    # --k is checked before the input is read, as in solve
+    if args.predicate == "isolating":
+        if args.k is None:
+            raise ParameterError("--k is required for the isolating predicate")
+        if args.k < 1:
+            raise ParameterError(f"k must be positive, got {args.k}")
+    elif args.k is not None:
         raise ParameterError(f"--k applies only to --predicate isolating, not {args.predicate}")
     g = _only_graph(args.g6)
     vset = _parse_vertex_set(args.set, "--set")
@@ -389,8 +397,6 @@ def cmd_check(args):
     elif args.predicate == "maximal-irredundant":
         ok = is_maximal_irredundant(g, vset)
     else:
-        if args.k is None:
-            raise ParameterError("--k is required for the isolating predicate")
         ok = is_k_isolating(g, vset, args.k)
     print("true" if ok else "false")
     return 0 if ok else 1

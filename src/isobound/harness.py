@@ -27,7 +27,7 @@ import os
 import random
 import zlib
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import islice
 from typing import NamedTuple
 
 from .constructive import applicable_ks, build_isolating_set, fraction_str, isolation_bound
@@ -38,8 +38,10 @@ from .graph import (
     parse_graph6,
 )
 from .partition import compute_partition, representatives_dominate, undominated_witnesses
-from .predicates import is_dominating, is_k_isolating, is_maximal_irredundant
-from .solvers import IR_ORDER_CAP, gamma, iota, iota_lower_bound, ir
+from .predicates import (
+    is_dominating, is_k_isolating, is_maximal_irredundant, is_minimum_dominating, packing_bound,
+)
+from .solvers import IR_ORDER_CAP, gamma, iota, ir
 
 # Largest order on which verify re-checks gamma apart from the solver, by
 # testing every set one vertex smaller than the witness: at most
@@ -100,25 +102,6 @@ def random_maximal_irredundant(g, rng):
             union_closed |= cv
             smask |= 1 << v
     return tuple(bits(smask))
-
-
-def _is_minimum_dominating(g, res):
-    """Whether a gamma result holds up without the solver: its witness has
-    res.value vertices and dominates, and no set one vertex smaller does,
-    that is no res.value - 1 closed neighborhoods cover every vertex
-    (domination is monotone, so smaller sets need no check)."""
-    if len(res.witness) != res.value or not is_dominating(g, res.witness):
-        return False
-    if res.value == 0:
-        return True
-    full = g.full
-    for nbhds in combinations(g.clo, res.value - 1):
-        covered = 0
-        for c in nbhds:
-            covered |= c
-        if covered == full:
-            return False
-    return True
 
 
 # The report key of the check or refinement that each regime's certificate runs
@@ -215,7 +198,8 @@ def _theorem_checks(g6, g, cls, gam, ir_value, iotas):
     body = g6.removeprefix(GRAPH6_HEADER)
     yield "roundtrip", enc == body, lambda: f"{g6} roundtrip: re-encoded to {enc}"
     if g.n <= GAMMA_RECHECK_ORDER_CAP:
-        yield "iota1_is_gamma", _is_minimum_dominating(g, gam), lambda: (
+        minimum = len(gam.witness) == gv and is_minimum_dominating(g, gam.witness)
+        yield "iota1_is_gamma", minimum, lambda: (
             f"{g6}: gamma={gv} witness {list(gam.witness)} is not a minimum dominating set"
         )
     monotone = all(iotas[k + 1] <= iotas[k] for k in range(1, delta + 1))
@@ -608,7 +592,7 @@ def certify_family(name, params):
 
     packing = None
     if inst.designated_cliques is not None:
-        packing, _cert = iota_lower_bound(g, inst.k, inst.designated_cliques)
+        packing = packing_bound(g, inst.k, inst.designated_cliques)
         row["iota_lower"] = packing
         if inst.claimed_iota is not None and packing != inst.claimed_iota:
             failures.append(f"{where}: packing bound {packing} != claimed {inst.claimed_iota}")

@@ -1,13 +1,20 @@
-"""Vertex-set predicates: domination, irredundance, clique isolation.
+"""Vertex-set predicates and the re-checks of solver results.
 
 Public functions take iterables of vertex indices and validate their input.
 Isolation also has a _mask variant on raw bit masks without validation,
 which the isolation solver and the constructive certificates call; the
 irredundance state that the ir search and the partition machinery share is
 built by private_neighborhoods and irredundant_extension.
+
+is_minimum_dominating re-checks gamma and packing_bound validates a clique
+packing. A checker shares no code with what it checks: this module imports
+only errors and graph's bits, closed_mask and vertex_mask, never a solver or
+clique_table, and a test in tests/test_predicates.py holds it to that.
 """
 
-from .errors import ParameterError
+from itertools import combinations
+
+from .errors import CertificateError, ParameterError
 from .graph import bits, closed_mask, vertex_mask
 
 
@@ -26,6 +33,25 @@ def private_neighbors(g, s, x):
 def is_dominating(g, s):
     """Whether N[s] covers every vertex."""
     return closed_mask(g, vertex_mask(g, s)) == g.full
+
+
+def is_minimum_dominating(g, s):
+    """Whether s is a minimum dominating set, checked without a solver: s
+    dominates and no |s| - 1 closed neighborhoods cover every vertex
+    (domination is monotone, so smaller sets need no check)."""
+    full = g.full
+    smask = vertex_mask(g, s)
+    if closed_mask(g, smask) != full:
+        return False
+    if not smask:
+        return True
+    for nbhds in combinations(g.clo, smask.bit_count() - 1):
+        covered = 0
+        for c in nbhds:
+            covered |= c
+        if covered == full:
+            return False
+    return True
 
 
 def private_neighborhoods(g, smask):
@@ -122,3 +148,32 @@ def is_k_isolating(g, s, k):
     if k < 1:
         raise ParameterError(f"k must be positive, got {k}")
     return is_k_isolating_mask(g, vertex_mask(g, s), k)
+
+
+def packing_bound(g, k, cliques):
+    """The size of a clique packing, validated: a lower bound on iota(g, k).
+
+    cliques is a sequence of k-cliques of g, each k distinct vertices, whose
+    closed neighborhoods are pairwise disjoint (else CertificateError), so
+    every k-isolating set takes a vertex in each.
+    """
+    if k < 1:
+        raise ParameterError(f"k must be positive, got {k}")
+    used = 0
+    for c in cliques:
+        cs = tuple(sorted(c))
+        vmask = 0
+        for v in cs:
+            if not 0 <= v < g.n:
+                raise CertificateError(f"clique vertex {v} out of range")
+            vmask |= 1 << v
+        if vmask.bit_count() != k or len(cs) != k:
+            raise CertificateError(f"designated set {cs} is not a {k}-clique")
+        for v in cs:
+            if vmask & ~g.clo[v]:
+                raise CertificateError(f"designated set {cs} is not a {k}-clique")
+        cover = closed_mask(g, vmask)
+        if cover & used:
+            raise CertificateError(f"closed neighborhood of {cs} overlaps an earlier region")
+        used |= cover
+    return len(cliques)

@@ -53,8 +53,8 @@ witness depends on the order the DFS visits nodes in.
 
 from typing import NamedTuple
 
-from .errors import CertificateError, ParameterError, SizeCapError
-from .graph import bits, clique_table, closed_mask, components, isolation_covers
+from .errors import SizeCapError
+from .graph import bits, clique_table, components, isolation_covers
 from .predicates import is_k_isolating_mask
 
 IR_ORDER_CAP = 32
@@ -64,19 +64,6 @@ class SolveResult(NamedTuple):
     value: int
     witness: tuple
     explored: int
-
-
-class PackingCertificate(NamedTuple):
-    """Pairwise disjoint closed neighborhoods of k-cliques.
-
-    Every k-isolating set must take a vertex inside each region, so the
-    number of regions is a lower bound on the k-isolation number. For k=1
-    this is the classical disjoint-closed-neighborhood bound on domination.
-    """
-
-    k: int
-    cliques: tuple
-    regions: tuple
 
 
 def _minimal_targets(covers, candidates):
@@ -349,45 +336,15 @@ def _ir_search(g):
     raise AssertionError("every nonempty graph has a maximal irredundant set")
 
 
-def iota_lower_bound(g, k, designated=None):
-    """Packing lower bound on iota(g, k) with its certificate.
-
-    With designated cliques the certificate is validated (each must be a
-    k-clique, closed neighborhoods pairwise disjoint) and its size returned;
-    otherwise a deterministic greedy packing over the lex clique order is
-    built.
-    """
-    if k < 1:
-        raise ParameterError(f"k must be positive, got {k}")
+def iota_lower_bound(g, k):
+    """A greedy packing lower bound on iota(g, k): (count, cliques), the
+    k-cliques taken in lex order whose closed neighborhoods miss those of
+    the cliques taken before. predicates.packing_bound validates a given
+    packing."""
     cliques = []
-    regions = []
     used = 0
-    if designated is not None:
-        for c in designated:
-            cs = tuple(sorted(c))
-            vmask = 0
-            for v in cs:
-                if not 0 <= v < g.n:
-                    raise CertificateError(f"clique vertex {v} out of range")
-                vmask |= 1 << v
-            if vmask.bit_count() != k or len(cs) != k:
-                raise CertificateError(f"designated set {cs} is not a {k}-clique")
-            for v in cs:
-                if vmask & ~g.clo[v]:
-                    raise CertificateError(f"designated set {cs} is not a {k}-clique")
-            cover = closed_mask(g, vmask)
-            if cover & used:
-                raise CertificateError(
-                    f"closed neighborhood of {cs} overlaps an earlier region"
-                )
+    for vmask, cover in clique_table(g, k):
+        if not cover & used:
             used |= cover
-            cliques.append(cs)
-            regions.append(tuple(bits(cover)))
-    else:
-        for vmask, cover in clique_table(g, k):
-            if not cover & used:
-                used |= cover
-                cliques.append(tuple(bits(vmask)))
-                regions.append(tuple(bits(cover)))
-    cert = PackingCertificate(k=k, cliques=tuple(cliques), regions=tuple(regions))
-    return len(cliques), cert
+            cliques.append(tuple(bits(vmask)))
+    return len(cliques), tuple(cliques)

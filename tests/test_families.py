@@ -9,11 +9,11 @@ from isobound import (
     ParameterError,
     gamma,
     iota,
-    iota_lower_bound,
     ir,
     is_dominating,
     is_k_isolating,
     is_maximal_irredundant,
+    packing_bound,
 )
 from isobound.families import (
     _Layout,
@@ -96,7 +96,7 @@ class TestDkt:
 
     def test_packing_matches(self):
         inst = gen_Dkt(2, 2)
-        bound, _ = iota_lower_bound(inst.graph, 2, inst.designated_cliques)
+        bound = packing_bound(inst.graph, 2, inst.designated_cliques)
         assert bound == 6
 
     def test_parameter_validation(self):
@@ -146,9 +146,7 @@ class TestGkl:
         assert len(inst.witness_isolating) == 12
         assert is_maximal_irredundant(g, inst.witness_irredundant)
         assert is_k_isolating(g, inst.witness_isolating, 6)
-        bound, cert = iota_lower_bound(g, 6, inst.designated_cliques)
-        assert bound == 12
-        assert len(cert.regions) == 12
+        assert packing_bound(g, 6, inst.designated_cliques) == 12
 
     def test_length_validation(self):
         # the growth condition fails once the floor drops below 4l
@@ -194,7 +192,7 @@ class TestHksl:
         assert len(inst.witness_irredundant) == 30
         assert is_maximal_irredundant(g, inst.witness_irredundant)
         assert is_k_isolating(g, inst.witness_isolating, 8)
-        bound, _ = iota_lower_bound(g, 8, inst.designated_cliques)
+        bound = packing_bound(g, 8, inst.designated_cliques)
         assert bound == 38
 
     def test_smaller_instance(self):
@@ -207,7 +205,7 @@ class TestHksl:
         assert inst.claimed_iota == 23
         assert is_maximal_irredundant(g, inst.witness_irredundant)
         assert is_k_isolating(g, inst.witness_isolating, 5)
-        bound, _ = iota_lower_bound(g, 5, inst.designated_cliques)
+        bound = packing_bound(g, 5, inst.designated_cliques)
         assert bound == inst.claimed_iota == len(inst.witness_isolating)
 
     def test_parameter_validation(self):

@@ -35,7 +35,7 @@ from isobound.harness import (
     write_csv,
     write_json,
 )
-from isobound.predicates import is_irredundant, is_maximal_irredundant
+from isobound.predicates import is_irredundant, is_maximal_irredundant, is_minimum_dominating
 from isobound.graph import bits, encode_graph6, parse_graph6
 from isobound.solvers import SolveResult, gamma, ir
 
@@ -478,21 +478,28 @@ class TestSharedMachinery:
 class TestGammaRecheck:
     def test_solver_result_accepted(self, corpus_by_order):
         for line, g in corpus_by_order[6]:
-            assert harness._is_minimum_dominating(g, gamma(g)), line
+            assert is_minimum_dominating(g, gamma(g).witness), line
 
     def test_wrong_results_rejected(self):
         g = path(5)
-        assert gamma(g) == SolveResult(2, (0, 3), gamma(g).explored)
-        bad = (
-            SolveResult(3, (0, 2, 4), 0),  # dominates, but two vertices do
-            SolveResult(2, (0, 1), 0),  # does not dominate
-            SolveResult(1, (0, 3), 0),  # witness size differs from the value
-        )
-        for res in bad:
-            assert not harness._is_minimum_dominating(g, res)
+        assert gamma(g).witness == (0, 3) and is_minimum_dominating(g, (0, 3))
+        assert not is_minimum_dominating(g, (0, 2, 4))  # dominates, but two vertices do
+        assert not is_minimum_dominating(g, (0, 1))  # does not dominate
 
     def test_empty_graph(self):
-        assert harness._is_minimum_dominating(Graph(0), SolveResult(0, (), 0))
+        assert is_minimum_dominating(Graph(0), ())
+
+    def test_value_must_match_the_witness_size(self, monkeypatch):
+        # gamma reads 3 with P5's real witness (0, 3), which the re-check
+        # accepts: only the size clause of iota1_is_gamma can fail
+        g6 = encode_graph6(path(5))
+        real = harness._exact_invariants
+        monkeypatch.setattr(harness, "_exact_invariants", _invariants_at(real, 3, 2))
+        rec = check_graph(g6)
+        assert rec["checks"]["iota1_is_gamma"] is False
+        assert rec["failures"][0] == f"{g6}: gamma=3 witness [0, 3] is not a minimum dominating set"
+        monkeypatch.setattr(harness, "_exact_invariants", _invariants_at(real, 2, 2))
+        assert check_graph(g6)["checks"]["iota1_is_gamma"] is True
 
     def test_evaluated_up_to_the_order_cap(self):
         cap = harness.GAMMA_RECHECK_ORDER_CAP
@@ -942,6 +949,17 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --k applies only to --invariant iota, not {invariant}\n"
+
+    @pytest.mark.parametrize("invariant, k", [("gamma", []), ("iota", ["--k", "2"])])
+    def test_solve_refuses_force_without_ir(self, capsys, tmp_path, invariant, k):
+        # refused before any line is read or solved
+        g6 = tmp_path / "in.g6"
+        g6.write_text("DQc\nBx\n")
+        argv = ["solve", "--invariant", invariant, *k, "--force", "--g6", str(g6)]
+        assert self.run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --force applies only to --invariant ir, not {invariant}\n"
 
     def test_solve_reports_an_input_error_per_line_and_lets_a_bug_propagate(
         self, capsys, tmp_path, monkeypatch
@@ -1651,6 +1669,23 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --k is required for the isolating predicate\n"
+
+    @pytest.mark.parametrize(
+        "k, message",
+        [
+            ([], "--k is required for the isolating predicate"),
+            (["--k", "0"], "k must be positive, got 0"),
+        ],
+    )
+    def test_check_refuses_bad_k_before_reading(self, capsys, tmp_path, k, message):
+        # the input is not read, so its malformed line is no error here
+        g6 = tmp_path / "in.g6"
+        g6.write_text("garbage\n")
+        argv = ["check", "--g6", str(g6), "--set", "0", "--predicate", "isolating", *k]
+        assert self.run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_g6_dash_reads_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO("DQc\nCr\n"))

@@ -1,7 +1,10 @@
+import ast
+import os
 import random
 
 import pytest
 
+import isobound
 from isobound import (
     Graph,
     is_dominating,
@@ -267,3 +270,75 @@ class TestIsolation:
         assert is_k_isolating(g, [], 4)
         assert not is_k_isolating(g, [], 3)
         assert is_k_isolating(g, [0], 3)
+
+
+# The package modules that predicates.py, the checker module, may import
+# from, with the names it may take from each (None: any). A checker shares
+# no code with what it checks, so no solver and no clique code.
+CHECKER_IMPORTS = {"errors": None, "graph": {"bits", "closed_mask", "vertex_mask"}}
+
+
+def boundary_breaches(source):
+    """Each import of the package in source, unparsed, that CHECKER_IMPORTS
+    does not allow; `from . import x` and a plain `import isobound...` never
+    are."""
+    breaches = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            if any(a.name.partition(".")[0] == "isobound" for a in node.names):
+                breaches.append(ast.unparse(node))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                package, _, module = module.partition(".")
+                if package != "isobound":
+                    continue  # the standard library
+            elif node.level > 1:
+                module = ""  # above the package
+            allowed = CHECKER_IMPORTS.get(module, set())
+            if module not in CHECKER_IMPORTS or (
+                allowed is not None and not {a.name for a in node.names} <= allowed
+            ):
+                breaches.append(ast.unparse(node))
+    return breaches
+
+
+class TestPackageImports:
+    def test_predicates_imports_only_the_bit_primitives(self):
+        path = os.path.join(os.path.dirname(isobound.__file__), "predicates.py")
+        with open(path, encoding="utf-8") as fh:
+            assert boundary_breaches(fh.read()) == []
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "from .graph import clique_table",
+            "from .graph import bits, _clique_levels",
+            "from .graph import isolation_covers as covers",
+            "from .graph import *",
+            "from . import graph",
+            "from .solvers import gamma",
+            "from isobound.graph import clique_table",
+            "from isobound import solvers",
+            "import isobound.graph",
+            "import os, isobound",
+            "from .. import isobound",
+        ],
+    )
+    def test_boundary_breach_found(self, line):
+        assert boundary_breaches(line) == [line]
+
+    def test_allowed_imports_pass(self):
+        source = (
+            "import itertools\n"
+            "from itertools import combinations\n"
+            "from .errors import CertificateError, ParameterError\n"
+            "from .graph import bits, vertex_mask\n"
+            "from isobound.graph import closed_mask\n"
+        )
+        assert boundary_breaches(source) == []
+
+    def test_public_names_resolve_once(self):
+        names = isobound.__all__
+        assert [name for name in names if not hasattr(isobound, name)] == []
+        assert sorted({name for name in names if names.count(name) > 1}) == []

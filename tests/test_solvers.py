@@ -15,6 +15,7 @@ from isobound import (
     Graph,
     GraphClass,
     PairRefinement,
+    ParameterError,
     SizeCapError,
     TwinRefinement,
     build_isolating_set,
@@ -29,6 +30,7 @@ from isobound import (
     is_dominating,
     is_k_isolating,
     is_maximal_irredundant,
+    packing_bound,
     parse_graph6,
     refine_pairs,
     refine_twins,
@@ -917,42 +919,50 @@ class TestUniversalVertex:
                 assert is_maximal_irredundant(h, ir(h).witness)
 
 
+TRIANGLES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+
+
 class TestPackingBound:
     def test_greedy_on_disjoint_triangles(self):
-        g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-        bound, cert = iota_lower_bound(g, 3)
-        assert bound == 2
-        assert len(cert.cliques) == 2
+        g = Graph(6, TRIANGLES)
+        assert iota_lower_bound(g, 3) == (2, ((0, 1, 2), (3, 4, 5)))
         assert iota(g, 3).value == 2
+        with pytest.raises(ParameterError, match="^k must be positive, got 0$"):
+            iota_lower_bound(g, 0)
 
     def test_designated_validation(self):
-        g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-        bound, cert = iota_lower_bound(g, 3, designated=[(0, 1, 2), (3, 4, 5)])
-        assert bound == 2
-        with pytest.raises(CertificateError):
-            iota_lower_bound(g, 3, designated=[(0, 1, 3)])  # not a clique
+        g = Graph(6, TRIANGLES)
+        assert packing_bound(g, 3, [(0, 1, 2), (3, 4, 5)]) == 2
+        assert packing_bound(g, 3, []) == 0
+        with pytest.raises(CertificateError) as info:
+            packing_bound(g, 3, [(0, 1, 3)])  # three vertices, not pairwise adjacent
+        assert str(info.value) == "designated set (0, 1, 3) is not a 3-clique"
         with pytest.raises(CertificateError, match="^clique vertex 6 out of range$"):
-            iota_lower_bound(g, 3, designated=[(4, 5, 6)])
+            packing_bound(g, 3, [(4, 5, 6)])
         # a repeated vertex: too few distinct vertices, or k of them in k + 1 entries
         for repeated in ((0, 1, 1), (0, 1, 2, 2)):
             with pytest.raises(CertificateError) as info:
-                iota_lower_bound(g, 3, designated=[repeated])
+                packing_bound(g, 3, [repeated])
             assert str(info.value) == f"designated set {repeated} is not a 3-clique"
-        with pytest.raises(ValueError, match="^k must be positive, got 0$"):
-            iota_lower_bound(g, 0)
-        with pytest.raises(CertificateError):
-            # shared closed neighborhood: both triangles touch vertex 2's edge
-            iota_lower_bound(
-                Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]),
-                3,
-                designated=[(0, 1, 2), (2, 3, 4)],
-            )
+        with pytest.raises(ParameterError, match="^k must be positive, got 0$"):
+            packing_bound(g, 0, [])
+        # closed neighborhoods that meet: through a shared vertex, and
+        # through an edge between two vertex-disjoint triangles
+        for h, second in (
+            (Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]), (2, 3, 4)),
+            (Graph(6, TRIANGLES + [(2, 3)]), (3, 4, 5)),
+        ):
+            with pytest.raises(CertificateError) as info:
+                packing_bound(h, 3, [(0, 1, 2), second])
+            assert str(info.value) == f"closed neighborhood of {second} overlaps an earlier region"
 
     def test_bound_never_exceeds_optimum(self, corpus_by_order):
         for line, g in corpus_by_order[6][:80]:
             for k in (2, 3):
-                bound, _ = iota_lower_bound(g, k)
+                bound, cliques = iota_lower_bound(g, k)
                 assert bound <= iota(g, k).value
+                # the greedy packing passes the validator
+                assert packing_bound(g, k, cliques) == bound, line
 
 
 class TestSolveResult:
