@@ -25,7 +25,7 @@ import sys
 from .constructive import build_isolating_set, fraction_str, isolation_bound
 from .errors import Graph6ParseError, InputError, MachineryError, ParameterError, SizeCapError
 from .families import FAMILIES, make_instance
-from .graph import GRAPH6_HEADER, ORDER_CAP, bits, encode_graph6, graph6_lines, parse_graph6
+from .graph import RECORD_CAP, bits, encode_graph6, graph6_lines, parse_graph6
 from .harness import (
     certify_families,
     certify_family,
@@ -55,15 +55,10 @@ def _named_path(option, path):
         raise ParameterError(f"{option}: {path}: {exc.strerror or exc}") from exc
 
 
-# the longest record the codec accepts: the header, four bytes of order and
-# the body of a graph on ORDER_CAP vertices
-_RECORD_CAP = len(GRAPH6_HEADER) + 4 + (ORDER_CAP * (ORDER_CAP - 1) // 2 + 5) // 6
-
-
 def _bounded_lines(fh):
-    """The lines of fh, read in pieces of at most _RECORD_CAP + 1 characters,
+    """The lines of fh, read in pieces of at most RECORD_CAP + 1 characters,
     so that one line costs bounded memory whatever its length."""
-    size = _RECORD_CAP + 1
+    size = RECORD_CAP + 1
     while piece := fh.readline(size):
         if len(piece) == size and not piece.endswith("\n"):
             piece = _rest_of_long_line(fh, piece, size)
@@ -72,8 +67,8 @@ def _bounded_lines(fh):
 
 def _rest_of_long_line(fh, head, size):
     """The line that head, a piece that filled size characters, begins. If
-    its text, blanks around it aside, is longer than _RECORD_CAP, it comes
-    out cut to its first _RECORD_CAP characters and the next non-blank one,
+    its text, blanks around it aside, is longer than RECORD_CAP, it comes
+    out cut to its first RECORD_CAP characters and the next non-blank one,
     which the codec refuses, and the rest of the line is read and dropped."""
     piece = head
     head = head.lstrip()
@@ -85,7 +80,7 @@ def _rest_of_long_line(fh, head, size):
         head = (head[:size] + piece).lstrip()
     while piece and not piece.endswith("\n"):
         piece = fh.readline(size)
-    return head[:_RECORD_CAP] + head[_RECORD_CAP:].lstrip()[0]
+    return head[:RECORD_CAP] + head[RECORD_CAP:].lstrip()[0]
 
 
 def _read_lines(path):
@@ -312,8 +307,8 @@ def cmd_solve(args):
 
 
 def cmd_partition(args):
-    g = _only_graph(args.g6)
     iset = _parse_vertex_set(args.iset, "--iset")
+    g = _only_graph(args.g6)
     part = compute_partition(g, iset)
     for name in ("i", "u", "p", "s", "z", "a", "q", "b", "nset", "m"):
         print(f"{name}: {_vertices(bits(getattr(part, name)))}")
@@ -338,8 +333,11 @@ def cmd_partition(args):
 
 
 def cmd_construct(args):
-    g = _only_graph(args.g6)
+    # the options are checked before the input is read, as in solve
     iset = _parse_vertex_set(args.iset, "--iset")
+    if args.k < 1:
+        raise ParameterError(f"isolation order must be positive, got {args.k}")
+    g = _only_graph(args.g6)
     cert = build_isolating_set(g, compute_partition(g, iset), args.k)
     print(f"regime: {cert.regime}")
     print(f"t: {_vertices(cert.t)}")
@@ -380,7 +378,7 @@ def cmd_family(args):
 
 
 def cmd_check(args):
-    # --k is checked before the input is read, as in solve
+    # the options are checked before the input is read, as in solve
     if args.predicate == "isolating":
         if args.k is None:
             raise ParameterError("--k is required for the isolating predicate")
@@ -388,8 +386,8 @@ def cmd_check(args):
             raise ParameterError(f"k must be positive, got {args.k}")
     elif args.k is not None:
         raise ParameterError(f"--k applies only to --predicate isolating, not {args.predicate}")
-    g = _only_graph(args.g6)
     vset = _parse_vertex_set(args.set, "--set")
+    g = _only_graph(args.g6)
     if args.predicate == "dominating":
         ok = is_dominating(g, vset)
     elif args.predicate == "irredundant":

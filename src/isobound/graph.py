@@ -8,7 +8,7 @@ supported order cap is n <= 512.
 The k-cliques are enumerated once per graph and size, as closed
 neighbourhood masks ("covers"): isolation_covers serves them to the
 isolation search with the graph's candidate mask, and clique_table adds the
-vertex masks for the callers that read them.
+vertex masks, each size's from the size below, for the callers that read them.
 """
 
 from typing import NamedTuple
@@ -18,6 +18,10 @@ from .errors import Graph6ParseError, OrderCapError, ParameterError
 ORDER_CAP = 512
 
 GRAPH6_HEADER = ">>graph6<<"
+
+# the longest record the codec accepts: the header, four bytes of order and
+# the body of a graph on ORDER_CAP vertices
+RECORD_CAP = len(GRAPH6_HEADER) + 4 + (ORDER_CAP * (ORDER_CAP - 1) // 2 + 5) // 6
 
 
 # The set bit positions of every byte value, so that a mask below 256 (any
@@ -375,8 +379,8 @@ def _first_levels(g):
 
 def _clique_levels(g, k):
     """(g, candidate mask, levels) as kept for g, the levels grown to size
-    k or to the first empty size. A size already built for the kept graph
-    is looked up first, which most calls are.
+    k or to the first empty size. The only lookup of the kept graph: a size
+    already built for it is returned first, which most calls are.
 
     A j-clique is extended by each common neighbour w above its last vertex,
     in ascending order, to the (j + 1)-clique with cover cover | N[w] and
@@ -421,27 +425,19 @@ def isolation_covers(g, k):
 def clique_table(g, k):
     """(vertex mask, closed-neighbourhood mask) per k-clique, in lex order.
 
-    The levels hold covers only; the vertex masks of a size are derived on
-    the first call that asks for them, from the rows of the size below: the
-    children of a j-clique are the bits of its common-neighbour mask in
-    ascending order, each added to its vertex mask. The rows are kept with
-    the levels, and rows already derived for the kept graph are looked up
-    first; the returned tuple is shared, not copied. The cliques inside
-    a vertex mask `zone` are the rows with `not vmask & ~zone`, still in lex
-    order.
+    The levels come from _clique_levels, the one lookup of the kept graph,
+    and hold covers only. A size's rows are derived on the first call that
+    asks for them, from clique_table of the size below: the children of a
+    j-clique are the bits of its common-neighbour mask in ascending order,
+    each added to its vertex mask. The rows are kept in the level, shared
+    and not copied. The cliques inside a vertex mask `zone` are the rows
+    with `not vmask & ~zone`, still in lex order.
     """
-    kept = _kept
-    if kept[0] is g and 0 < k <= len(kept[2]):
-        rows = kept[2][k - 1][2]
-        if rows is not None:
-            return rows
     levels = _clique_levels(g, k)[2]
     if k > len(levels):
         return ()
-    j = k
-    while levels[j - 1][2] is None:
-        j -= 1
-    for below, level in zip(levels[j - 1 : k - 1], levels[j:k]):
+    level = levels[k - 1]
+    if level[2] is None:
         # rows go to a list first: a tuple built from an iterator is grown
         # by resizing, and on small graphs the resized tuples pile up in
         # the interpreter's per-size tuple free lists, which raised the
@@ -449,13 +445,13 @@ def clique_table(g, k):
         rows = []
         add = rows.append
         covers = iter(level[0])
-        for (vmask, _), common in zip(below[2], below[1]):
+        for (vmask, _), common in zip(clique_table(g, k - 1), levels[k - 2][1]):
             while common:
                 b = common & -common
                 common ^= b
                 add((vmask | b, next(covers)))
         level[2] = tuple(rows)
-    return levels[k - 1][2]
+    return level[2]
 
 
 # ---------------------------------------------------------------------------

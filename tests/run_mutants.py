@@ -80,6 +80,11 @@ def main(argv):
         raise SystemExit(__doc__.split("\n\n")[1])
     with open(os.path.join(ROOT, "tests", "mutants.json"), encoding="utf-8") as fh:
         mutants = json.load(fh)
+    # the kill map is keyed by id, so a repeated one would lose an outcome
+    ids = [mutant["id"] for mutant in mutants]
+    repeated = sorted({i for i in ids if ids.count(i) > 1})
+    if repeated:
+        raise SystemExit(f"mutant ids given twice: {', '.join(repeated)}")
     kills = {}
     for mutant in mutants:
         kills[mutant["id"]] = outcome = run(mutant)

@@ -36,7 +36,7 @@ from isobound.harness import (
     write_json,
 )
 from isobound.predicates import is_irredundant, is_maximal_irredundant, is_minimum_dominating
-from isobound.graph import bits, encode_graph6, parse_graph6
+from isobound.graph import RECORD_CAP, bits, encode_graph6, parse_graph6
 from isobound.solvers import SolveResult, gamma, ir
 
 import random
@@ -1547,7 +1547,7 @@ class TestCli:
     def test_longest_record_with_blanks_around_it_still_reads(self, capsys, tmp_path):
         n = 512
         record = ">>graph6<<" + encode_graph6(Graph(n, list(itertools.combinations(range(n), 2))))
-        assert len(record) == cli._RECORD_CAP == 21817
+        assert len(record) == RECORD_CAP == 21817
         g6 = tmp_path / "in.g6"
         g6.write_text(f" \t{record}  \n")
         assert self.run(["solve", "--invariant", "gamma", "--g6", str(g6)]) == 0
@@ -1683,6 +1683,25 @@ class TestCli:
         g6.write_text("garbage\n")
         argv = ["check", "--g6", str(g6), "--set", "0", "--predicate", "isolating", *k]
         assert self.run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["check", "--set", "0_1", "--predicate", "dominating"],
+             "--set: expected an integer, got '0_1'"),
+            (["partition", "--iset", "0_1"], "--iset: expected an integer, got '0_1'"),
+            (["construct", "--iset", "0", "--k", "0"], "isolation order must be positive, got 0"),
+        ],
+        ids=["check", "partition", "construct"],
+    )
+    def test_options_refused_before_reading(self, capsys, tmp_path, argv, message):
+        # the malformed line is never read: the option's fault is the error
+        g6 = tmp_path / "in.g6"
+        g6.write_text("garbage\n")
+        assert self.run(argv + ["--g6", str(g6)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"

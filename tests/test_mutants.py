@@ -5,9 +5,10 @@ it breaks, a file, a text that occurs in it, the text that replaces it and
 the test expected to fail once it does. tests/run_mutants.py applies each
 one to a copy of the tree and writes which test killed it; no test here runs
 one. This test only keeps the catalogue from rotting: each old text must
-still name exactly one place in its file, and each killer must name a test
+still name exactly one place in its file, each killer must name a test
 that its file defines, so a renamed test shows here and not only in a run of
-every mutant.
+every mutant, and no two mutants may share an id, which would merge their
+outcomes in the kill map.
 """
 
 import ast
@@ -44,3 +45,9 @@ def test_old_text_occurs_once(mutant):
     assert mutant["new"] != mutant["old"]
     path, *names = mutant["killer"].partition("[")[0].split("::")
     assert names and defines(os.path.join(ROOT, path), names)
+
+
+def test_ids_are_distinct():
+    # pytest would suffix a repeated parametrize id rather than fail
+    ids = [m["id"] for m in MUTANTS]
+    assert len(set(ids)) == len(ids), sorted(i for i in set(ids) if ids.count(i) > 1)
